@@ -19,7 +19,7 @@ from .drivers import MarkSpace, ScenarioSet
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, Expr, evaluate, to_string
 from .generator import ensure_expr, sample_cloud
-from .solver import ProblemSpec, SolutionGrid, TreeModel, solve_tree_exact
+from .solver import ProblemSpec, SolutionGrid, TreeModel, _node_margin, solve_tree_exact
 
 _PREMISE_SLACK = 1e-9
 
@@ -133,7 +133,7 @@ def compare_solutions(
         Certificate("generator_ordered", f_worst <= _PREMISE_SLACK, f_worst)
     )
 
-    margin = min(float((y2 - y1).min()) for y1, y2 in zip(sol1.Y, sol2.Y))
+    margin = _node_margin(sol1, sol2)
     root_gap = sol2.root_value() - sol1.root_value()
     if not all(c.passed for c in premises):
         verdict = "premises-not-met"

@@ -138,9 +138,15 @@ class Cloud:
 
     def size_norms(self):
         """(|y|, |z|_2, |u|_lambda) per sample."""
-        zn = np.sqrt((self.z * self.z).sum(axis=1))
-        un = np.sqrt((self.intensities * self.u * self.u).sum(axis=1))
-        return np.abs(self.y), zn, un
+        return size_norms(self.y, self.z, self.u, self.intensities)
+
+
+def size_norms(y, z, u, intensities):
+    """(|y|, |z|_2, |u|_lambda) with z and u vectors along the last axis;
+    |u|_lambda = sqrt(sum_k lambda_k u_k^2)."""
+    zn = np.sqrt((z * z).sum(axis=-1))
+    un = np.sqrt((intensities * u * u).sum(axis=-1))
+    return np.abs(y), zn, un
 
 
 def sample_cloud(
@@ -264,9 +270,8 @@ def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Ch
     )
     pivals = np.broadcast_to(np.asarray(pivals, dtype=float), t.shape)
     gap = (fa - fb) - pivals
-    growth = spec.growth_C * (
-        np.abs(dy) + np.sqrt((dz**2).sum(axis=1)) + np.sqrt((lam * du**2).sum(axis=1))
-    )
+    ady, dzn, dun = size_norms(dy, dz, du, lam)
+    growth = spec.growth_C * (ady + dzn + dun)
     bad_order = np.nonzero(gap < -_SLACK)[0]
     bad_growth = np.nonzero(np.abs(pivals) > growth + _SLACK)[0]
     violations = [

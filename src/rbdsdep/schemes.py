@@ -38,6 +38,7 @@ from .generator import (
     check_linear_growth,
     check_pi_minorant,
     sample_cloud,
+    size_norms,
 )
 from .solver import (
     CoefficientFn,
@@ -45,6 +46,7 @@ from .solver import (
     SolutionGrid,
     TreeModel,
     TreeSolution,
+    _node_margin,
     solve_tree_exact,
 )
 
@@ -69,11 +71,6 @@ class SequenceRun:
     upper_solution: Optional[SolutionGrid] = None
     lower_anchor: Optional[SolutionGrid] = None
     upper_anchor: Optional[SolutionGrid] = None
-
-
-def _node_margin(a: TreeSolution, b: TreeSolution) -> float:
-    """Node-wise min of (b.Y - a.Y) over every slice and time."""
-    return min(float((yb - ya).min()) for ya, yb in zip(a.Y, b.Y))
 
 
 def _solve_many(problem, tree, f_fns, threads):
@@ -108,8 +105,9 @@ def _successive_diffs(grids, marks, dt):
     return z_diffs, u_diffs
 
 
-def _certify_growth(problem: ProblemSpec, seed: int) -> float:
-    cloud = sample_cloud(
+def _cert_cloud(problem: ProblemSpec, seed: int):
+    """The documented certificate cloud for one problem and seed."""
+    return sample_cloud(
         _CERT_CLOUD_SIZE,
         seed,
         problem.dim_d,
@@ -118,7 +116,10 @@ def _certify_growth(problem: ProblemSpec, seed: int) -> float:
         radius=_CERT_RADIUS,
         intensities=problem.marks.intensities,
     )
-    report = check_linear_growth(problem.generator, cloud)
+
+
+def _certify_growth(problem: ProblemSpec, seed: int) -> float:
+    report = check_linear_growth(problem.generator, _cert_cloud(problem, seed))
     if not report.passed:
         raise ConfigError(
             "linear growth certificate failed: |f| exceeds "
@@ -128,24 +129,8 @@ def _certify_growth(problem: ProblemSpec, seed: int) -> float:
 
 
 def _paired_clouds(problem: ProblemSpec, seed: int):
-    a = sample_cloud(
-        _CERT_CLOUD_SIZE,
-        seed,
-        problem.dim_d,
-        problem.marks.m,
-        t_max=problem.grid.T,
-        radius=_CERT_RADIUS,
-        intensities=problem.marks.intensities,
-    )
-    b = sample_cloud(
-        _CERT_CLOUD_SIZE,
-        seed + 1,
-        problem.dim_d,
-        problem.marks.m,
-        t_max=problem.grid.T,
-        radius=_CERT_RADIUS,
-        intensities=problem.marks.intensities,
-    )
+    a = _cert_cloud(problem, seed)
+    b = _cert_cloud(problem, seed + 1)
     b.t = a.t  # the pair checks condition on a shared time
     return a, b
 
@@ -202,9 +187,8 @@ def upper_bound_coefficient(problem: ProblemSpec) -> CoefficientFn:
     lam = problem.marks.intensities
 
     def fn(i_next, t, y, z, u, w, j):
-        zn = np.sqrt((z * z).sum(axis=-1))
-        un = np.sqrt((lam * u * u).sum(axis=-1))
-        return C * (1.0 + np.abs(y) + zn + un)
+        ay, zn, un = size_norms(y, z, u, lam)
+        return C * (1.0 + ay + zn + un)
 
     return fn
 
@@ -324,15 +308,7 @@ def run_sup_envelope_sequence(
 
 def _certify_signed_growth(problem: ProblemSpec, seed: int) -> float:
     gen = problem.generator
-    cloud = sample_cloud(
-        _CERT_CLOUD_SIZE,
-        seed,
-        problem.dim_d,
-        problem.marks.m,
-        t_max=problem.grid.T,
-        radius=_CERT_RADIUS,
-        intensities=problem.marks.intensities,
-    )
+    cloud = _cert_cloud(problem, seed)
     fvals = np.abs(np.asarray(evaluate(gen.f, cloud.context()), dtype=float))
     rate_vals = np.asarray(
         evaluate(gen.rate, EvalContext(t=cloud.t)), dtype=float
@@ -353,6 +329,19 @@ def _certify_signed_growth(problem: ProblemSpec, seed: int) -> float:
     if rate_min < -1e-12:
         raise ConfigError(f"dominating rate f_t is negative (min {rate_min:.4g})")
     return worst
+
+
+def _anchor_coefficient(problem: ProblemSpec, sign: float) -> CoefficientFn:
+    """Bracketing anchor generator sign * (C(|y|+|z|+|u|_lambda) + f_t)."""
+    C = problem.generator.growth_C
+    lam = problem.marks.intensities
+    rate_at = _rate_at(problem)
+
+    def fn(i_next, t, y, z, u, w, j):
+        ay, zn, un = size_norms(y, z, u, lam)
+        return sign * (C * (ay + zn + un) + rate_at(t))
+
+    return fn
 
 
 def _frozen_source_coefficient(
@@ -423,22 +412,8 @@ def run_bracketing_sequence(
 
     if tree is None:
         tree = TreeModel(problem.grid, problem.dim_d, problem.marks)
-    C = gen.growth_C
-    lam = problem.marks.intensities
-    rate_at = _rate_at(problem)
-
-    def lower_fn(i_next, t, y, z, u, w, j):
-        zn = np.sqrt((z * z).sum(axis=-1))
-        un = np.sqrt((lam * u * u).sum(axis=-1))
-        return -(C * (np.abs(y) + zn + un) + rate_at(t))
-
-    def upper_fn(i_next, t, y, z, u, w, j):
-        zn = np.sqrt((z * z).sum(axis=-1))
-        un = np.sqrt((lam * u * u).sum(axis=-1))
-        return C * (np.abs(y) + zn + un) + rate_at(t)
-
-    lower = solve_tree_exact(problem, tree, f_fn=lower_fn)
-    upper = solve_tree_exact(problem, tree, f_fn=upper_fn)
+    lower = solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, -1.0))
+    upper = solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, 1.0))
 
     iterates: List[TreeSolution] = []
     prev = lower

@@ -21,10 +21,15 @@ probability space (each dW component and dB equal to +-sqrt(dt), each mark
 firing with probability lambda_k*dt).  A node at time t_i is the pair of
 forward histories plus the future B signs; values never depend on past B
 increments, so slices are stored as (W-history, jump-history, B-future)
-arrays.  ``solve_lsmc`` replaces E_i by cross-sectional least squares on
-scenario paths; run on an exhaustively enumerated two-point set with the
-saturated indicator basis it reproduces the tree bit-for-bit up to float
-summation order.
+arrays.  One backward step computes the continuation value on a slice; the
+exact solve reflects it, and ``tree_balance_residual`` reruns the same step
+on the stored slices to check Y_i - dK_i against it.
+
+``solve_lsmc`` replaces E_i by cross-sectional least squares on scenario
+paths; it shares the coefficient defaults and the terminal/barrier
+evaluation, with its ill-posedness check, with the tree.  Run on an
+exhaustively enumerated two-point set with the saturated indicator basis
+it reproduces the tree bit-for-bit up to float summation order.
 """
 
 from __future__ import annotations
@@ -316,14 +321,8 @@ class TreeSolution:
         pb = 0.5 ** (N - i)
         return pw * pb * self.j_prob[i][None, :, None] * np.ones_like(self.Y[i])
 
-    def expectation(self, i: int, values: np.ndarray) -> float:
-        return float((self.state_probs(i) * values).sum())
-
     def root_value(self) -> float:
         return float(self.Y[0].mean())
-
-    def min_y(self) -> float:
-        return min(float(y.min()) for y in self.Y)
 
     def to_solution_grid(self, max_paths: int = 2_000_000) -> SolutionGrid:
         """Materialize every full history as a weighted path."""
@@ -366,21 +365,33 @@ class TreeSolution:
         )
 
 
-def _terminal_slices(problem: ProblemSpec, w_vals, j_vals):
-    N = problem.grid.N
-    d, m = problem.dim_d, problem.marks.m
-    nw, nj = 2**d, 2**m
-    shape = (nw**N, nj**N, 1)
-    w_ctx = w_vals[N][:, None, None, :]
-    j_ctx = j_vals[N][None, :, None, :]
-    ctx = EvalContext(w=w_ctx, j=j_ctx, intensities=problem.marks.intensities)
+def _node_margin(a: TreeSolution, b: TreeSolution) -> float:
+    """Node-wise min of (b.Y - a.Y) over every slice and time."""
+    return min(float((yb - ya).min()) for ya, yb in zip(a.Y, b.Y))
+
+
+def _coefficients(problem: ProblemSpec, f_fn, g_fn):
+    """(f_fn, g_fn) with each missing callable taken from the problem."""
+    default_f, default_g = problem.coefficient_fns()
+    return f_fn or default_f, g_fn or default_g
+
+
+def _barrier_values(problem: ProblemSpec, t, w, shape) -> np.ndarray:
+    values = evaluate(problem.barrier, EvalContext(t=t, w=w))
+    return np.broadcast_to(np.asarray(values, dtype=float), shape).copy()
+
+
+def _terminal_values(problem: ProblemSpec, w, j, shape):
+    """Terminal condition and barrier at T on the given terminal states.
+
+    Raises ConfigError when the barrier exceeds the terminal condition
+    anywhere: the reflected problem is then ill-posed.
+    """
+    ctx = EvalContext(w=w, j=j, intensities=problem.marks.intensities)
     y_term = np.broadcast_to(
         np.asarray(evaluate(problem.terminal, ctx), dtype=float), shape
     ).copy()
-    s_ctx = EvalContext(t=problem.grid.T, w=w_ctx)
-    s_term = np.broadcast_to(
-        np.asarray(evaluate(problem.barrier, s_ctx), dtype=float), shape
-    ).copy()
+    s_term = _barrier_values(problem, problem.grid.T, w, shape)
     if np.any(s_term > y_term + 1e-12):
         worst = float((s_term - y_term).max())
         raise ConfigError(
@@ -388,6 +399,83 @@ def _terminal_slices(problem: ProblemSpec, w_vals, j_vals):
             f"(worst excess {worst:.3g}); the problem is ill-posed"
         )
     return y_term, s_term
+
+
+def _repeat_over_b_sign(values: np.ndarray) -> np.ndarray:
+    """Copy slice values that do not depend on the step-i B sign to both
+    signs: (a, b, n, ...) -> (a, b, 2*n, ...)."""
+    a, b, n = values.shape[:3]
+    rest = values.shape[3:]
+    return (
+        np.broadcast_to(values[:, :, None], (a, b, 2, n) + rest)
+        .reshape((a, b, 2 * n) + rest)
+        .copy()
+    )
+
+
+class _TreeStep:
+    """The backward step of the two-point tree.
+
+    Holds the forward W and jump values of every history and the
+    jump-pattern weights.  ``expectation`` gives the continuation value
+    E_i[Y_{i+1} + f*dt + g*dB_i] on slice i: the exact solve reflects it
+    onto the barrier, the balance residual compares it with Y_i - dK_i.
+    """
+
+    def __init__(self, problem: ProblemSpec):
+        grid = problem.grid
+        self.times, self.N, self.dt = grid.times, grid.N, grid.dt
+        d, m = problem.dim_d, problem.marks.m
+        self.nw, self.nj = 2**d, 2**m
+        root_dt = np.sqrt(self.dt)
+        self.w_step = _sign_patterns(d) * root_dt          # (nw, d)
+        self.j_step = _jump_patterns(m)                     # (nj, m)
+        self.pj = _jump_pattern_probs(problem.marks, self.dt)  # (nj,)
+        self.db_signs = np.array([root_dt, -root_dt])
+
+        self.w_vals = [np.zeros((1, d))]
+        self.j_vals = [np.zeros((1, m))]
+        self.j_prob = [np.ones(1)]
+        for i in range(self.N):
+            self.w_vals.append(
+                (self.w_vals[i][:, None, :] + self.w_step[None, :, :]).reshape(
+                    self.nw ** (i + 1), d
+                )
+            )
+            self.j_vals.append(
+                (self.j_vals[i][:, None, :] + self.j_step[None, :, :]).reshape(
+                    self.nj ** (i + 1), m
+                )
+            )
+            self.j_prob.append((self.j_prob[i][:, None] * self.pj[None, :]).reshape(-1))
+
+    def context(self, i: int):
+        """(w, j) broadcastable against slice-i arrays."""
+        return self.w_vals[i][:, None, None, :], self.j_vals[i][None, :, None, :]
+
+    def children(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Slice-(i+1) values with the step-i W and jump branches split out:
+        shape (2**(d*i), 2**d, 2**(m*i), 2**m, 2**(N-i-1))."""
+        nb1 = 2 ** (self.N - i - 1)
+        return values.reshape(self.nw**i, self.nw, self.nj**i, self.nj, nb1)
+
+    def expectation(self, i: int, y1, z1, u1, f_fn, g_fn) -> np.ndarray:
+        """E_i[Y_{i+1} + f*dt + g*dB_i] on slice i, with f and g evaluated
+        on the slice-(i+1) values (y1, z1, u1)."""
+        w_ctx, j_ctx = self.context(i + 1)
+        t_next = self.times[i + 1]
+        f1, g1 = (
+            np.broadcast_to(
+                np.asarray(fn(i + 1, t_next, y1, z1, u1, w_ctx, j_ctx), float), y1.shape
+            )
+            for fn in (f_fn, g_fn)
+        )
+        Ar = self.children(i, y1 + f1 * self.dt)
+        EA = np.einsum("awbjn,j->abn", Ar, self.pj) / self.nw
+        Eg = np.einsum("awbjn,j->abn", self.children(i, g1), self.pj) / self.nw
+        db = self.db_signs[None, None, :, None]
+        cont = EA[:, :, None, :] + db * Eg[:, :, None, :]
+        return cont.reshape(EA.shape[0], EA.shape[1], 2 * EA.shape[2])
 
 
 def solve_tree_exact(
@@ -409,33 +497,14 @@ def solve_tree_exact(
     ):
         raise SolverError("tree grid differs from the problem grid")
     tree.ensure_budget()
-    if f_fn is None or g_fn is None:
-        default_f, default_g = problem.coefficient_fns()
-        f_fn = f_fn or default_f
-        g_fn = g_fn or default_g
+    f_fn, g_fn = _coefficients(problem, f_fn, g_fn)
 
-    grid = problem.grid
-    N, dt = grid.N, grid.dt
+    step = _TreeStep(problem)
+    N, dt, nw = step.N, step.dt, step.nw
     d, m = problem.dim_d, problem.marks.m
-    nw, nj = 2**d, 2**m
-    root_dt = np.sqrt(dt)
-    w_step = _sign_patterns(d) * root_dt          # (nw, d)
-    j_step = _jump_patterns(m)                     # (nj, m)
-    pj = _jump_pattern_probs(problem.marks, dt)    # (nj,)
     lam_dt = problem.marks.intensities * dt
     jvar = jump_variances(problem.marks, dt, "two-point")
-
-    w_vals = [np.zeros((1, d))]
-    j_vals = [np.zeros((1, m))]
-    j_prob = [np.ones(1)]
-    for i in range(N):
-        w_vals.append(
-            (w_vals[i][:, None, :] + w_step[None, :, :]).reshape(nw ** (i + 1), d)
-        )
-        j_vals.append(
-            (j_vals[i][:, None, :] + j_step[None, :, :]).reshape(nj ** (i + 1), m)
-        )
-        j_prob.append((j_prob[i][:, None] * pj[None, :]).reshape(-1))
+    ju_weights = step.pj[:, None] * (step.j_step - lam_dt[None, :])  # (nj, m)
 
     Y = [None] * (N + 1)
     Z = [None] * (N + 1)
@@ -443,58 +512,25 @@ def solve_tree_exact(
     S = [None] * (N + 1)
     dK = [None] * N
 
-    Y[N], S[N] = _terminal_slices(problem, w_vals, j_vals)
+    w_ctx, j_ctx = step.context(N)
+    Y[N], S[N] = _terminal_values(problem, w_ctx, j_ctx, (nw**N, step.nj**N, 1))
     Z[N] = np.zeros(Y[N].shape + (d,))
     U[N] = np.zeros(Y[N].shape + (m,))
 
-    db_signs = np.array([root_dt, -root_dt])
     for i in range(N - 1, -1, -1):
-        nwi, nji, nb1 = nw**i, nj**i, 2 ** (N - i - 1)
-        child_shape = Y[i + 1].shape
-        t_next = grid.times[i + 1]
-        w_ctx = w_vals[i + 1][:, None, None, :]
-        j_ctx = j_vals[i + 1][None, :, None, :]
-        f1 = np.broadcast_to(
-            np.asarray(
-                f_fn(i + 1, t_next, Y[i + 1], Z[i + 1], U[i + 1], w_ctx, j_ctx), float
-            ),
-            child_shape,
-        )
-        g1 = np.broadcast_to(
-            np.asarray(
-                g_fn(i + 1, t_next, Y[i + 1], Z[i + 1], U[i + 1], w_ctx, j_ctx), float
-            ),
-            child_shape,
-        )
-        Ar = (Y[i + 1] + f1 * dt).reshape(nwi, nw, nji, nj, nb1)
-        gr = g1.reshape(nwi, nw, nji, nj, nb1)
-        Yr = Y[i + 1].reshape(nwi, nw, nji, nj, nb1)
-        EA = np.einsum("awbjn,j->abn", Ar, pj) / nw
-        Eg = np.einsum("awbjn,j->abn", gr, pj) / nw
-        Zc = np.einsum("awbjn,wc,j->abnc", Yr, w_step, pj) / (nw * dt)
-        ju_weights = pj[:, None] * (j_step - lam_dt[None, :])  # (nj, m)
+        y_tilde = step.expectation(i, Y[i + 1], Z[i + 1], U[i + 1], f_fn, g_fn)
+        Yr = step.children(i, Y[i + 1])
+        Zc = np.einsum("awbjn,wc,j->abnc", Yr, step.w_step, step.pj) / (nw * dt)
         Uc = np.einsum("awbjn,jk->abnk", Yr, ju_weights) / nw
         if m:
             Uc = Uc / jvar
-        y_tilde = EA[:, :, None, :] + db_signs[None, None, :, None] * Eg[:, :, None, :]
-        y_tilde = y_tilde.reshape(nwi, nji, 2 * nb1)
-        Z[i] = (
-            np.broadcast_to(Zc[:, :, None, :, :], (nwi, nji, 2, nb1, d))
-            .reshape(nwi, nji, 2 * nb1, d)
-            .copy()
-        )
-        U[i] = (
-            np.broadcast_to(Uc[:, :, None, :, :], (nwi, nji, 2, nb1, m))
-            .reshape(nwi, nji, 2 * nb1, m)
-            .copy()
-        )
-        s_ctx = EvalContext(t=grid.times[i], w=w_vals[i][:, None, None, :])
-        S[i] = np.broadcast_to(
-            np.asarray(evaluate(problem.barrier, s_ctx), float), y_tilde.shape
-        ).copy()
+        Z[i] = _repeat_over_b_sign(Zc)
+        U[i] = _repeat_over_b_sign(Uc)
+        w_ctx, _ = step.context(i)
+        S[i] = _barrier_values(problem, step.times[i], w_ctx, y_tilde.shape)
         Y[i], dK[i] = reflect_step(y_tilde, S[i])
 
-    return TreeSolution(problem, tree, Y, Z, U, dK, S, j_prob)
+    return TreeSolution(problem, tree, Y, Z, U, dK, S, step.j_prob)
 
 
 def tree_balance_residual(
@@ -506,61 +542,16 @@ def tree_balance_residual(
 
     The martingale terms Z*dW and U*(count - lambda*dt) have exact
     conditional mean zero, so this is the full discrete balance in
-    conditional mean; it must vanish to float roundoff.
+    conditional mean.  The expectation is the solver's own step, rerun on
+    the stored slices, so the residual checks the reflection and the
+    bookkeeping of Y and dK; it must vanish to float roundoff.
     """
-    problem = sol.problem
-    if f_fn is None or g_fn is None:
-        default_f, default_g = problem.coefficient_fns()
-        f_fn = f_fn or default_f
-        g_fn = g_fn or default_g
-    grid = problem.grid
-    N, dt = grid.N, grid.dt
-    d, m = problem.dim_d, problem.marks.m
-    nw, nj = 2**d, 2**m
-    root_dt = np.sqrt(dt)
-    pj = _jump_pattern_probs(problem.marks, dt)
-    w_step = _sign_patterns(d) * root_dt
-    j_step = _jump_patterns(m)
-
-    w_vals = [np.zeros((1, d))]
-    j_vals = [np.zeros((1, m))]
-    for i in range(N):
-        w_vals.append(
-            (w_vals[i][:, None, :] + w_step[None, :, :]).reshape(nw ** (i + 1), d)
-        )
-        j_vals.append(
-            (j_vals[i][:, None, :] + j_step[None, :, :]).reshape(nj ** (i + 1), m)
-        )
-
+    f_fn, g_fn = _coefficients(sol.problem, f_fn, g_fn)
+    step = _TreeStep(sol.problem)
     worst = 0.0
-    db_signs = np.array([root_dt, -root_dt])
-    for i in range(N - 1, -1, -1):
-        nwi, nji, nb1 = nw**i, nj**i, 2 ** (N - i - 1)
-        t_next = grid.times[i + 1]
-        w_ctx = w_vals[i + 1][:, None, None, :]
-        j_ctx = j_vals[i + 1][None, :, None, :]
-        f1 = np.broadcast_to(
-            np.asarray(
-                f_fn(i + 1, t_next, sol.Y[i + 1], sol.Z[i + 1], sol.U[i + 1], w_ctx, j_ctx),
-                float,
-            ),
-            sol.Y[i + 1].shape,
-        )
-        g1 = np.broadcast_to(
-            np.asarray(
-                g_fn(i + 1, t_next, sol.Y[i + 1], sol.Z[i + 1], sol.U[i + 1], w_ctx, j_ctx),
-                float,
-            ),
-            sol.Y[i + 1].shape,
-        )
-        Ar = (sol.Y[i + 1] + f1 * dt).reshape(nwi, nw, nji, nj, nb1)
-        gr = g1.reshape(nwi, nw, nji, nj, nb1)
-        EA = np.einsum("awbjn,j->abn", Ar, pj) / nw
-        Eg = np.einsum("awbjn,j->abn", gr, pj) / nw
-        cont = EA[:, :, None, :] + db_signs[None, None, :, None] * Eg[:, :, None, :]
-        cont = cont.reshape(nwi, nji, 2 * nb1)
-        resid = np.abs(sol.Y[i] - sol.dK[i] - cont).max()
-        worst = max(worst, float(resid))
+    for i in range(step.N - 1, -1, -1):
+        cont = step.expectation(i, sol.Y[i + 1], sol.Z[i + 1], sol.U[i + 1], f_fn, g_fn)
+        worst = max(worst, float(np.abs(sol.Y[i] - sol.dK[i] - cont).max()))
     return worst
 
 
@@ -654,12 +645,9 @@ def solve_lsmc(
         raise SolverError("scenario grid differs from the problem grid")
     if scenarios.dim_d != problem.dim_d or scenarios.num_marks != problem.marks.m:
         raise SolverError("scenario dimensions differ from the problem's")
-    if f_fn is None or g_fn is None:
-        default_f, default_g = problem.coefficient_fns()
-        f_fn = f_fn or default_f
-        g_fn = g_fn or default_g
+    f_fn, g_fn = _coefficients(problem, f_fn, g_fn)
 
-    N, dt, T = grid.N, grid.dt, grid.T
+    N, dt = grid.N, grid.dt
     d, m = problem.dim_d, problem.marks.m
     P = scenarios.path_count
     if scheme.basis == "poly":
@@ -673,8 +661,7 @@ def solve_lsmc(
     W = scenarios.brownian_paths()
     J = scenarios.jump_paths()
     B_rem = scenarios.b_remaining()
-    lam = problem.marks.intensities
-    lam_dt = lam * dt
+    lam_dt = problem.marks.intensities * dt
     jvar = jump_variances(problem.marks, dt, scenarios.mode)
 
     Y = np.empty((P, N + 1))
@@ -683,22 +670,7 @@ def solve_lsmc(
     K = np.zeros((P, N + 1))
     S = np.empty((P, N + 1))
 
-    term_ctx = EvalContext(w=W[:, N, :], j=J[:, N, :], intensities=lam)
-    Y[:, N] = np.broadcast_to(
-        np.asarray(evaluate(problem.terminal, term_ctx), float), (P,)
-    )
-    S[:, N] = np.broadcast_to(
-        np.asarray(
-            evaluate(problem.barrier, EvalContext(t=T, w=W[:, N, :])), float
-        ),
-        (P,),
-    )
-    if np.any(S[:, N] > Y[:, N] + 1e-12):
-        worst = float((S[:, N] - Y[:, N]).max())
-        raise ConfigError(
-            "barrier exceeds the terminal condition on a terminal state "
-            f"(worst excess {worst:.3g}); the problem is ill-posed"
-        )
+    Y[:, N], S[:, N] = _terminal_values(problem, W[:, N, :], J[:, N, :], (P,))
 
     resid_rms = []
     basis_sizes = []
@@ -727,13 +699,7 @@ def solve_lsmc(
             lam_dt, dt, jvar,
         )
         targets = np.column_stack([target_y, zt, ut])
-        S[:, i] = np.broadcast_to(
-            np.asarray(
-                evaluate(problem.barrier, EvalContext(t=grid.times[i], w=W[:, i, :])),
-                float,
-            ),
-            (P,),
-        )
+        S[:, i] = _barrier_values(problem, grid.times[i], W[:, i, :], (P,))
         if scheme.basis == "indicator":
             ids = _atom_ids(scenarios, i)
             fitted, n_basis = _group_means(ids, wts, targets)

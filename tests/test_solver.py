@@ -1,5 +1,7 @@
 """Exact tree solver, Monte Carlo solver and their shared plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,25 @@ class TestTreeStructure:
     def test_balance_residual_vanishes(self):
         sol = solve_tree_exact(make_problem(**MIXED))
         assert tree_balance_residual(sol) <= 1e-12
+
+    def test_balance_residual_detects_a_bumped_node(self):
+        """A 1e-6 bump of one node of Y_i, or of dK_i, shows in the residual
+        at every step, the first and the last included.
+
+        The residual reruns the solver's own backward step, so it checks the
+        reflection and the Y/dK bookkeeping, not the expectation itself; that
+        is checked independently against the saturated indicator LSMC in
+        test_acceptance.test_01_exact_tree_equals_saturated_regression.
+        """
+        sol = solve_tree_exact(make_problem(**MIXED))
+        bump = 1e-6
+        for i in range(sol.grid.N):
+            for name in ("Y", "dK"):
+                slices = [a.copy() for a in getattr(sol, name)]
+                slices[i].flat[0] += bump
+                resid = tree_balance_residual(replace(sol, **{name: slices}))
+                # the slack covers the roundoff of adding the bump
+                assert resid >= bump * (1.0 - 1e-9), (name, i, resid)
 
     def test_materialized_paths_validate(self):
         sol = solve_tree_exact(make_problem(**MIXED))
