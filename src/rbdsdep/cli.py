@@ -14,6 +14,7 @@ validator fails, 2 on configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -46,32 +47,49 @@ from .solver import (
     solve_tree_exact,
     tree_balance_residual,
 )
+from .table import CsvTable
 
 SKOROKHOD_TOL = 1e-10
 BALANCE_TOL = 1e-9
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
+#: rows formatted and written per chunk of a streamed CSV report
+CSV_BLOCK_ROWS = 8192
 
 
-def _atomic_write(path: str, text: str):
+def _bool_cell(value) -> str:
+    return "true" if value else "false"
+
+
+#: cell text by column dtype kind: shortest round-trip repr for floats
+_CELL_FORMAT = {"b": _bool_cell, "i": str, "u": str, "f": repr}
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text file handle on a temp file that replaces path on success."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def _write_csv(path: str, rows, schema: str, config_hash: str):
-    lines = [f"# schema={schema} config_hash={config_hash}"]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, table: CsvTable, schema: str, config_hash: str):
+    """Stream a column table as CSV, CSV_BLOCK_ROWS rows at a time."""
+    formats = [_CELL_FORMAT[c.dtype.kind] for c in table.columns]
+    with _atomic_open(path) as fh:
+        fh.write(f"# schema={schema} config_hash={config_hash}\n")
+        fh.write(",".join(table.header) + "\n")
+        for start in range(0, table.row_count, CSV_BLOCK_ROWS):
+            cells = [
+                map(fmt, c[start : start + CSV_BLOCK_ROWS].tolist())
+                for fmt, c in zip(formats, table.columns)
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _json_default(value):
@@ -88,7 +106,8 @@ def _json_default(value):
 
 def _write_json(path: str, obj):
     text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
-    _atomic_write(path, text + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(text + "\n")
 
 
 def _scenarios_for(cfg: ExperimentConfig):

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, SolverError
+from .table import CsvTable
 
 MODES = ("gaussian", "two-point")
 
@@ -65,7 +66,12 @@ def build_time_grid(T: float, N: int) -> TimeGrid:
 class MarkSpace:
     """Finite set of jump marks e_k with intensities lambda_k > 0.
 
-    An empty mark space (m = 0) is legal and means no jump part.
+    The values e_k are labels.  They are validated (nonzero, one per
+    intensity), enter the config hash and must agree between the two
+    problems of a comparison, but they do not enter the dynamics: a jump
+    of mark k adds 1 to the count j_k whatever e_k is, and only the
+    intensities set the law.  An empty mark space (m = 0) is legal and
+    means no jump part.
     """
 
     values: np.ndarray
@@ -297,20 +303,20 @@ def enumerate_scenarios(
     return ScenarioSet(grid, dim_d, "two-point", None, dW, dB, counts, weights)
 
 
-def scenario_csv_rows(scen: ScenarioSet):
+def scenario_csv_rows(scen: ScenarioSet) -> CsvTable:
     """Header plus one row per path-step for CSV export."""
-    d, m = scen.dim_d, scen.num_marks
+    P, N, d = scen.dW.shape
+    m = scen.num_marks
     header = (
         ["path", "step"]
         + [f"dw{c + 1}" for c in range(d)]
         + ["db"]
         + [f"jumps{k + 1}" for k in range(m)]
     )
-    yield header
-    for p in range(scen.path_count):
-        for i in range(scen.grid.N):
-            row = [p, i]
-            row += [scen.dW[p, i, c] for c in range(d)]
-            row.append(scen.dB[p, i])
-            row += [int(scen.jump_counts[p, i, k]) for k in range(m)]
-            yield row
+    columns = (
+        [np.repeat(np.arange(P), N), np.tile(np.arange(N), P)]
+        + [scen.dW[:, :, c].ravel() for c in range(d)]
+        + [scen.dB.ravel()]
+        + [scen.jump_counts[:, :, k].ravel().astype(np.int64) for k in range(m)]
+    )
+    return CsvTable(header, columns)

@@ -49,6 +49,7 @@ from .solver import (
     _node_margin,
     solve_tree_exact,
 )
+from .table import CsvTable
 
 _CERT_CLOUD_SIZE = 512
 _CERT_RADIUS = 5.0
@@ -465,7 +466,7 @@ def run_bracketing_sequence(
     )
 
 
-def sequence_csv_rows(run: SequenceRun):
+def sequence_csv_rows(run: SequenceRun) -> CsvTable:
     """Header plus one row per computed index.
 
     margin is the node-wise ordering margin against the previous element
@@ -473,17 +474,13 @@ def sequence_csv_rows(run: SequenceRun):
     for the first envelope row, which has no predecessor).
     """
     header = ["n", "y0", "k_t_mean", "z_norm_sq", "u_norm_sq", "margin"]
-    yield header
     norms = run.report["norms"]
-    margins = run.report["row_margins"]
-    for k, n in enumerate(run.index_set):
-        sol = run.solutions[k]
-        k_t_mean = float(sol.weights @ sol.K[:, -1])
-        yield [
-            n,
-            run.y0_series[k],
-            k_t_mean,
-            norms[k]["z_norm_sq"],
-            norms[k]["u_norm_sq"],
-            margins[k],
-        ]
+    columns = [
+        run.index_set,
+        run.y0_series,
+        [float(sol.weights @ sol.K[:, -1]) for sol in run.solutions],
+        [nr["z_norm_sq"] for nr in norms],
+        [nr["u_norm_sq"] for nr in norms],
+        run.report["row_margins"],
+    ]
+    return CsvTable(header, columns)

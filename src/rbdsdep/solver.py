@@ -51,6 +51,7 @@ from .drivers import (
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, evaluate, variables
 from .generator import GeneratorSpec, ensure_expr
+from .table import CsvTable
 
 #: coefficient callables receive (next_step_index, t_next, y, z, u, w, j)
 CoefficientFn = Callable[..., np.ndarray]
@@ -226,9 +227,9 @@ class SolutionGrid:
         return self
 
 
-def solution_csv_rows(sol: SolutionGrid):
+def solution_csv_rows(sol: SolutionGrid) -> CsvTable:
     """Header plus one row per path-step (terminal step included)."""
-    d = sol.Z.shape[2]
+    P, steps, d = sol.Z.shape
     m = sol.U.shape[2]
     header = (
         ["path", "step", "y"]
@@ -236,14 +237,13 @@ def solution_csv_rows(sol: SolutionGrid):
         + [f"u{k + 1}" for k in range(m)]
         + ["k"]
     )
-    yield header
-    for p in range(sol.path_count):
-        for i in range(sol.grid.N + 1):
-            row = [p, i, sol.Y[p, i]]
-            row += list(sol.Z[p, i])
-            row += list(sol.U[p, i])
-            row.append(sol.K[p, i])
-            yield row
+    columns = (
+        [np.repeat(np.arange(P), steps), np.tile(np.arange(steps), P), sol.Y.ravel()]
+        + [sol.Z[:, :, c].ravel() for c in range(d)]
+        + [sol.U[:, :, k].ravel() for k in range(m)]
+        + [sol.K.ravel()]
+    )
+    return CsvTable(header, columns)
 
 
 @dataclass(frozen=True)
@@ -543,8 +543,12 @@ def tree_balance_residual(
     The martingale terms Z*dW and U*(count - lambda*dt) have exact
     conditional mean zero, so this is the full discrete balance in
     conditional mean.  The expectation is the solver's own step, rerun on
-    the stored slices, so the residual checks the reflection and the
-    bookkeeping of Y and dK; it must vanish to float roundoff.
+    the stored slices, so the residual catches faults in the reflection
+    and in the bookkeeping of Y and dK, and must vanish to float
+    roundoff; it cannot catch an error in the expectation itself, which
+    both sides share.  That error is covered by
+    ``test_acceptance.test_01_exact_tree_equals_saturated_regression``,
+    which checks the tree against an independent indicator regression.
     """
     f_fn, g_fn = _coefficients(sol.problem, f_fn, g_fn)
     step = _TreeStep(sol.problem)
@@ -561,7 +565,9 @@ class SchemeParams:
 
     basis 'poly' regresses on polynomials of degree <= degree in each
     conditioning feature (W_{t_i} components, cumulative jump counts,
-    B_T - B_{t_i}) plus the barrier value, with a fixed ridge weight;
+    B_T - B_{t_i}) plus the barrier value, with a fixed ridge weight,
+    dropping the powers and the barrier column that would repeat a
+    column already in the basis;
     'indicator' groups paths by their exact conditioning atom (meant for
     exhaustively enumerated two-point sets, where it reproduces the exact
     conditional expectation).
@@ -581,19 +587,40 @@ class SchemeParams:
             raise ConfigError("ridge must be >= 0")
 
 
+def _distinct_count(values: np.ndarray) -> int:
+    """Number of distinct values, merging neighbours closer than 1e-9 of
+    the range: sums of the same two-point steps taken in another order
+    can differ in the last bits."""
+    v = np.sort(values)
+    return 1 + int(np.count_nonzero(np.diff(v) > 1e-9 * (v[-1] - v[0])))
+
+
 def _poly_fit(features, s_col, wts, targets, params: SchemeParams, step: int):
-    """Weighted ridge regression; returns fitted values for every target
-    column.  Constant columns are dropped (the intercept carries them)."""
+    """Weighted ridge regression; returns the fitted values for every
+    target column, the basis size and the condition number of the Gram
+    matrix.
+
+    A feature with v distinct values (see ``_distinct_count``) enters with
+    powers 1..min(degree, v - 1): on v points the higher powers are
+    combinations of the lower ones and the intercept.  The barrier column enters only when its
+    weighted least-squares distance from the span of the other columns
+    exceeds max_condition**-0.5 of its weighted norm; any closer and it
+    alone would push the Gram condition past max_condition.
+    """
     cols = [np.ones_like(s_col)]
     for feat in features:
-        for power in range(1, params.degree + 1):
-            cols.append(feat**power)
-    cols.append(s_col)
-    X = np.column_stack(cols)
-    keep = [0] + [
-        c for c in range(1, X.shape[1]) if X[:, c].max() != X[:, c].min()
-    ]
-    X = X[:, keep]
+        top = min(params.degree, _distinct_count(feat) - 1)
+        cols += [feat**power for power in range(1, top + 1)]
+    if s_col.max() != s_col.min():  # a constant barrier is in the intercept's span
+        sw = np.sqrt(wts)
+        A = np.array(cols).T * sw[:, None]
+        coef = np.linalg.lstsq(A, sw * s_col, rcond=None)[0]
+        resid = np.linalg.norm(sw * s_col - A @ coef)
+        if resid > params.max_condition**-0.5 * np.linalg.norm(sw * s_col):
+            cols.append(s_col)
+    # column-major: the BLAS summation order below, and so the fitted
+    # bits, depend on the layout
+    X = np.array(cols).T
     gram = X.T @ (X * wts[:, None])
     eigs = np.linalg.eigvalsh(gram)
     cond = np.inf if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
@@ -604,7 +631,7 @@ def _poly_fit(features, s_col, wts, targets, params: SchemeParams, step: int):
         )
     rhs = X.T @ (targets * wts[:, None])
     beta = np.linalg.solve(gram + params.ridge * np.eye(X.shape[1]), rhs)
-    return X @ beta, len(keep)
+    return X @ beta, X.shape[1], cond
 
 
 def _atom_ids(scen: ScenarioSet, step: int):
@@ -623,13 +650,15 @@ def _atom_ids(scen: ScenarioSet, step: int):
 
 
 def _group_means(ids, wts, targets):
+    """Per-atom weighted means; returns them with the atom count and the
+    condition number of the (diagonal) indicator Gram matrix."""
     n = int(ids.max()) + 1
     den = np.bincount(ids, weights=wts, minlength=n)
     out = np.empty_like(targets)
     for c in range(targets.shape[1]):
         num = np.bincount(ids, weights=wts * targets[:, c], minlength=n)
         out[:, c] = (num / den)[ids]
-    return out, n
+    return out, n, float(den.max() / den.min())
 
 
 def solve_lsmc(
@@ -674,6 +703,7 @@ def solve_lsmc(
 
     resid_rms = []
     basis_sizes = []
+    conditions = []
     dk_cols = np.empty((P, N))
     for i in range(N - 1, -1, -1):
         t_next = grid.times[i + 1]
@@ -702,18 +732,19 @@ def solve_lsmc(
         S[:, i] = _barrier_values(problem, grid.times[i], W[:, i, :], (P,))
         if scheme.basis == "indicator":
             ids = _atom_ids(scenarios, i)
-            fitted, n_basis = _group_means(ids, wts, targets)
+            fitted, n_basis, cond = _group_means(ids, wts, targets)
         else:
             features = [W[:, i, c] for c in range(d)]
             features += [J[:, i, k] for k in range(m)]
             features.append(B_rem[:, i])
-            fitted, n_basis = _poly_fit(features, S[:, i], wts, targets, scheme, i)
+            fitted, n_basis, cond = _poly_fit(features, S[:, i], wts, targets, scheme, i)
         y_tilde = fitted[:, 0]
         Z[:, i, :] = fitted[:, 1 : 1 + d]
         U[:, i, :] = fitted[:, 1 + d :]
         Y[:, i], dk_cols[:, i] = reflect_step(y_tilde, S[:, i])
         resid_rms.append(float(np.sqrt(wts @ (target_y - y_tilde) ** 2)))
         basis_sizes.append(n_basis)
+        conditions.append(cond)
 
     np.cumsum(dk_cols, axis=1, out=K[:, 1:])
     return SolutionGrid(
@@ -728,6 +759,7 @@ def solve_lsmc(
             "basis": scheme.basis,
             "basis_sizes": basis_sizes[::-1],
             "regression_rms": resid_rms[::-1],
+            "regression_condition": conditions[::-1],
             "mode": scenarios.mode,
         },
     )

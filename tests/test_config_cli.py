@@ -390,3 +390,48 @@ class TestRunPipelineApi:
         assert summary["config_hash"] == cfg.config_hash
         names = sorted(p.rsplit("/", 1)[-1] for p in written)
         assert names == ["manifest.json", "solution.csv", "summary.json"]
+
+
+def lsmc_one_mark(mode="gaussian", barrier="-0.8 + 0.3*t") -> dict:
+    """A one-mark LSMC solve at 16000 paths over 10 steps."""
+    return {
+        "grid": {"T": 1.0, "N": 10},
+        "marks": {"values": [1.0], "intensities": [0.4]},
+        "drivers": {"paths": 16000, "seed": 7, "mode": mode},
+        "problem": {
+            "f": "0.2*y - 0.3*z1 + 0.1*u1",
+            "g": "0.1*y",
+            "barrier": barrier,
+            "terminal": "max(w1, -0.5) + 0.2*j1",
+        },
+        "scheme": {"solver": "lsmc", "basis": "poly", "degree": 2},
+        "outputs": {"formats": ["json"]},
+    }
+
+
+class TestLsmcRegressionDesign:
+    """Designs whose raw polynomial basis is rank-deficient, which the
+    regression must reduce to a full-rank one."""
+
+    def run(self, tmp_path, data):
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path, data), "--out", str(out_dir)])
+        return code, json.loads((out_dir / "summary.json").read_text())
+
+    def test_two_point_jump_counts(self, tmp_path):
+        # cumulative two-point jump counts take the values 0 and 1 at step
+        # 1, where j and j**2 are the same column
+        code, summary = self.run(tmp_path, lsmc_one_mark(mode="two-point"))
+        assert code == 0
+        assert all(summary["validators"].values())
+        assert summary["diagnostics"]["basis_sizes"][1] == 5
+
+    def test_barrier_linear_in_w(self, tmp_path):
+        # the barrier column is 1*(-0.5*(1 - t)) + 1*w1, in the span of the
+        # intercept and the W column
+        code, summary = self.run(tmp_path, lsmc_one_mark(barrier="w1 - 0.5*(1 - t)"))
+        assert code == 0
+        assert all(summary["validators"].values())
+        conditions = summary["diagnostics"]["regression_condition"]
+        assert len(conditions) == 10
+        assert max(conditions) <= 1e14

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from rbdsdep.drivers import (
     MarkSpace,
+    ScenarioSet,
     build_time_grid,
     empty_marks,
     enumerate_scenarios,
@@ -372,14 +373,35 @@ class TestLsmcGuards:
             solve_lsmc(prob, scen)
 
     def test_rank_deficient_regression_names_the_step(self):
-        # two-point increments take 2 values; degree-8 powers of them are
-        # linearly dependent, so the normal matrix is singular
-        prob = make_problem(N=2)
-        scen = simulate_scenarios(
-            prob.grid, 1, empty_marks(), 180, seed=3, mode="two-point"
+        # W1 and W2 are the same column, so the normal matrix is singular
+        # whatever the degree
+        prob = make_problem(N=2, dim_d=2)
+        dw = np.random.default_rng(3).normal(0.0, prob.grid.dt**0.5, (200, 2, 1))
+        scen = ScenarioSet(
+            prob.grid, 2, "gaussian", None,
+            dW=np.concatenate([dw, dw], axis=2),
+            dB=np.random.default_rng(4).normal(0.0, prob.grid.dt**0.5, (200, 2)),
+            jump_counts=np.zeros((200, 2, 0)),
         )
         with pytest.raises(SolverError, match="ill-conditioned at step"):
-            solve_lsmc(prob, scen, SchemeParams(degree=8))
+            solve_lsmc(prob, scen)
+
+    def test_two_point_law_at_high_degree(self):
+        # a two-point W_{t_i} takes i + 1 values, and sums of the same steps
+        # in another order differ in the last bits; powers past the number
+        # of values would make the normal matrix singular
+        prob = make_problem(
+            f="0.2*y - 0.3*z1 + 0.1*u1", g="0.1*y", barrier="-0.8 + 0.3*t",
+            terminal="max(w1, -0.5) + 0.2*j1", N=10, marks=MARKS,
+        )
+        scen = simulate_scenarios(prob.grid, 1, MARKS, 1000, seed=0, mode="two-point")
+        W = scen.brownian_paths()
+        assert np.unique(W[:, 4, 0]).size > 5  # roundoff splits the 5 lattice values
+        sol = solve_lsmc(prob, scen, SchemeParams(degree=6)).validate()
+        sizes = sol.diagnostics["basis_sizes"]
+        # step 1: intercept, w1, j1 (two values each) and six powers of B_T - B_t1
+        assert sizes[1] == 1 + 1 + 1 + 6
+        assert max(sol.diagnostics["regression_condition"]) <= 1e14
 
     def test_scheme_params_validation(self):
         with pytest.raises(ConfigError, match="basis"):
