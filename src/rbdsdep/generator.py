@@ -18,12 +18,16 @@ The envelopes replace a rough f by its Lipschitz regularizations
     inf-convolution   f_n(x) = min over x' of f(x') + n * dist(x, x')
     sup-convolution   f^n(x) = max over x' of f(x') - n * dist(x, x')
 
-with dist(x, x') = |dy| + |dz| + |du| over a user-declared box, minimized
-on a regular grid.  The grid minimization is the reference implementation;
-closed forms, where known, are cross-checks.  Only the variables the
-expression references are gridded: for an unreferenced variable the exact
-optimum sits at the query point with zero penalty, so skipping the axis is
-exact (and avoids off-grid offsets).
+with dist(x, x') = |dy| + |dz| + |du| over a user-declared box, optimized
+over a regular grid.  dist is a sum of block norms, so EnvelopeFunction
+takes the grid optimum one block at a time (a lower-envelope pass for a
+one-axis block, a dense pass within a Euclidean block) and evaluates the
+dense expression at the chosen grid point.  The tests keep the dense
+(queries x grid) penalty matrix as the reference it must match; closed
+forms, where known, are cross-checks.  Only the variables the expression
+references are gridded: for an unreferenced variable the exact optimum
+sits at the query point with zero penalty, so skipping the axis is exact
+(and avoids off-grid offsets).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, EnvelopeError
 from .expr import EvalContext, Expr, evaluate, parse_expr, to_string, variables
+from .table import CsvTable
 
 
 def ensure_expr(source) -> Expr:
@@ -313,13 +318,65 @@ class EnvelopeParams:
                 raise ConfigError(f"box for '{name}' must satisfy lo < hi")
 
 
+@dataclass(frozen=True)
+class EnvelopeAxis:
+    """One gridded envelope axis: the variable it grids (name, its family
+    'y', 'z' or 'u', and the component index within z or u), the weight of
+    its squared offset inside the block norm (lambda_k for a u axis, 1
+    otherwise) and its grid points."""
+
+    name: str
+    family: str
+    index: int
+    weight: float
+    grid: np.ndarray
+
+    def column(self, y, z, u):
+        """This axis' coordinates out of y (Q,), z (Q, d) and u (Q, m)."""
+        if self.family == "y":
+            return y
+        return (z if self.family == "z" else u)[:, self.index]
+
+
 class EnvelopeFunction:
     """Callable grid envelope of an expression, usable as a generator.
 
-    kind 'inf' builds the inf-convolution (approximation from below),
-    'sup' the sup-convolution (from above).  Queries outside the declared
-    box raise EnvelopeError; when raise_on_boundary is set, an interior
-    optimum landing on the box edge does too (the box is too small).
+    kind 'inf' builds the inf-convolution (approximation from below), the
+    grid minimum of f(x') + n*dist(x, x'); 'sup' the sup-convolution (from
+    above), the grid maximum of f(x') - n*dist(x, x').  Queries outside the
+    declared box raise EnvelopeError; when raise_on_boundary is set, an
+    interior optimum landing on the box edge does too (the box is too
+    small).
+
+    dist is a sum of block norms: |dy|, the Euclidean |dz| over the gridded
+    z axes and |du|_lambda over the gridded u axes.  The grid optimum is
+    therefore taken one block at a time, for every grid point of the blocks
+    not yet reduced:
+
+    * a one-axis block by the lower-envelope trick (Felzenszwalb and
+      Huttenlocher, "Distance Transforms of Sampled Functions", 2012):
+      with s = n (n*sqrt(lambda_k) on a u axis), the prefix minima of
+      f - s*x' and the suffix minima of f + s*x' along the axis, read at
+      the grid interval holding the query, give the minimum in O(1) per
+      query and grid point of the other axes;
+    * a block of two or more axes (znorm with d > 1, unorm with m > 1)
+      densely, over the block's own grid points.
+
+    One-axis blocks go first, so with P points per axis and G = P**axes
+    grid points a query costs O(G/P), against O(G) for a dense penalty
+    matrix; only a Euclidean block reduced first stays at O(G).  When f
+    reads neither w nor j, its grid values serve every query and the first
+    block's tables are built once per distinct t.  An f that reads w or j
+    has one row of grid values per query, carried as a batch axis through
+    the same code.
+
+    The returned value is the dense expression f(x') + n*(|dy| + |dz| +
+    |du|) (minus for 'sup') at the chosen grid point, so it equals the
+    dense grid optimum bitwise whenever both pick the same minimiser.  Ties
+    go to the first grid index along each axis, but block-wise sums round
+    differently from dense ones: on a plateau of exact ties the chosen
+    minimiser, and with it boundary_hits, may differ from a dense argmin
+    over the whole grid.
     """
 
     def __init__(
@@ -345,105 +402,165 @@ class EnvelopeFunction:
             raise ConfigError(
                 f"envelope index n = {params.n} is below the growth constant {growth_c}"
             )
-        names = variables(self.f)
-        dim_d, num_marks = _infer_dims(names, dim_d, num_marks)
+        self._names = variables(self.f)
+        dim_d, num_marks = _infer_dims(self._names, dim_d, num_marks)
         self.dim_d, self.num_marks = dim_d, num_marks
         self.intensities = (
             np.ones(num_marks) if intensities is None else np.asarray(intensities, float)
         )
-        self.axes = _active_axes(names, dim_d, num_marks)
+        self.axes = _axis_table(self._names, dim_d, num_marks, self.intensities, params)
         if not self.axes:
             raise ConfigError(
                 "expression references none of y/z*/u*; an envelope would be the "
                 "function itself"
             )
-        grids = []
-        for axis in self.axes:
-            if axis not in params.box:
-                raise ConfigError(f"envelope box is missing an interval for '{axis}'")
-            lo, hi = params.box[axis]
-            grids.append(np.linspace(float(lo), float(hi), params.grid_points))
-        mesh = np.meshgrid(*grids, indexing="ij")
-        self.grid_shape = mesh[0].shape
+        mesh = np.meshgrid(*(axis.grid for axis in self.axes), indexing="ij")
         self.coords = np.stack([m.ravel() for m in mesh], axis=1)  # (G, n_axes)
-        self.grids = grids
+        blocks = [
+            [col for col, axis in enumerate(self.axes) if axis.family == family]
+            for family in "yzu"
+        ]
+        # one-axis blocks first, as they cut the grid by a factor P cheaply;
+        # the last axis first within each group keeps ties on the first
+        # C-order index of the grid
+        self._order = sorted((b for b in reversed(blocks) if b), key=lambda b: len(b) > 1)
+        self._cache = None  # (t key, grid values and first tables) of a state-free f
 
-    def _grid_context(self, t, w_q=None, j_q=None) -> EvalContext:
-        G = self.coords.shape[0]
-        y = None
-        z = np.zeros((G, self.dim_d))
-        u = np.zeros((G, self.num_marks))
-        for col, axis in enumerate(self.axes):
-            if axis == "y":
-                y = self.coords[:, col]
-            elif axis[0] == "z":
-                z[:, int(axis[1:]) - 1] = self.coords[:, col]
+    def _scatter(self, columns):
+        """(y, z, u) holding one column per axis; the rest stays zero."""
+        size = columns[0].shape[0]
+        y = np.zeros(size)
+        z = np.zeros((size, self.dim_d))
+        u = np.zeros((size, self.num_marks))
+        for axis, col in zip(self.axes, columns):
+            if axis.family == "y":
+                y = col
             else:
-                u[:, int(axis[1:]) - 1] = self.coords[:, col]
-        return EvalContext(
-            t=t, y=y, z=z, u=u, w=w_q, j=j_q, intensities=self.intensities
-        )
+                (z if axis.family == "z" else u)[:, axis.index] = col
+        return y, z, u
 
-    def _penalty(self, y, z, u):
-        """n * (|dy| + |dz| + |du|) against every grid point, shape (Q, G)."""
-        Q = y.shape[0]
-        G = self.coords.shape[0]
-        dy = np.zeros((Q, G))
-        dz_sq = np.zeros((Q, G))
-        du_sq = np.zeros((Q, G))
-        for col, axis in enumerate(self.axes):
-            gcol = self.coords[:, col][None, :]
-            if axis == "y":
-                dy = np.abs(y[:, None] - gcol)
-            elif axis[0] == "z":
-                c = int(axis[1:]) - 1
-                dz_sq += (z[:, c][:, None] - gcol) ** 2
-            else:
-                k = int(axis[1:]) - 1
-                du_sq += self.intensities[k] * (u[:, k][:, None] - gcol) ** 2
-        return self.params.n * (dy + np.sqrt(dz_sq) + np.sqrt(du_sq))
-
-    def _check_domain(self, y, z, u):
-        for col, axis in enumerate(self.axes):
-            if axis == "y":
-                vals = y
-            elif axis[0] == "z":
-                vals = z[:, int(axis[1:]) - 1]
-            else:
-                vals = u[:, int(axis[1:]) - 1]
-            lo, hi = self.params.box[axis]
+    def _check_domain(self, columns):
+        for axis, vals in zip(self.axes, columns):
+            lo, hi = self.params.box[axis.name]
             eps = 1e-12 * max(1.0, abs(lo), abs(hi))
             if vals.min() < lo - eps or vals.max() > hi + eps:
                 raise EnvelopeError(
-                    f"envelope query for '{axis}' outside the box [{lo}, {hi}]: "
+                    f"envelope query for '{axis.name}' outside the box [{lo}, {hi}]: "
                     f"range [{vals.min():.6g}, {vals.max():.6g}]"
                 )
 
-    def _note_boundary(self, best_idx, y, z, u):
+    def _note_boundary(self, best, columns):
         """Flag optima on the box edge, unless the query itself sits there."""
-        multi = np.asarray(np.unravel_index(best_idx, self.grid_shape))
         hits = 0
-        for col, axis in enumerate(self.axes):
-            if axis == "y":
-                vals = y
-            elif axis[0] == "z":
-                vals = z[:, int(axis[1:]) - 1]
-            else:
-                vals = u[:, int(axis[1:]) - 1]
-            grid = self.grids[col]
+        for axis, vals, idx in zip(self.axes, columns, best.T):
+            grid = axis.grid
             last = grid.size - 1
-            at_edge = (multi[col] == 0) | (multi[col] == last)
+            at_edge = (idx == 0) | (idx == last)
             step = grid[1] - grid[0]
             nearest = np.clip(np.rint((vals - grid[0]) / step).astype(int), 0, last)
-            legit = nearest == multi[col]
-            bad = at_edge & ~legit
+            bad = at_edge & (nearest != idx)
             hits += int(bad.sum())
             if self.raise_on_boundary and bad.any():
                 raise EnvelopeError(
-                    f"envelope optimum on the '{axis}' box edge at n = {self.params.n}; "
+                    f"envelope optimum on the '{axis.name}' box edge at n = {self.params.n}; "
                     "enlarge the box and rerun"
                 )
         self.boundary_hits += hits
+
+    def _grid_values(self, t, w_q, j_q):
+        """Signed grid values F, shape (B, P, ..., P), and the first block's
+        lower-envelope tables (None for a Euclidean block).  F is f for
+        'inf' and -f for 'sup', so both kinds minimise F + n*dist; B is 1
+        for a state-free f and the query count for one that reads w or j."""
+        cacheable = w_q is None and j_q is None and np.ndim(t) == 0
+        if cacheable:
+            key = float(t) if "t" in self._names else None
+            if self._cache is not None and self._cache[0] == key:
+                return self._cache[1]
+        y, z, u = self._scatter(self.coords.T)
+        fvals = evaluate(
+            self.f,
+            EvalContext(t=t, y=y, z=z, u=u, w=w_q, j=j_q, intensities=self.intensities),
+        )
+        if self.kind == "sup":
+            fvals = -fvals
+        F = fvals.reshape((-1,) + (self.params.grid_points,) * len(self.axes))
+        first = self._order[0]
+        tables = None
+        if len(first) == 1:
+            axis = self.axes[first[0]]
+            V = _block_view(F, list(range(len(self.axes))), first)
+            tables = _lower_envelope_tables(V, axis.grid, self._slope(axis))
+        if cacheable:
+            self._cache = (key, (F, tables))
+        return F, tables
+
+    def _slope(self, axis: EnvelopeAxis) -> float:
+        return self.params.n * np.sqrt(axis.weight)
+
+    def _minimiser(self, F, first_tables, columns):
+        """Grid multi-index, shape (Q, n_axes), of the minimum of F + n*dist
+        for each query."""
+        Q = columns[0].shape[0]
+        P = self.params.grid_points
+        batch = np.zeros(Q, dtype=np.intp) if F.shape[0] == 1 else np.arange(Q)
+        R, remaining, picks = F, list(range(len(self.axes))), []
+        for step, block in enumerate(self._order):
+            V = _block_view(R, remaining, block)
+            if len(block) == 1:
+                axis = self.axes[block[0]]
+                s = self._slope(axis)
+                tables = first_tables if step == 0 else _lower_envelope_tables(V, axis.grid, s)
+                # off-box queries (within the domain slack) see the same
+                # minimiser from the nearest box end
+                x = np.clip(columns[block[0]], axis.grid[0], axis.grid[-1])
+                R, arg = _lower_envelope_lookup(tables, batch, x, axis.grid, s)
+            else:
+                total = V[batch] + self._block_penalty(block, columns)[:, :, None]
+                arg = np.argmin(total, axis=1)
+                R = np.take_along_axis(total, arg[:, None, :], axis=1)[:, 0, :]
+            remaining = [a for a in remaining if a not in block]
+            picks.append((block, remaining, arg))
+            R = R.reshape((Q,) + (P,) * len(remaining))
+            batch = np.arange(Q)
+        best = np.empty((Q, len(self.axes)), dtype=np.intp)
+        for block, rest, arg in reversed(picks):
+            flat = np.zeros(Q, dtype=np.intp)
+            for a in rest:
+                flat = flat * P + best[:, a]
+            chosen = arg[np.arange(Q), flat]
+            best[:, block] = np.stack(np.unravel_index(chosen, (P,) * len(block)), axis=1)
+        return best
+
+    def _block_penalty(self, block, columns):
+        """n * |x - x'| in the block's norm against each of the block's grid
+        points, shape (Q, P**len(block)) in C order."""
+        mesh = np.meshgrid(*(self.axes[col].grid for col in block), indexing="ij")
+        sq = 0.0
+        for col, points in zip(block, mesh):
+            diff = columns[col][:, None] - points.ravel()[None, :]
+            sq = sq + self.axes[col].weight * diff**2
+        return self.params.n * np.sqrt(sq)
+
+    def _value_at(self, F, best, columns):
+        """f(x') + n*(|dy| + |dz| + |du|) at the chosen grid points (minus
+        for 'sup'), in the dense expression's order of operations."""
+        Q = best.shape[0]
+        flat = np.zeros(Q, dtype=np.intp)
+        dy = np.zeros(Q)
+        sq = {"z": np.zeros(Q), "u": np.zeros(Q)}
+        for axis, vals, idx in zip(self.axes, columns, best.T):
+            flat = flat * axis.grid.size + idx
+            diff = vals - axis.grid[idx]
+            if axis.family == "y":
+                dy = np.abs(diff)
+            else:
+                sq[axis.family] += axis.weight * diff**2
+        rows = 0 if F.shape[0] == 1 else np.arange(Q)
+        penalty = self.params.n * (dy + np.sqrt(sq["z"]) + np.sqrt(sq["u"]))
+        chosen = F.reshape(F.shape[0], -1)[rows, flat]
+        # -F is f bitwise, signed zeros included; -(F + penalty) is not
+        return chosen + penalty if self.kind == "inf" else -chosen - penalty
 
     def __call__(self, t, y, z=None, u=None, w=None, j=None):
         y = np.asarray(y, dtype=float)
@@ -460,28 +577,61 @@ class EnvelopeFunction:
             if u is None
             else np.broadcast_to(u, shape + (self.num_marks,)).reshape(Q, self.num_marks)
         )
-        self._check_domain(yq, zq, uq)
-        names = variables(self.f)
-        if any(n[0] == "w" for n in names) and w is not None:
+        columns = [axis.column(yq, zq, uq) for axis in self.axes]
+        self._check_domain(columns)
+        if any(n[0] == "w" for n in self._names) and w is not None:
             w_q = np.broadcast_to(w, shape + (self.dim_d,)).reshape(Q, 1, self.dim_d)
         else:
             w_q = None
-        if any(n[0] == "j" for n in names) and j is not None:
+        if any(n[0] == "j" for n in self._names) and j is not None:
             j_q = np.broadcast_to(j, shape + (self.num_marks,)).reshape(Q, 1, self.num_marks)
         else:
             j_q = None
-        fvals = evaluate(self.f, self._grid_context(t, w_q, j_q))
-        penalty = self._penalty(yq, zq, uq)
-        # fvals is (G,) for state-free f, (Q, G) when it reads w or j
-        if self.kind == "inf":
-            total = fvals + penalty
-            best = np.argmin(total, axis=-1)
-        else:
-            total = fvals - penalty
-            best = np.argmax(total, axis=-1)
-        values = total[np.arange(Q), best]
-        self._note_boundary(best, yq, zq, uq)
+        F, first_tables = self._grid_values(t, w_q, j_q)
+        best = self._minimiser(F, first_tables, columns)
+        values = self._value_at(F, best, columns)
+        self._note_boundary(best, columns)
         return values.reshape(shape)
+
+
+def _block_view(R, remaining, block):
+    """R, shape (B, P, ..., P) over the axes in `remaining`, as (B, block,
+    rest): the block's axes moved to the front, both groups flattened in C
+    order."""
+    moved = np.moveaxis(R, [1 + remaining.index(a) for a in block], range(1, 1 + len(block)))
+    return moved.reshape(R.shape[0], R.shape[1] ** len(block), -1)
+
+
+def _lower_envelope_tables(V, grid, s):
+    """Prefix minima of V - s*x' and suffix minima of V + s*x' along axis 1
+    of V (B, P, R), each with the first index attaining it."""
+    idx = np.arange(grid.size)[:, None]
+    down = V - s * grid[:, None]
+    up = V + s * grid[:, None]
+    pre = np.minimum.accumulate(down, axis=1)
+    fresh = np.ones(V.shape, dtype=bool)
+    fresh[:, 1:] = down[:, 1:] < pre[:, :-1]
+    pre_idx = np.maximum.accumulate(np.where(fresh, idx, 0), axis=1)
+    suf = np.minimum.accumulate(up[:, ::-1], axis=1)[:, ::-1]
+    own = np.ones(V.shape, dtype=bool)
+    own[:, :-1] = up[:, :-1] <= suf[:, 1:]
+    suf_idx = np.minimum.accumulate(np.where(own, idx, idx[-1])[:, ::-1], axis=1)[:, ::-1]
+    return pre, pre_idx, suf, suf_idx
+
+
+def _lower_envelope_lookup(tables, batch, x, grid, s):
+    """min over x' of V[b, x', r] + s*|x - x'| and its first argmin, shape
+    (Q, R), for queries x inside [grid[0], grid[-1]] on table rows batch."""
+    pre, pre_idx, suf, suf_idx = tables
+    k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    sx = (s * x)[:, None]
+    below = sx + pre[batch, k]
+    above = suf[batch, k + 1] - sx
+    take_below = below <= above
+    return (
+        np.where(take_below, below, above),
+        np.where(take_below, pre_idx[batch, k], suf_idx[batch, k + 1]),
+    )
 
 
 def _infer_dims(names, dim_d, num_marks):
@@ -498,19 +648,24 @@ def _infer_dims(names, dim_d, num_marks):
     return dim_d, num_marks
 
 
-def _active_axes(names, dim_d, num_marks):
+def _axis_table(names, dim_d, num_marks, intensities, params: EnvelopeParams):
+    """The gridded axes, in (y, z1.., u1..) order: the referenced variables,
+    with every component under znorm or unorm."""
+    specs = [("y", "y", 0, 1.0)] if "y" in names else []
+    for c in range(dim_d):
+        if "znorm" in names or f"z{c + 1}" in names:
+            specs.append((f"z{c + 1}", "z", c, 1.0))
+    for k in range(num_marks):
+        if "unorm" in names or f"u{k + 1}" in names:
+            specs.append((f"u{k + 1}", "u", k, float(intensities[k])))
     axes = []
-    if "y" in names:
-        axes.append("y")
-    z_all = "znorm" in names
-    u_all = "unorm" in names
-    for c in range(1, dim_d + 1):
-        if z_all or f"z{c}" in names:
-            axes.append(f"z{c}")
-    for k in range(1, num_marks + 1):
-        if u_all or f"u{k}" in names:
-            axes.append(f"u{k}")
-    return axes
+    for name, family, index, weight in specs:
+        if name not in params.box:
+            raise ConfigError(f"envelope box is missing an interval for '{name}'")
+        lo, hi = params.box[name]
+        grid = np.linspace(float(lo), float(hi), params.grid_points)
+        axes.append(EnvelopeAxis(name, family, index, weight, grid))
+    return tuple(axes)
 
 
 def _point_envelope(f, params, point: EvalContext, kind, growth_c):
@@ -560,24 +715,12 @@ def envelope_table(
     dim_d=None,
     num_marks=None,
     intensities=None,
-):
-    """Tabulate the envelope on its own grid; yields a header row then one
-    row of point coordinates plus the envelope value per grid point."""
+) -> CsvTable:
+    """Tabulate the envelope on its own grid: one column of point
+    coordinates per axis, then the envelope value, one row per grid point."""
     env = EnvelopeFunction(
         f, params, kind, dim_d=dim_d, num_marks=num_marks, intensities=intensities
     )
-    yield list(env.axes) + ["value"]
-    G = env.coords.shape[0]
-    y = np.zeros(G)
-    z = np.zeros((G, env.dim_d))
-    u = np.zeros((G, env.num_marks))
-    for col, axis in enumerate(env.axes):
-        if axis == "y":
-            y = env.coords[:, col]
-        elif axis[0] == "z":
-            z[:, int(axis[1:]) - 1] = env.coords[:, col]
-        else:
-            u[:, int(axis[1:]) - 1] = env.coords[:, col]
-    values = env(t, y, z, u)
-    for g in range(G):
-        yield [float(c) for c in env.coords[g]] + [float(values[g])]
+    columns = list(env.coords.T)
+    values = env(t, *env._scatter(columns))
+    return CsvTable([axis.name for axis in env.axes] + ["value"], columns + [values])

@@ -1,10 +1,15 @@
 """Structural checks and Lipschitz envelopes."""
 
+import os
+
 import numpy as np
 import pytest
 
+from rbdsdep.cli import run_pipeline
+from rbdsdep.config import config_from_dict
 from rbdsdep.errors import ConfigError, EnvelopeError
-from rbdsdep.expr import EvalContext, evaluate, parse_expr
+from rbdsdep.expr import EvalContext, evaluate, parse_expr, variables
+from rbdsdep.schemes import run_inf_envelope_sequence, run_sup_envelope_sequence
 from rbdsdep.generator import (
     Cloud,
     EnvelopeFunction,
@@ -369,3 +374,219 @@ class TestEnvelopeTable:
         assert len(rows) == 1 + 11
         for y, value in rows[1:]:
             assert value == pytest.approx(abs(y), abs=1e-12)
+
+
+def dense_envelope(env, t, y, z=None, u=None, w=None, j=None):
+    """Reference envelope: the penalty n*(|dy| + |dz| + |du|) against every
+    grid point as one dense (Q, G) matrix, then the first-index argmin
+    (argmax for 'sup') over the C-ordered grid.  Returns the values and the
+    boundary hits."""
+    y = np.asarray(y, dtype=float)
+    shape, Q = y.shape, y.size
+    d, m = env.dim_d, env.num_marks
+    yq = y.reshape(Q)
+    zq = np.zeros((Q, d)) if z is None else np.broadcast_to(z, shape + (d,)).reshape(Q, d)
+    uq = np.zeros((Q, m)) if u is None else np.broadcast_to(u, shape + (m,)).reshape(Q, m)
+    G = env.coords.shape[0]
+    gy, gz, gu = None, np.zeros((G, d)), np.zeros((G, m))
+    dy, dz_sq, du_sq = np.zeros((Q, G)), np.zeros((Q, G)), np.zeros((Q, G))
+    queries = []
+    for col, name in enumerate(axis.name for axis in env.axes):
+        gcol = env.coords[:, col]
+        if name == "y":
+            gy, vals = gcol, yq
+            dy = np.abs(yq[:, None] - gcol[None, :])
+        elif name[0] == "z":
+            c = int(name[1:]) - 1
+            gz[:, c], vals = gcol, zq[:, c]
+            dz_sq += (vals[:, None] - gcol[None, :]) ** 2
+        else:
+            k = int(name[1:]) - 1
+            gu[:, k], vals = gcol, uq[:, k]
+            du_sq += env.intensities[k] * (vals[:, None] - gcol[None, :]) ** 2
+        queries.append(vals)
+    names = variables(env.f)
+    w_q = None
+    if any(n[0] == "w" for n in names) and w is not None:
+        w_q = np.broadcast_to(w, shape + (d,)).reshape(Q, 1, d)
+    j_q = None
+    if any(n[0] == "j" for n in names) and j is not None:
+        j_q = np.broadcast_to(j, shape + (m,)).reshape(Q, 1, m)
+    fvals = evaluate(
+        env.f, EvalContext(t=t, y=gy, z=gz, u=gu, w=w_q, j=j_q, intensities=env.intensities)
+    )
+    penalty = env.params.n * (dy + np.sqrt(dz_sq) + np.sqrt(du_sq))
+    if env.kind == "inf":
+        total = fvals + penalty
+        best = np.argmin(total, axis=-1)
+    else:
+        total = fvals - penalty
+        best = np.argmax(total, axis=-1)
+    values = total[np.arange(Q), best]
+    P = env.params.grid_points
+    multi = np.unravel_index(best, (P,) * len(env.axes))
+    hits = 0
+    for axis, vals, idx in zip(env.axes, queries, multi):
+        lo, hi = env.params.box[axis.name]
+        grid = np.linspace(float(lo), float(hi), P)
+        nearest = np.clip(np.rint((vals - grid[0]) / (grid[1] - grid[0])).astype(int), 0, P - 1)
+        hits += int((((idx == 0) | (idx == P - 1)) & (nearest != idx)).sum())
+    return values.reshape(shape), hits
+
+
+def dense_call(self, t, y, z=None, u=None, w=None, j=None):
+    """EnvelopeFunction.__call__ through the dense reference."""
+    values, hits = dense_envelope(self, t, y, z, u, w, j)
+    if self.raise_on_boundary and hits:
+        raise EnvelopeError("envelope optimum on the box edge")
+    self.boundary_hits += hits
+    return values
+
+
+def _box_queries(rng, box, names, count):
+    """Uniform queries, then queries on grid points, then on box ends."""
+    cols = {}
+    for name in names:
+        lo, hi = box[name]
+        grid = np.linspace(lo, hi, box["points"])
+        cols[name] = np.concatenate(
+            [
+                rng.uniform(lo, hi, count),
+                rng.choice(grid, count),
+                rng.choice([lo, hi], count),
+            ]
+        )
+    return cols
+
+
+#: (expression, axes, box, n, dims, grid point counts, minimiser unique);
+#: unique marks f Lipschitz below n on the box, or a strict slope to one end
+ORACLE_CASES = [
+    ("0.5*y*y", ("y",), (-2.0, 2.0), 4.0, (0, 0), (2, 3, 201), True),
+    ("sqrt(abs(y))", ("y",), (-3.0, 3.0), 2.0, (0, 0), (2, 3, 201), False),
+    ("-2*y", ("y",), (-1.0, 1.0), 1.0, (0, 0), (3, 41), True),
+    ("sqrt(abs(y)) + abs(z1)", ("y", "z1"), (-6.0, 6.0), 2.0, (1, 0), (2, 3, 201), False),
+    ("(1 + t)*(0.3*y - 0.5*z1)", ("y", "z1"), (-2.0, 2.0), 1.5, (1, 0), (3, 201), True),
+    ("y*w1 + abs(z1)", ("y", "z1"), (-2.0, 2.0), 4.0, (1, 0), (2, 3, 201), True),
+    ("indicator_pos(y) + abs(z1) + 0.5*u1", ("y", "z1", "u1"), (-2.0, 2.0), 3.0, (1, 1), (2, 3, 21), False),
+    ("0.2*y + 0.3*z1 - 0.4*u1", ("y", "z1", "u1"), (-2.0, 2.0), 2.0, (1, 1), (2, 3, 21), True),
+    ("sin(znorm)", ("z1", "z2"), (-2.0, 2.0), 2.0, (2, 0), (2, 3, 201), True),
+    ("abs(y) + cos(znorm)", ("y", "z1", "z2"), (-2.0, 2.0), 3.0, (2, 0), (3, 21), True),
+    ("sqrt(abs(y)) + unorm", ("y", "u1", "u2"), (-2.0, 2.0), 2.0, (0, 2), (3, 21), False),
+]
+
+
+class TestEnvelopeAgainstDenseOracle:
+    """The block-wise reduction against a dense (Q, G) penalty matrix.
+
+    Values agree to |delta| <= 1e-12*(1 + |value|).  Wherever the
+    minimiser is unique, so that roundoff cannot move it, the values agree
+    bitwise (signed zeros included) and so do the boundary hits."""
+
+    @pytest.mark.parametrize("kind", ["inf", "sup"])
+    @pytest.mark.parametrize(
+        "source,names,interval,n,dims,sizes,unique",
+        ORACLE_CASES,
+        ids=[c[0] for c in ORACLE_CASES],
+    )
+    def test_matches_dense_penalty_matrix(
+        self, kind, source, names, interval, n, dims, sizes, unique
+    ):
+        rng = np.random.default_rng(len(source))
+        dim_d, num_marks = dims
+        lam = np.array([0.4, 2.5])[:num_marks]
+        for points in sizes:
+            box = {name: interval for name in names}
+            env = EnvelopeFunction(
+                source,
+                EnvelopeParams(n=n, box=box, grid_points=points),
+                kind,
+                dim_d=dim_d,
+                num_marks=num_marks,
+                intensities=lam,
+            )
+            cols = _box_queries(rng, dict(box, points=points), names, 12)
+            Q = len(cols[names[0]])
+            y = cols.get("y", np.zeros(Q))
+            z = np.array([cols.get(f"z{c + 1}", np.zeros(Q)) for c in range(dim_d)]).T
+            u = np.array([cols.get(f"u{k + 1}", np.zeros(Q)) for k in range(num_marks)]).T
+            z, u = z.reshape(Q, dim_d), u.reshape(Q, num_marks)
+            w = rng.uniform(-1.0, 1.0, (Q, dim_d))
+            for t in (0.0, 0.25, 0.0):  # a repeated t reuses the grid tables
+                got = env(t, y, z, u, w)
+                want, hits = dense_envelope(env, t, y, z, u, w)
+                assert (np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))).all()
+                if unique:
+                    # same minimiser, so the same value bit for bit
+                    np.testing.assert_array_equal(got, want)
+                    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+                    assert env.boundary_hits == hits
+                env.boundary_hits = 0
+
+    @pytest.mark.parametrize(
+        "source,query,edge_hits",
+        [
+            ("0.5*y", -0.25, 1),  # grid points -1 and 0 tie
+            ("y", 1.0 + 2.0**-43, 1),  # all tie; the query is off the box within its slack
+            ("-y - 3*indicator_pos(y + 0.5)", -1.0, 0),  # 0 and 1 tie, above the query
+        ],
+    )
+    def test_exact_ties_go_to_the_first_index(self, source, query, edge_hits):
+        # on the grid -1, 0, 1 every sum here is exact, so the dense argmin
+        # sees the same tie; whether its first index is the box edge shows
+        # in the boundary hits
+        params = EnvelopeParams(n=1.0, box={"y": (-1.0, 1.0)}, grid_points=3)
+        env = EnvelopeFunction(source, params, "inf")
+        got = env(0.0, np.array([query]))
+        want, hits = dense_envelope(env, 0.0, np.array([query]))
+        np.testing.assert_array_equal(got, want)
+        assert env.boundary_hits == hits == edge_hits
+
+
+def _envelope_config(f, kind):
+    return {
+        "pipeline": f"{kind}_sequence",
+        "grid": {"T": 0.5, "N": 4},
+        "dims": {"d": 1},
+        "problem": {"f": f, "growth_c": 2, "barrier": "-6", "terminal": "0.5*w1"},
+        "envelope": {"box": {"y": [-6, 6], "z1": [-6, 6]}, "grid_points": 61},
+        "outputs": {"formats": ["csv", "json"]},
+    }
+
+
+PIPELINE_DRIVERS = ["sqrt(abs(y)) + abs(z1)", "0.5*sqrt(abs(y - w1)) + abs(z1)"]
+
+
+class TestEnvelopePipelineAgainstDenseOracle:
+    @pytest.mark.parametrize("f", PIPELINE_DRIVERS)
+    def test_sequences_bitwise_equal(self, f, monkeypatch):
+        runs = {}
+        for label in ("blockwise", "dense"):
+            if label == "dense":
+                monkeypatch.setattr(EnvelopeFunction, "__call__", dense_call)
+            for kind, runner in (("inf", run_inf_envelope_sequence), ("sup", run_sup_envelope_sequence)):
+                cfg = config_from_dict(_envelope_config(f, kind))
+                run = runner(cfg.problem, cfg.envelope, ns=cfg.envelope_ns, tree=cfg.tree_model())
+                runs[label, kind] = run
+        for kind in ("inf", "sup"):
+            a, b = runs["blockwise", kind], runs["dense", kind]
+            assert a.y0_series == b.y0_series
+            assert a.report["pair_margins"] == b.report["pair_margins"]
+        assert runs["blockwise", "inf"].report["v_root"] == runs["dense", "inf"].report["v_root"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_report_bytes_equal(self, threads, tmp_path, monkeypatch):
+        cfg = config_from_dict(_envelope_config(PIPELINE_DRIVERS[0], "inf"))
+        contents = {}
+        for label in ("blockwise", "dense"):
+            if label == "dense":
+                monkeypatch.setattr(EnvelopeFunction, "__call__", dense_call)
+            ok, _, written = run_pipeline(cfg, out_dir=str(tmp_path / label), threads=threads)
+            assert ok
+            contents[label] = {
+                os.path.basename(p): open(p, "rb").read()
+                for p in written
+                if os.path.basename(p) != "manifest.json"
+            }
+        assert contents["blockwise"] == contents["dense"]
+        assert len(contents["blockwise"]) >= 2
