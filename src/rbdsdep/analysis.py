@@ -100,8 +100,6 @@ def compare_solutions(
     if to_string(p1.generator.g) != to_string(p2.generator.g):
         raise ConfigError("the comparison fixes g: both problems need the same g")
 
-    if tree is None:
-        tree = TreeModel(p1.grid, p1.dim_d, p1.marks)
     sol1 = solve_tree_exact(p1, tree)
     sol2 = solve_tree_exact(p2, tree)
 

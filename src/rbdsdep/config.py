@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .drivers import MarkSpace, TimeGrid, build_time_grid
+from .drivers import MarkSpace, TimeGrid, build_time_grid, check_two_point_law
 from .errors import ConfigError
 from .generator import EnvelopeParams, GeneratorSpec
 from .solver import ProblemSpec, SchemeParams, TreeModel
@@ -427,11 +427,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         pipeline == "solve" and solver_kind == "lsmc"
     )
     if uses_tree or (uses_scenarios and mode in ("two-point", "enumerate")):
-        lam_dt = marks.total_intensity * grid.dt
-        if lam_dt >= 1.0:
-            raise ConfigError(
-                f"two-point driving law needs total_intensity * dt < 1, got {lam_dt:.6g}"
-            )
+        check_two_point_law(marks, grid.dt)
     if uses_tree and grid.N > tree_max_steps:
         raise ConfigError(
             f"tree depth N = {grid.N} exceeds scheme.tree_max_steps = "

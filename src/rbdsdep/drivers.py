@@ -100,19 +100,18 @@ class MarkSpace:
     def total_intensity(self) -> float:
         return float(self.intensities.sum())
 
-    def weighted_norm(self, u: np.ndarray) -> np.ndarray:
-        """sqrt(sum_k lambda_k * u_k^2) along the last axis."""
-        u = np.asarray(u, dtype=float)
-        return np.sqrt((self.intensities * u * u).sum(axis=-1))
-
 
 def empty_marks() -> MarkSpace:
     return MarkSpace(np.zeros(0), np.zeros(0))
 
 
-def compensator_increments(marks: MarkSpace, grid: TimeGrid) -> np.ndarray:
-    """Per-step compensator lambda_k * dt for each mark, shape (m,)."""
-    return marks.intensities * grid.dt
+def check_two_point_law(marks: MarkSpace, dt: float):
+    """Raise ConfigError unless the two-point law exists on steps of dt:
+    marks fire with probabilities lambda_k * dt, so their sum must stay
+    below one."""
+    lam_dt = marks.total_intensity * dt
+    if lam_dt >= 1.0:
+        raise ConfigError(f"two-point law needs total_intensity * dt < 1, got {lam_dt:.6g}")
 
 
 @dataclass(frozen=True)
@@ -203,11 +202,8 @@ def simulate_scenarios(
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     N, dt = grid.N, grid.dt
     m = marks.m
-    if mode == "two-point" and marks.total_intensity * dt >= 1.0:
-        raise ConfigError(
-            "two-point mode needs total_intensity * dt < 1, got "
-            f"{marks.total_intensity * dt:.6g}"
-        )
+    if mode == "two-point":
+        check_two_point_law(marks, dt)
     dW = np.empty((path_count, N, dim_d))
     dB = np.empty((path_count, N))
     counts = np.empty((path_count, N, m))
@@ -266,11 +262,7 @@ def enumerate_scenarios(
         raise ConfigError(f"dim_d must be >= 1, got {dim_d}")
     N, dt = grid.N, grid.dt
     m = marks.m
-    if marks.total_intensity * dt >= 1.0:
-        raise ConfigError(
-            "two-point enumeration needs total_intensity * dt < 1, got "
-            f"{marks.total_intensity * dt:.6g}"
-        )
+    check_two_point_law(marks, dt)
     per_step = 2 ** (dim_d + 1 + m)
     total = per_step**N
     if total > max_paths:

@@ -200,15 +200,6 @@ def solve_upper_bound_tree(
     return solve_tree_exact(problem, tree, f_fn=upper_bound_coefficient(problem))
 
 
-def solve_upper_bound_V(
-    problem: ProblemSpec, tree: Optional[TreeModel] = None
-) -> SolutionGrid:
-    """Solve the companion upper-bound problem; its Y dominates every
-    inf-envelope iterate of the same data node-wise."""
-    sol = solve_upper_bound_tree(problem, tree).to_solution_grid()
-    return sol.validate()
-
-
 def _run_envelope(
     problem: ProblemSpec,
     env: EnvelopeParams,
@@ -224,8 +215,6 @@ def _run_envelope(
     if ns is None:
         ns = [1, 2, 4, 8, 16]
     eff = _effective_indices(ns, problem.generator.growth_C)
-    if tree is None:
-        tree = TreeModel(problem.grid, problem.dim_d, problem.marks)
     f_fns = [_envelope_coefficient(problem, env, n, kind) for n in eff]
     tree_sols = _solve_many(problem, tree, f_fns, threads)
     roots = [ts.root_value() for ts in tree_sols]
@@ -411,8 +400,6 @@ def run_bracketing_sequence(
         )
     certs["g_worst"] = g_report.worst
 
-    if tree is None:
-        tree = TreeModel(problem.grid, problem.dim_d, problem.marks)
     lower = solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, -1.0))
     upper = solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, 1.0))
 

@@ -18,12 +18,11 @@ scheme; dB_i is E_i-measurable, so the g term is dB_i * E_i[g]).
 
 ``solve_tree_exact`` computes every E_i exactly on the finite two-point
 probability space (each dW component and dB equal to +-sqrt(dt), each mark
-firing with probability lambda_k*dt).  A node at time t_i is the pair of
-forward histories plus the future B signs; values never depend on past B
-increments, so slices are stored as (W-history, jump-history, B-future)
-arrays.  One backward step computes the continuation value on a slice; the
-exact solve reflects it, and ``tree_balance_residual`` reruns the same step
-on the stored slices to check Y_i - dK_i against it.
+firing with probability lambda_k*dt).  ``TreeModel`` is that tree: its node
+layout, its state probabilities, its path view and its backward step,
+which computes the continuation value on a slice.  The exact solve
+reflects it, and ``tree_balance_residual`` reruns the same step on the
+stored slices to check Y_i - dK_i against it.
 
 ``solve_lsmc`` replaces E_i by cross-sectional least squares on scenario
 paths; it shares the coefficient defaults and the terminal/barrier
@@ -34,8 +33,10 @@ it reproduces the tree bit-for-bit up to float summation order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -47,6 +48,7 @@ from .drivers import (
     _jump_pattern_probs,
     _jump_patterns,
     _sign_patterns,
+    check_two_point_law,
 )
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, evaluate, variables
@@ -197,6 +199,9 @@ class SolutionGrid:
         return float(self.weights @ self.Y[:, 0])
 
     def root_se(self) -> float:
+        """Cross-sectional standard error of the weighted per-path Y_0: how
+        much the fitted Y_0 varies across paths, not the estimator's error.
+        The seed-to-seed spread of gaussian LSMC roots measured 25-63x it."""
         mu = self.root_value()
         var = float(self.weights @ (self.Y[:, 0] - mu) ** 2)
         return float(np.sqrt(var * (self.weights**2).sum()))
@@ -248,11 +253,22 @@ def solution_csv_rows(sol: SolutionGrid) -> CsvTable:
 
 @dataclass(frozen=True)
 class TreeModel:
-    """Exhaustive two-point branching model.
+    """The exhaustive two-point tree: its budget, its node layout and its
+    backward step.
 
-    Per step the branching is 2**d W-sign patterns, 2 B signs and 2**m jump
-    patterns.  max_steps guards the default desk scale; max_states bounds
-    the stored slice sizes.
+    Per step a node branches into 2**d W-sign patterns, 2 B signs and 2**m
+    jump patterns, mark k firing with probability lambda_k*dt.  Values
+    never depend on past B signs, so slice i holds arrays shaped
+    (2**(d*i), 2**(m*i), 2**(N-i)), plus a component axis for Z and U: the
+    W-sign and jump histories of steps 0..i-1 and the B signs of steps
+    i..N-1, each index reading its per-step patterns as digits, step 0 the
+    most significant, + and no jump as digit 0.  dK has one slice per step
+    i < N.  A full path is a slice-N node with all N B signs, indexed by
+    (W digits, jump digits, B digits).
+
+    max_steps guards the default desk scale; max_states bounds the stored
+    slice sizes.  The step patterns and histories are built on first use,
+    after ``ensure_budget``; ``==`` and the hash read the five fields only.
     """
 
     grid: TimeGrid
@@ -269,15 +285,22 @@ class TreeModel:
                 f"tree depth N = {self.grid.N} exceeds max_steps = {self.max_steps}; "
                 "raise max_steps explicitly or use solve_lsmc"
             )
-        if self.marks.total_intensity * self.grid.dt >= 1.0:
-            raise ConfigError(
-                "two-point law needs total_intensity * dt < 1, got "
-                f"{self.marks.total_intensity * self.grid.dt:.6g}"
-            )
+        check_two_point_law(self.marks, self.grid.dt)
+
+    @property
+    def nw(self) -> int:
+        return 2**self.dim_d
+
+    @property
+    def nj(self) -> int:
+        return 2**self.marks.m
+
+    def slice_shape(self, i: int):
+        """(W histories, jump histories, future B signs) of slice i."""
+        return self.nw**i, self.nj**i, 2 ** (self.grid.N - i)
 
     def slice_states(self, i: int) -> int:
-        nw, nj = 2**self.dim_d, 2**self.marks.m
-        return nw**i * nj**i * 2 ** (self.grid.N - i)
+        return math.prod(self.slice_shape(i))
 
     def total_states(self) -> int:
         return sum(self.slice_states(i) for i in range(self.grid.N + 1))
@@ -290,15 +313,94 @@ class TreeModel:
                 "use solve_lsmc for this problem size"
             )
 
+    @cached_property
+    def _steps(self):
+        """One step's dW patterns (2**d, d), jump patterns (2**m, m) and
+        jump-pattern probabilities (2**m,)."""
+        self.ensure_budget()
+        dt = self.grid.dt
+        return (
+            _sign_patterns(self.dim_d) * np.sqrt(dt),
+            _jump_patterns(self.marks.m),
+            _jump_pattern_probs(self.marks, dt),
+        )
+
+    @cached_property
+    def _histories(self):
+        """Per slice i: the W values (2**(d*i), d), the jump totals
+        (2**(m*i), m) and the jump-history probabilities (2**(m*i),).
+        Builds are bitwise equal, so threads sharing a tree may race."""
+        w_step, j_step, pj = self._steps
+        d, m = self.dim_d, self.marks.m
+        w_vals, j_vals, j_prob = [np.zeros((1, d))], [np.zeros((1, m))], [np.ones(1)]
+        for i in range(self.grid.N):
+            w_vals.append((w_vals[i][:, None] + w_step).reshape(-1, d))
+            j_vals.append((j_vals[i][:, None] + j_step).reshape(self.nj ** (i + 1), m))
+            j_prob.append((j_prob[i][:, None] * pj).reshape(-1))
+        return w_vals, j_vals, j_prob
+
+    def context(self, i: int):
+        """(w, j) broadcastable against slice-i arrays."""
+        w_vals, j_vals, _ = self._histories
+        return w_vals[i][:, None, None, :], j_vals[i][None, :, None, :]
+
+    def children(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Slice-(i+1) values with the step-i W and jump branches split out:
+        shape (2**(d*i), 2**d, 2**(m*i), 2**m, 2**(N-i-1))."""
+        nb1 = 2 ** (self.grid.N - i - 1)
+        return values.reshape(self.nw**i, self.nw, self.nj**i, self.nj, nb1)
+
+    def expectation(self, i: int, y1, z1, u1, f_fn, g_fn) -> np.ndarray:
+        """E_i[Y_{i+1} + f*dt + g*dB_i] on slice i, with f and g evaluated
+        on the slice-(i+1) values (y1, z1, u1)."""
+        t_next, dt = self.grid.times[i + 1], self.grid.dt
+        f1, g1 = _coefficient_values(
+            (f_fn, g_fn), i + 1, t_next, y1, z1, u1, *self.context(i + 1)
+        )
+        _, _, pj = self._steps
+        Ar = self.children(i, y1 + f1 * dt)
+        EA = np.einsum("awbjn,j->abn", Ar, pj) / self.nw
+        Eg = np.einsum("awbjn,j->abn", self.children(i, g1), pj) / self.nw
+        g_db = np.sqrt(dt) * Eg
+        # the step-i B sign is the high digit of axis 2: + first, then -
+        return np.concatenate((EA + g_db, EA - g_db), axis=2)
+
+    def integrands(self, i: int, y1) -> tuple:
+        """(Z_i, U_i) on slice i: E_i[Y_{i+1} dW_i] / dt and
+        E_i[Y_{i+1} (count_k - lambda_k*dt)] / Var(count_k), the same for
+        both step-i B signs."""
+        w_step, j_step, pj = self._steps
+        dt = self.grid.dt
+        Yr = self.children(i, y1)
+        Zc = np.einsum("awbjn,wc,j->abnc", Yr, w_step, pj) / (self.nw * dt)
+        ju_weights = pj[:, None] * (j_step - self.marks.intensities * dt)
+        Uc = np.einsum("awbjn,jk->abnk", Yr, ju_weights) / self.nw
+        if self.marks.m:
+            Uc = Uc / jump_variances(self.marks, dt, "two-point")
+        return np.concatenate((Zc, Zc), axis=2), np.concatenate((Uc, Uc), axis=2)
+
+    def state_probs(self, i: int) -> np.ndarray:
+        """Exact probability of each slice-i node, as a read-only
+        broadcast; sums to one."""
+        pw = self.nw ** (-float(i))
+        pb = 0.5 ** (self.grid.N - i)
+        j_prob = self._histories[2][i]
+        return np.broadcast_to(pw * pb * j_prob[None, :, None], self.slice_shape(i))
+
+    def on_paths(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Slice-i values, with any trailing z/u axis, copied onto every
+        full path: shape (paths,) + trailing axes."""
+        a, b, n = self.slice_shape(i)
+        rest = values.shape[3:]
+        lost = self.grid.N - i
+        cube = (a, self.nw**lost, b, self.nj**lost, 2**i, n)
+        spread = np.broadcast_to(values.reshape((a, 1, b, 1, 1, n) + rest), cube + rest)
+        return spread.reshape((math.prod(cube),) + rest)
+
 
 @dataclass
 class TreeSolution:
-    """Slice-indexed exact solution on the enumeration tree.
-
-    Slice i holds arrays shaped (2**(d*i), 2**(m*i), 2**(N-i)): axis 0 is
-    the W-sign history, axis 1 the jump history, axis 2 the future B signs
-    (current-step sign is the high bit).  dK has one slice per step i < N.
-    """
+    """Slice-indexed exact solution on ``tree``, in its slice layout."""
 
     problem: ProblemSpec
     tree: TreeModel
@@ -307,7 +409,6 @@ class TreeSolution:
     U: List[np.ndarray]
     dK: List[np.ndarray]
     S: List[np.ndarray]
-    j_prob: List[np.ndarray]
 
     @property
     def grid(self) -> TimeGrid:
@@ -315,44 +416,32 @@ class TreeSolution:
 
     def state_probs(self, i: int) -> np.ndarray:
         """Exact probability of each slice-i state; sums to one."""
-        N = self.grid.N
-        nw = 2**self.problem.dim_d
-        pw = nw ** (-float(i))
-        pb = 0.5 ** (N - i)
-        return pw * pb * self.j_prob[i][None, :, None] * np.ones_like(self.Y[i])
+        return self.tree.state_probs(i)
 
     def root_value(self) -> float:
         return float(self.Y[0].mean())
 
     def to_solution_grid(self, max_paths: int = 2_000_000) -> SolutionGrid:
-        """Materialize every full history as a weighted path."""
-        N = self.grid.N
-        d, m = self.problem.dim_d, self.problem.marks.m
-        nw, nj = 2**d, 2**m
-        P = nw**N * nj**N * 2**N
+        """Materialize every full history as a weighted path, in the path
+        order of ``TreeModel``."""
+        tree, N = self.tree, self.grid.N
+        P = tree.slice_states(N) * 2**N
         if P > max_paths:
             raise SolverError(f"path materialization needs {P} paths (> {max_paths})")
-        idx = np.arange(P)
-        wh_full = idx // (nj**N * 2**N)
-        jh_full = (idx // 2**N) % nj**N
-        bh_full = idx % 2**N
         Y = np.empty((P, N + 1))
         K = np.zeros((P, N + 1))
         S = np.empty((P, N + 1))
-        Z = np.zeros((P, N + 1, d))
-        U = np.zeros((P, N + 1, m))
+        Z = np.zeros((P, N + 1, tree.dim_d))
+        U = np.zeros((P, N + 1, tree.marks.m))
         for i in range(N + 1):
-            wh = wh_full // nw ** (N - i)
-            jh = jh_full // nj ** (N - i)
-            b = bh_full % 2 ** (N - i)
-            flat = (wh * nj**i + jh) * 2 ** (N - i) + b
-            Y[:, i] = self.Y[i].reshape(-1)[flat]
-            S[:, i] = self.S[i].reshape(-1)[flat]
-            Z[:, i, :] = self.Z[i].reshape(self.Y[i].size, d)[flat]
-            U[:, i, :] = self.U[i].reshape(self.Y[i].size, m)[flat]
+            Y[:, i] = tree.on_paths(i, self.Y[i])
+            S[:, i] = tree.on_paths(i, self.S[i])
+            Z[:, i, :] = tree.on_paths(i, self.Z[i])
+            U[:, i, :] = tree.on_paths(i, self.U[i])
             if i < N:
-                K[:, i + 1] = K[:, i] + self.dK[i].reshape(-1)[flat]
-        weights = (1.0 / nw) ** N * self.j_prob[N][jh_full] * 0.5**N
+                K[:, i + 1] = K[:, i] + tree.on_paths(i, self.dK[i])
+        # each B path of a slice-N node has probability 0.5**N
+        weights = tree.on_paths(N, tree.state_probs(N)) * 0.5**N
         return SolutionGrid(
             grid=self.grid,
             Y=Y,
@@ -374,6 +463,15 @@ def _coefficients(problem: ProblemSpec, f_fn, g_fn):
     """(f_fn, g_fn) with each missing callable taken from the problem."""
     default_f, default_g = problem.coefficient_fns()
     return f_fn or default_f, g_fn or default_g
+
+
+def _coefficient_values(fns, i_next, t, y, z, u, w, j):
+    """Each coefficient at the time-t_{i_next} values, broadcast to y's
+    shape: the explicit scheme's f and g, shared by both solvers."""
+    return [
+        np.broadcast_to(np.asarray(fn(i_next, t, y, z, u, w, j), float), y.shape)
+        for fn in fns
+    ]
 
 
 def _barrier_values(problem: ProblemSpec, t, w, shape) -> np.ndarray:
@@ -401,83 +499,6 @@ def _terminal_values(problem: ProblemSpec, w, j, shape):
     return y_term, s_term
 
 
-def _repeat_over_b_sign(values: np.ndarray) -> np.ndarray:
-    """Copy slice values that do not depend on the step-i B sign to both
-    signs: (a, b, n, ...) -> (a, b, 2*n, ...)."""
-    a, b, n = values.shape[:3]
-    rest = values.shape[3:]
-    return (
-        np.broadcast_to(values[:, :, None], (a, b, 2, n) + rest)
-        .reshape((a, b, 2 * n) + rest)
-        .copy()
-    )
-
-
-class _TreeStep:
-    """The backward step of the two-point tree.
-
-    Holds the forward W and jump values of every history and the
-    jump-pattern weights.  ``expectation`` gives the continuation value
-    E_i[Y_{i+1} + f*dt + g*dB_i] on slice i: the exact solve reflects it
-    onto the barrier, the balance residual compares it with Y_i - dK_i.
-    """
-
-    def __init__(self, problem: ProblemSpec):
-        grid = problem.grid
-        self.times, self.N, self.dt = grid.times, grid.N, grid.dt
-        d, m = problem.dim_d, problem.marks.m
-        self.nw, self.nj = 2**d, 2**m
-        root_dt = np.sqrt(self.dt)
-        self.w_step = _sign_patterns(d) * root_dt          # (nw, d)
-        self.j_step = _jump_patterns(m)                     # (nj, m)
-        self.pj = _jump_pattern_probs(problem.marks, self.dt)  # (nj,)
-        self.db_signs = np.array([root_dt, -root_dt])
-
-        self.w_vals = [np.zeros((1, d))]
-        self.j_vals = [np.zeros((1, m))]
-        self.j_prob = [np.ones(1)]
-        for i in range(self.N):
-            self.w_vals.append(
-                (self.w_vals[i][:, None, :] + self.w_step[None, :, :]).reshape(
-                    self.nw ** (i + 1), d
-                )
-            )
-            self.j_vals.append(
-                (self.j_vals[i][:, None, :] + self.j_step[None, :, :]).reshape(
-                    self.nj ** (i + 1), m
-                )
-            )
-            self.j_prob.append((self.j_prob[i][:, None] * self.pj[None, :]).reshape(-1))
-
-    def context(self, i: int):
-        """(w, j) broadcastable against slice-i arrays."""
-        return self.w_vals[i][:, None, None, :], self.j_vals[i][None, :, None, :]
-
-    def children(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Slice-(i+1) values with the step-i W and jump branches split out:
-        shape (2**(d*i), 2**d, 2**(m*i), 2**m, 2**(N-i-1))."""
-        nb1 = 2 ** (self.N - i - 1)
-        return values.reshape(self.nw**i, self.nw, self.nj**i, self.nj, nb1)
-
-    def expectation(self, i: int, y1, z1, u1, f_fn, g_fn) -> np.ndarray:
-        """E_i[Y_{i+1} + f*dt + g*dB_i] on slice i, with f and g evaluated
-        on the slice-(i+1) values (y1, z1, u1)."""
-        w_ctx, j_ctx = self.context(i + 1)
-        t_next = self.times[i + 1]
-        f1, g1 = (
-            np.broadcast_to(
-                np.asarray(fn(i + 1, t_next, y1, z1, u1, w_ctx, j_ctx), float), y1.shape
-            )
-            for fn in (f_fn, g_fn)
-        )
-        Ar = self.children(i, y1 + f1 * self.dt)
-        EA = np.einsum("awbjn,j->abn", Ar, self.pj) / self.nw
-        Eg = np.einsum("awbjn,j->abn", self.children(i, g1), self.pj) / self.nw
-        db = self.db_signs[None, None, :, None]
-        cont = EA[:, :, None, :] + db * Eg[:, :, None, :]
-        return cont.reshape(EA.shape[0], EA.shape[1], 2 * EA.shape[2])
-
-
 def solve_tree_exact(
     problem: ProblemSpec,
     tree: Optional[TreeModel] = None,
@@ -486,51 +507,41 @@ def solve_tree_exact(
 ) -> TreeSolution:
     """Exact dynamic programming over every two-point branch.
 
-    f_fn and g_fn default to the problem's parsed coefficients; schemes
-    pass wrapped callables (envelopes, frozen iterates, growth bounds)
-    with the same signature.
+    tree defaults to the problem's own with the default budget.  f_fn and
+    g_fn default to the problem's parsed coefficients; schemes pass
+    wrapped callables (envelopes, frozen iterates, growth bounds) with the
+    same signature.
     """
     if tree is None:
         tree = TreeModel(problem.grid, problem.dim_d, problem.marks)
-    if tree.grid is not problem.grid and (
-        tree.grid.N != problem.grid.N or tree.grid.T != problem.grid.T
-    ):
+    if (tree.grid.N, tree.grid.T) != (problem.grid.N, problem.grid.T):
         raise SolverError("tree grid differs from the problem grid")
-    tree.ensure_budget()
+    if tree.dim_d != problem.dim_d:
+        raise SolverError(f"tree has d = {tree.dim_d} but the problem has d = {problem.dim_d}")
+    if not np.array_equal(tree.marks.intensities, problem.marks.intensities):
+        raise SolverError(
+            f"tree mark intensities {tree.marks.intensities.tolist()} differ from "
+            f"the problem's {problem.marks.intensities.tolist()}"
+        )
     f_fn, g_fn = _coefficients(problem, f_fn, g_fn)
 
-    step = _TreeStep(problem)
-    N, dt, nw = step.N, step.dt, step.nw
-    d, m = problem.dim_d, problem.marks.m
-    lam_dt = problem.marks.intensities * dt
-    jvar = jump_variances(problem.marks, dt, "two-point")
-    ju_weights = step.pj[:, None] * (step.j_step - lam_dt[None, :])  # (nj, m)
-
-    Y = [None] * (N + 1)
-    Z = [None] * (N + 1)
-    U = [None] * (N + 1)
-    S = [None] * (N + 1)
+    N = tree.grid.N
+    Y, Z, U, S = ([None] * (N + 1) for _ in range(4))
     dK = [None] * N
 
-    w_ctx, j_ctx = step.context(N)
-    Y[N], S[N] = _terminal_values(problem, w_ctx, j_ctx, (nw**N, step.nj**N, 1))
-    Z[N] = np.zeros(Y[N].shape + (d,))
-    U[N] = np.zeros(Y[N].shape + (m,))
+    w_ctx, j_ctx = tree.context(N)
+    Y[N], S[N] = _terminal_values(problem, w_ctx, j_ctx, tree.slice_shape(N))
+    Z[N] = np.zeros(Y[N].shape + (tree.dim_d,))
+    U[N] = np.zeros(Y[N].shape + (tree.marks.m,))
 
     for i in range(N - 1, -1, -1):
-        y_tilde = step.expectation(i, Y[i + 1], Z[i + 1], U[i + 1], f_fn, g_fn)
-        Yr = step.children(i, Y[i + 1])
-        Zc = np.einsum("awbjn,wc,j->abnc", Yr, step.w_step, step.pj) / (nw * dt)
-        Uc = np.einsum("awbjn,jk->abnk", Yr, ju_weights) / nw
-        if m:
-            Uc = Uc / jvar
-        Z[i] = _repeat_over_b_sign(Zc)
-        U[i] = _repeat_over_b_sign(Uc)
-        w_ctx, _ = step.context(i)
-        S[i] = _barrier_values(problem, step.times[i], w_ctx, y_tilde.shape)
+        y_tilde = tree.expectation(i, Y[i + 1], Z[i + 1], U[i + 1], f_fn, g_fn)
+        Z[i], U[i] = tree.integrands(i, Y[i + 1])
+        w_ctx, _ = tree.context(i)
+        S[i] = _barrier_values(problem, tree.grid.times[i], w_ctx, y_tilde.shape)
         Y[i], dK[i] = reflect_step(y_tilde, S[i])
 
-    return TreeSolution(problem, tree, Y, Z, U, dK, S, step.j_prob)
+    return TreeSolution(problem, tree, Y, Z, U, dK, S)
 
 
 def tree_balance_residual(
@@ -551,10 +562,11 @@ def tree_balance_residual(
     which checks the tree against an independent indicator regression.
     """
     f_fn, g_fn = _coefficients(sol.problem, f_fn, g_fn)
-    step = _TreeStep(sol.problem)
     worst = 0.0
-    for i in range(step.N - 1, -1, -1):
-        cont = step.expectation(i, sol.Y[i + 1], sol.Z[i + 1], sol.U[i + 1], f_fn, g_fn)
+    for i in range(sol.tree.grid.N - 1, -1, -1):
+        cont = sol.tree.expectation(
+            i, sol.Y[i + 1], sol.Z[i + 1], sol.U[i + 1], f_fn, g_fn
+        )
         worst = max(worst, float(np.abs(sol.Y[i] - sol.dK[i] - cont).max()))
     return worst
 
@@ -706,22 +718,9 @@ def solve_lsmc(
     conditions = []
     dk_cols = np.empty((P, N))
     for i in range(N - 1, -1, -1):
-        t_next = grid.times[i + 1]
-        f1 = np.broadcast_to(
-            np.asarray(
-                f_fn(i + 1, t_next, Y[:, i + 1], Z[:, i + 1], U[:, i + 1],
-                     W[:, i + 1, :], J[:, i + 1, :]),
-                float,
-            ),
-            (P,),
-        )
-        g1 = np.broadcast_to(
-            np.asarray(
-                g_fn(i + 1, t_next, Y[:, i + 1], Z[:, i + 1], U[:, i + 1],
-                     W[:, i + 1, :], J[:, i + 1, :]),
-                float,
-            ),
-            (P,),
+        f1, g1 = _coefficient_values(
+            (f_fn, g_fn), i + 1, grid.times[i + 1], Y[:, i + 1], Z[:, i + 1],
+            U[:, i + 1], W[:, i + 1, :], J[:, i + 1, :],
         )
         target_y = Y[:, i + 1] + f1 * dt + g1 * scenarios.dB[:, i]
         zt, ut = extract_zu(

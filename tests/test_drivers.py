@@ -9,7 +9,6 @@ from rbdsdep.drivers import (
     MarkSpace,
     ScenarioSet,
     build_time_grid,
-    compensator_increments,
     empty_marks,
     enumerate_scenarios,
     scenario_csv_rows,
@@ -51,11 +50,6 @@ class TestMarkSpace:
         assert marks.m == 2
         assert marks.total_intensity == pytest.approx(5.0)
 
-    def test_weighted_norm(self):
-        marks = MarkSpace(np.array([1.0, 1.0]), np.array([4.0, 0.25]))
-        got = marks.weighted_norm(np.array([[1.0, 2.0]]))
-        assert got[0] == pytest.approx(np.sqrt(4.0 + 1.0))
-
     def test_length_mismatch(self):
         with pytest.raises(ConfigError, match="equal length"):
             MarkSpace(np.array([1.0]), np.array([1.0, 2.0]))
@@ -67,12 +61,6 @@ class TestMarkSpace:
     def test_nonpositive_intensity(self):
         with pytest.raises(ConfigError, match="positive"):
             MarkSpace(np.array([1.0]), np.array([0.0]))
-
-    def test_compensator_increments(self):
-        grid = build_time_grid(2.0, 8)
-        marks = MarkSpace(np.array([1.0, 2.0]), np.array([0.4, 1.2]))
-        got = compensator_increments(marks, grid)
-        assert got.tolist() == pytest.approx([0.1, 0.3])
 
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))

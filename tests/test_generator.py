@@ -21,6 +21,7 @@ from rbdsdep.generator import (
     envelope_table,
     inf_convolution,
     sample_cloud,
+    size_norms,
     sup_convolution,
 )
 
@@ -183,6 +184,14 @@ class TestMinorant:
         a, b = paired_clouds(8, 71)
         with pytest.raises(ConfigError, match="no lower modulus"):
             check_pi_minorant(spec, a, b)
+
+
+class TestSizeNorms:
+    def test_intensity_weighted_jump_norm(self):
+        y, z, u = np.array([-3.0]), np.array([[3.0, 4.0]]), np.array([[1.0, 2.0]])
+        ay, zn, un = size_norms(y, z, u, np.array([4.0, 0.25]))
+        assert (ay[0], zn[0]) == (3.0, 5.0)
+        assert un[0] == pytest.approx(np.sqrt(4.0 + 1.0))
 
 
 class TestSampleCloud:

@@ -13,7 +13,6 @@ from rbdsdep.schemes import (
     run_sup_envelope_sequence,
     sequence_csv_rows,
     solve_upper_bound_tree,
-    solve_upper_bound_V,
 )
 from rbdsdep.solver import ProblemSpec, solve_tree_exact
 
@@ -140,7 +139,7 @@ class TestUpperBound:
     def test_dominates_the_zero_generator_solve(self):
         prob = make_problem(f="0", terminal="w1", T=0.5, N=3, marks=MARKS)
         direct = solve_tree_exact(prob)
-        v = solve_upper_bound_V(prob)
+        v = solve_upper_bound_tree(prob).to_solution_grid().validate()
         assert v.root_value() > direct.root_value()
         assert v.root_value() > 1.0  # the constant term alone integrates past T
 

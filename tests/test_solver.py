@@ -1,5 +1,7 @@
 """Exact tree solver, Monte Carlo solver and their shared plumbing."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -200,6 +202,50 @@ class TestTreeModel:
         with pytest.raises(ConfigError, match="total_intensity"):
             TreeModel(grid, 1, heavy)
 
+    def test_tree_of_another_dimension_is_rejected(self):
+        # 192 states fit this budget, but the d=3 one-mark problem has 1.2M
+        prob = make_problem(N=5, dim_d=3, marks=MARKS)
+        tree = TreeModel(prob.grid, 1, empty_marks(), max_states=200)
+        with pytest.raises(SolverError, match="tree has d = 1 but the problem has d = 3"):
+            solve_tree_exact(prob, tree)
+
+    def test_tree_of_other_intensities_is_rejected(self):
+        prob = make_problem(N=3, marks=MARKS)
+        other = MarkSpace(np.array([1.0]), np.array([0.5]))
+        with pytest.raises(SolverError, match="intensities"):
+            solve_tree_exact(prob, TreeModel(prob.grid, 1, other))
+        with pytest.raises(SolverError, match=r"intensities \[\] differ"):
+            solve_tree_exact(prob, TreeModel(prob.grid, 1, empty_marks()))
+
+    def test_histories_are_built_only_within_the_budget(self):
+        tree = TreeModel(build_time_grid(1.0, 4), 1, MARKS, max_states=100)
+        for read in (lambda: tree.context(0), lambda: tree.state_probs(0)):
+            with pytest.raises(SolverError, match="tree budget exceeded"):
+                read()
+
+    def test_built_histories_do_not_enter_equality(self):
+        prob = make_problem(N=3, marks=MARKS)
+        built = solve_tree_exact(prob, TreeModel(prob.grid, 1, MARKS)).tree
+        assert built == TreeModel(prob.grid, 1, MARKS)
+        assert built != TreeModel(prob.grid, 1, MARKS, max_states=10)
+
+    def test_threads_sharing_one_tree_get_the_serial_answer(self):
+        prob = make_problem(**MIXED)
+        ref = solve_tree_exact(prob)
+        tree = TreeModel(prob.grid, 1, MARKS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(solve_tree_exact, prob, tree) for _ in range(16)]
+                sols = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for sol in sols:
+            for name in ("Y", "Z", "U", "dK", "S"):
+                for a, b in zip(getattr(sol, name), getattr(ref, name)):
+                    assert a.tobytes() == b.tobytes()
+
 
 class TestTreeClosedForms:
     def test_constant_terminal(self):
@@ -293,6 +339,23 @@ class TestTreeStructure:
         grid_sol.validate()
         assert grid_sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert grid_sol.root_value() == pytest.approx(sol.root_value(), abs=1e-12)
+
+    def test_paths_follow_the_enumerated_law(self):
+        """Path p of to_solution_grid is path p of enumerate_scenarios, with
+        its branch probability as weight: the indicator regression on that
+        set, an independent solver, agrees path by path."""
+        two_marks = MarkSpace(np.array([1.0, 2.0]), np.array([0.4, 0.7]))
+        for d, marks, N in ((1, MARKS, 3), (2, two_marks, 2)):
+            prob = make_problem(**dict(MIXED, dim_d=d, marks=marks, N=N))
+            tree = solve_tree_exact(prob).to_solution_grid()
+            scen = enumerate_scenarios(prob.grid, d, marks)
+            lsmc = solve_lsmc(prob, scen, SchemeParams(basis="indicator"))
+            assert tree.terminal_k().max() > 0.0
+            for name in ("Y", "Z", "U", "K", "S", "weights"):
+                np.testing.assert_allclose(
+                    getattr(tree, name), getattr(lsmc, name), rtol=0, atol=1e-12,
+                    err_msg=f"{name} with d={d}, m={marks.m}",
+                )
 
     def test_materialization_budget(self):
         sol = solve_tree_exact(make_problem(**MIXED))
