@@ -15,11 +15,18 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .drivers import MarkSpace, ScenarioSet
+from .drivers import MAX_PATHS, MarkSpace, ScenarioSet
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, Expr, evaluate, to_string
 from .generator import ensure_expr, sample_cloud
-from .solver import ProblemSpec, SolutionGrid, TreeModel, _node_margin, solve_tree_exact
+from .solver import (
+    ProblemSpec,
+    SolutionGrid,
+    TreeModel,
+    TreeSolution,
+    _node_margin,
+    solve_tree_exact,
+)
 
 _PREMISE_SLACK = 1e-9
 
@@ -87,15 +94,11 @@ def compare_solutions(
     fixes g); grid, dimensions and marks must match.  The f ordering is
     certified on a sampled cloud sized to cover both solutions' ranges.
     """
-    if p1.grid.N != p2.grid.N or p1.grid.T != p2.grid.T:
+    if p1.grid != p2.grid:
         raise ConfigError("compared problems must share the time grid")
     if p1.dim_d != p2.dim_d:
         raise ConfigError("compared problems must share dim_d")
-    if (
-        p1.marks.m != p2.marks.m
-        or not np.array_equal(p1.marks.values, p2.marks.values)
-        or not np.array_equal(p1.marks.intensities, p2.marks.intensities)
-    ):
+    if p1.marks != p2.marks:
         raise ConfigError("compared problems must share the mark space")
     if to_string(p1.generator.g) != to_string(p2.generator.g):
         raise ConfigError("the comparison fixes g: both problems need the same g")
@@ -420,3 +423,40 @@ def norm_report(sol: SolutionGrid, marks: MarkSpace) -> dict:
     u_norm = float(wts @ (lam * sol.U[:, :-1, :] ** 2).sum(axis=(1, 2)) * dt)
     k_t2 = float(wts @ sol.K[:, -1] ** 2)
     return {"sup_y_sq": sup_y2, "z_norm_sq": z_norm, "u_norm_sq": u_norm, "k_t_sq": k_t2}
+
+
+def integrand_norms(tree: TreeModel, Z, U):
+    """(sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt) over the slices i < N
+    of slice-indexed integrands, as weighted slice sums."""
+    lam, dt = tree.marks.intensities, tree.grid.dt
+    z_norm = u_norm = 0.0
+    for i in range(tree.grid.N):
+        z_norm += float(tree.weighted_sum(i, (Z[i] ** 2).sum(axis=-1)))
+        u_norm += float(tree.weighted_sum(i, (lam * U[i] ** 2).sum(axis=-1)))
+    return z_norm * dt, u_norm * dt
+
+
+def tree_norm_report(sol: TreeSolution) -> dict:
+    """``norm_report``'s squared norms computed on the tree slices.
+
+    The Z and U norms are weighted slice sums and E K_T^2 comes from
+    ``TreeSolution.k_moments``.  E sup Y^2 is a path functional: it is
+    gathered only when the tree has at most MAX_PATHS paths; otherwise it
+    is None and "sup_y_sq_skipped" says why.  Call it on a validated
+    solution.
+    """
+    z_norm, u_norm = integrand_norms(sol.tree, sol.Z, sol.U)
+    report = {
+        "sup_y_sq": None,
+        "z_norm_sq": z_norm,
+        "u_norm_sq": u_norm,
+        "k_t_sq": sol.k_moments()[1],
+    }
+    paths = sol.tree.path_count()
+    if paths <= MAX_PATHS:
+        report["sup_y_sq"] = sol.sup_y_sq()
+    else:
+        report["sup_y_sq_skipped"] = (
+            f"E sup Y^2 is a path functional; the tree has {paths} paths (> {MAX_PATHS})"
+        )
+    return report

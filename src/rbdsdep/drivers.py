@@ -31,15 +31,20 @@ from .table import CsvTable
 
 MODES = ("gaussian", "two-point")
 
+#: Most weighted paths a two-point enumeration or a tree's path view may
+#: hold: 16 MB per float column.
+MAX_PATHS = 2_000_000
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Uniform partition of [0, T] into N steps."""
+    """Uniform partition of [0, T] into N steps; grids compare and hash by
+    (T, N)."""
 
     T: float
     N: int
@@ -57,12 +62,20 @@ class TimeGrid:
         if abs(dt * self.N - self.T) > 1e-12 * max(1.0, abs(self.T)):
             raise ConfigError("grid does not reproduce T: dt * N != T")
 
+    def __eq__(self, other):
+        if not isinstance(other, TimeGrid):
+            return NotImplemented
+        return (self.T, self.N) == (other.T, other.N)
+
+    def __hash__(self):
+        return hash((self.T, self.N))
+
 
 def build_time_grid(T: float, N: int) -> TimeGrid:
     return TimeGrid(float(T), int(N))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkSpace:
     """Finite set of jump marks e_k with intensities lambda_k > 0.
 
@@ -71,7 +84,8 @@ class MarkSpace:
     problems of a comparison, but they do not enter the dynamics: a jump
     of mark k adds 1 to the count j_k whatever e_k is, and only the
     intensities set the law.  An empty mark space (m = 0) is legal and
-    means no jump part.
+    means no jump part.  Mark spaces compare and hash by their values and
+    intensities.
     """
 
     values: np.ndarray
@@ -91,6 +105,17 @@ class MarkSpace:
             raise ConfigError("mark intensities must be positive")
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "intensities", _freeze(lam))
+
+    def _key(self):
+        return tuple(self.values.tolist()), tuple(self.intensities.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, MarkSpace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def m(self) -> int:
@@ -250,7 +275,7 @@ def enumerate_scenarios(
     grid: TimeGrid,
     dim_d: int,
     marks: MarkSpace,
-    max_paths: int = 2_000_000,
+    max_paths: int = MAX_PATHS,
 ) -> ScenarioSet:
     """Every two-point branch as one weighted path.
 

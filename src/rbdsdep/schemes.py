@@ -14,21 +14,26 @@ Three pipelines, one per construction:
 * sup-envelope sequence: the mirror construction from above, decreasing
   toward the maximal solution.
 
-Every per-n solution is materialized, validated against the reflection
-invariants, and kept in the run for downstream checks.  Premise checks
-(growth, contraction, modulus) are sampling certificates on documented
-clouds; a failed certificate aborts the run before any solve.
+Every solution of a run (each per-n solution, the upper bound V and the
+bracketing anchors) is checked node-wise against the reflection
+invariants on its tree slices, and the report norms are exact weighted
+slice sums; only E sup Y^2 is gathered over paths, within the
+``MAX_PATHS`` budget.  The run keeps the tree solutions; their path views
+are materialised on first access.  Premise checks (growth, contraction,
+modulus) are sampling certificates on documented clouds; a failed
+certificate aborts the run before any solve.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
-from .analysis import norm_report
+from .analysis import integrand_norms, tree_norm_report
 from .errors import ConfigError
 from .expr import EvalContext, evaluate
 from .generator import (
@@ -57,21 +62,45 @@ _CERT_RADIUS = 5.0
 
 @dataclass
 class SequenceRun:
-    """One pipeline run: per-n solutions plus the ordering evidence.
+    """One pipeline run: per-n tree solutions plus the ordering evidence.
 
-    report is JSON-serializable throughout; heavyweight companions (the
-    upper bound V, the bracketing anchors) sit in their own fields.
+    report is JSON-serializable throughout; the companions (the upper
+    bound V, the bracketing anchors) sit in their own fields.  Every tree
+    solution was validated node-wise when solved.  The path views
+    ``solutions``, ``upper_solution``, ``lower_anchor`` and
+    ``upper_anchor`` are materialised, validated and cached on first
+    access, within the ``MAX_PATHS`` budget of ``to_solution_grid``.
     """
 
     mode: str
     base_problem: ProblemSpec
     index_set: List[float]
-    solutions: List[SolutionGrid]
+    tree_solutions: List[TreeSolution]
     y0_series: List[float]
     report: dict = field(default_factory=dict)
-    upper_solution: Optional[SolutionGrid] = None
-    lower_anchor: Optional[SolutionGrid] = None
-    upper_anchor: Optional[SolutionGrid] = None
+    upper_tree: Optional[TreeSolution] = None
+    lower_anchor_tree: Optional[TreeSolution] = None
+    upper_anchor_tree: Optional[TreeSolution] = None
+
+    @cached_property
+    def solutions(self) -> List[SolutionGrid]:
+        return [_path_view(ts) for ts in self.tree_solutions]
+
+    @cached_property
+    def upper_solution(self) -> Optional[SolutionGrid]:
+        return _path_view(self.upper_tree)
+
+    @cached_property
+    def lower_anchor(self) -> Optional[SolutionGrid]:
+        return _path_view(self.lower_anchor_tree)
+
+    @cached_property
+    def upper_anchor(self) -> Optional[SolutionGrid]:
+        return _path_view(self.upper_anchor_tree)
+
+
+def _path_view(ts: Optional[TreeSolution]) -> Optional[SolutionGrid]:
+    return None if ts is None else ts.to_solution_grid().validate()
 
 
 def _solve_many(problem, tree, f_fns, threads):
@@ -88,21 +117,16 @@ def _solve_many(problem, tree, f_fns, threads):
     return out
 
 
-def _materialize(tree_sols):
-    grids = [ts.to_solution_grid() for ts in tree_sols]
-    for g in grids:
-        g.validate()
-    return grids
-
-
-def _successive_diffs(grids, marks, dt):
-    lam = marks.intensities[None, None, :]
+def _successive_diffs(tree_sols):
+    """sum_i E|Z_i' - Z_i|^2 dt and sum_i E|U_i' - U_i|^2_lambda dt for
+    each successive pair of solutions on one tree."""
     z_diffs, u_diffs = [], []
-    for a, b in zip(grids, grids[1:]):
-        dz = ((b.Z[:, :-1, :] - a.Z[:, :-1, :]) ** 2).sum(axis=(1, 2)) * dt
-        du = (lam * (b.U[:, :-1, :] - a.U[:, :-1, :]) ** 2).sum(axis=(1, 2)) * dt
-        z_diffs.append(float(a.weights @ dz))
-        u_diffs.append(float(a.weights @ du))
+    for a, b in zip(tree_sols, tree_sols[1:]):
+        dz = [zb - za for za, zb in zip(a.Z, b.Z)]
+        du = [ub - ua for ua, ub in zip(a.U, b.U)]
+        z_diff, u_diff = integrand_norms(a.tree, dz, du)
+        z_diffs.append(z_diff)
+        u_diffs.append(u_diff)
     return z_diffs, u_diffs
 
 
@@ -216,7 +240,7 @@ def _run_envelope(
         ns = [1, 2, 4, 8, 16]
     eff = _effective_indices(ns, problem.generator.growth_C)
     f_fns = [_envelope_coefficient(problem, env, n, kind) for n in eff]
-    tree_sols = _solve_many(problem, tree, f_fns, threads)
+    tree_sols = [ts.validate() for ts in _solve_many(problem, tree, f_fns, threads)]
     roots = [ts.root_value() for ts in tree_sols]
     cut = _truncate_at_tol(roots, early_stop_tol)
     truncated = cut < len(eff)
@@ -226,9 +250,8 @@ def _run_envelope(
         pair_margins = [_node_margin(a, b) for a, b in zip(tree_sols, tree_sols[1:])]
     else:
         pair_margins = [_node_margin(b, a) for a, b in zip(tree_sols, tree_sols[1:])]
-    grids = _materialize(tree_sols)
-    norms = [norm_report(g, problem.marks) for g in grids]
-    z_diffs, u_diffs = _successive_diffs(grids, problem.marks, problem.grid.dt)
+    norms = [tree_norm_report(ts) for ts in tree_sols]
+    z_diffs, u_diffs = _successive_diffs(tree_sols)
 
     report = {
         "index_set": eff,
@@ -245,13 +268,12 @@ def _run_envelope(
         mode="inf_envelope" if kind == "inf" else "sup_envelope",
         base_problem=problem,
         index_set=eff,
-        solutions=grids,
+        tree_solutions=tree_sols,
         y0_series=roots,
         report=report,
     )
     if kind == "inf" and with_upper:
-        v_tree = solve_upper_bound_tree(problem, tree)
-        run.upper_solution = v_tree.to_solution_grid().validate()
+        run.upper_tree = v_tree = solve_upper_bound_tree(problem, tree).validate()
         report["v_root"] = v_tree.root_value()
         report["v_node_margin"] = min(
             _node_margin(ts, v_tree) for ts in tree_sols
@@ -400,15 +422,17 @@ def run_bracketing_sequence(
         )
     certs["g_worst"] = g_report.worst
 
-    lower = solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, -1.0))
-    upper = solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, 1.0))
+    lower, upper = (
+        solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, sign)).validate()
+        for sign in (-1.0, 1.0)
+    )
 
     iterates: List[TreeSolution] = []
     prev = lower
     for _ in range(ns_count):
         cur = solve_tree_exact(
             problem, tree, f_fn=_frozen_source_coefficient(problem, prev)
-        )
+        ).validate()
         iterates.append(cur)
         prev = cur
 
@@ -417,9 +441,8 @@ def run_bracketing_sequence(
     upper_margins = [_node_margin(x, upper) for x in chain]
     sandwich_worst = min(pair_margins + upper_margins)
 
-    grids = _materialize(iterates)
-    norms = [norm_report(g, problem.marks) for g in grids]
-    z_diffs, u_diffs = _successive_diffs(grids, problem.marks, problem.grid.dt)
+    norms = [tree_norm_report(ts) for ts in iterates]
+    z_diffs, u_diffs = _successive_diffs(iterates)
     roots = [ts.root_value() for ts in iterates]
 
     report = {
@@ -437,19 +460,15 @@ def run_bracketing_sequence(
         "u_diffs": u_diffs,
         "row_margins": pair_margins,
     }
-    lower_grid = lower.to_solution_grid()
-    upper_grid = upper.to_solution_grid()
-    lower_grid.validate()
-    upper_grid.validate()
     return SequenceRun(
         mode="bracketing",
         base_problem=problem,
         index_set=[float(n) for n in range(1, ns_count + 1)],
-        solutions=grids,
+        tree_solutions=iterates,
         y0_series=roots,
         report=report,
-        lower_anchor=lower_grid,
-        upper_anchor=upper_grid,
+        lower_anchor_tree=lower,
+        upper_anchor_tree=upper,
     )
 
 
@@ -465,7 +484,7 @@ def sequence_csv_rows(run: SequenceRun) -> CsvTable:
     columns = [
         run.index_set,
         run.y0_series,
-        [float(sol.weights @ sol.K[:, -1]) for sol in run.solutions],
+        [ts.k_moments()[0] for ts in run.tree_solutions],
         [nr["z_norm_sq"] for nr in norms],
         [nr["u_norm_sq"] for nr in norms],
         run.report["row_margins"],

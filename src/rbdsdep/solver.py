@@ -42,6 +42,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .drivers import (
+    MAX_PATHS,
     MarkSpace,
     ScenarioSet,
     TimeGrid,
@@ -264,7 +265,9 @@ class TreeModel:
     i..N-1, each index reading its per-step patterns as digits, step 0 the
     most significant, + and no jump as digit 0.  dK has one slice per step
     i < N.  A full path is a slice-N node with all N B signs, indexed by
-    (W digits, jump digits, B digits).
+    (W digits, jump digits, B digits).  Going from slice i to slice i+1
+    drops the step-i B sign, the high digit of axis 2, and adds the step-i
+    W and jump digits as the low digits of axes 0 and 1.
 
     max_steps guards the default desk scale; max_states bounds the stored
     slice sizes.  The step patterns and histories are built on first use,
@@ -304,6 +307,10 @@ class TreeModel:
 
     def total_states(self) -> int:
         return sum(self.slice_states(i) for i in range(self.grid.N + 1))
+
+    def path_count(self) -> int:
+        """Full paths: each slice-N node with each of its 2**N B paths."""
+        return self.slice_states(self.grid.N) * 2**self.grid.N
 
     def ensure_budget(self):
         total = self.total_states()
@@ -387,6 +394,22 @@ class TreeModel:
         j_prob = self._histories[2][i]
         return np.broadcast_to(pw * pb * j_prob[None, :, None], self.slice_shape(i))
 
+    def weighted_sum(self, i: int, values: np.ndarray):
+        """Weighted slice sum: sum over the slice-i nodes of state_probs(i)
+        times values, one sum per trailing z/u component if any."""
+        return np.tensordot(self.state_probs(i), values, axes=3)
+
+    def forward(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Slice-i values carried to slice i+1: averaged over the step-i B
+        sign, which slice i+1 no longer holds, then copied to every step-i
+        W and jump child, which slice-i values do not depend on."""
+        a, b, n = self.slice_shape(i)
+        # the step-i B sign is the high digit of axis 2: + first, then -
+        mean = 0.5 * (values[:, :, : n // 2] + values[:, :, n // 2 :])
+        kids = (a, self.nw, b, self.nj, n // 2)
+        spread = np.broadcast_to(mean[:, None, :, None, :], kids)
+        return spread.reshape(self.slice_shape(i + 1))
+
     def on_paths(self, i: int, values: np.ndarray) -> np.ndarray:
         """Slice-i values, with any trailing z/u axis, copied onto every
         full path: shape (paths,) + trailing axes."""
@@ -421,11 +444,56 @@ class TreeSolution:
     def root_value(self) -> float:
         return float(self.Y[0].mean())
 
-    def to_solution_grid(self, max_paths: int = 2_000_000) -> SolutionGrid:
+    def validate(self, barrier_tol: float = 1e-12):
+        """Raise SolverError if a reflection invariant fails on a node.
+
+        The node-wise form of ``SolutionGrid.validate``: Y, Z, U and dK
+        finite, dK >= 0, Y >= S - barrier_tol and (Y - S) * dK == 0
+        bitwise.  Errors name the (slice, node), node being the flat index
+        into the slice's (W, jump, B) axes.
+        """
+        for name, slices in (("Y", self.Y), ("Z", self.Z), ("U", self.U), ("dK", self.dK)):
+            for i, arr in enumerate(slices):
+                _raise_at(~np.isfinite(arr), f"non-finite {name}", i)
+        for i, dk in enumerate(self.dK):
+            _raise_at(dk < 0.0, "negative dK", i)
+        for i, (y, s) in enumerate(zip(self.Y, self.S)):
+            _raise_at(y < s - barrier_tol, "Y below the barrier", i)
+        for i, dk in enumerate(self.dK):
+            products = (self.Y[i] - self.S[i]) * dk
+            _raise_at(products != 0.0, "reflection is not complementary", i)
+        return self
+
+    def k_moments(self):
+        """(E[K_T], E[K_T^2]) by a forward pass over the first two moments
+        of K_i given the slice-i node: K_{i+1} = K_i + dK_i, so
+        (m1, m2) <- (m1 + dK_i, m2 + 2*m1*dK_i + dK_i^2), carried to slice
+        i+1 by ``TreeModel.forward``."""
+        tree = self.tree
+        m1 = m2 = np.zeros(tree.slice_shape(0))
+        for i, dk in enumerate(self.dK):
+            m1, m2 = m1 + dk, m2 + 2.0 * m1 * dk + dk * dk
+            m1, m2 = tree.forward(i, m1), tree.forward(i, m2)
+        N = self.grid.N
+        return float(tree.weighted_sum(N, m1)), float(tree.weighted_sum(N, m2))
+
+    def sup_y_sq(self) -> float:
+        """E[max_i Y_i^2] over the full paths, the one path functional of
+        the sequence reports.  Y alone is gathered, one slice at a time
+        into a running max: a few arrays of ``path_count`` floats."""
+        tree, N = self.tree, self.grid.N
+        top = tree.on_paths(0, self.Y[0] ** 2).copy()
+        for i in range(1, N + 1):
+            np.maximum(top, tree.on_paths(i, self.Y[i] ** 2), out=top)
+        # each B path of a slice-N node has probability 0.5**N
+        weights = tree.on_paths(N, tree.state_probs(N)) * 0.5**N
+        return float(weights @ top)
+
+    def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
         """Materialize every full history as a weighted path, in the path
         order of ``TreeModel``."""
         tree, N = self.tree, self.grid.N
-        P = tree.slice_states(N) * 2**N
+        P = tree.path_count()
         if P > max_paths:
             raise SolverError(f"path materialization needs {P} paths (> {max_paths})")
         Y = np.empty((P, N + 1))
@@ -452,6 +520,15 @@ class TreeSolution:
             weights=weights,
             diagnostics={"source": "tree"},
         )
+
+
+def _raise_at(bad: np.ndarray, what: str, i: int):
+    """Raise SolverError naming the first slice-i node where bad holds (on
+    any z/u component)."""
+    if bad.ndim > 3:
+        bad = bad.any(axis=tuple(range(3, bad.ndim)))
+    if bad.any():
+        raise SolverError(f"{what} at (slice, node) ({i}, {int(np.flatnonzero(bad)[0])})")
 
 
 def _node_margin(a: TreeSolution, b: TreeSolution) -> float:
@@ -514,7 +591,7 @@ def solve_tree_exact(
     """
     if tree is None:
         tree = TreeModel(problem.grid, problem.dim_d, problem.marks)
-    if (tree.grid.N, tree.grid.T) != (problem.grid.N, problem.grid.T):
+    if tree.grid != problem.grid:
         raise SolverError("tree grid differs from the problem grid")
     if tree.dim_d != problem.dim_d:
         raise SolverError(f"tree has d = {tree.dim_d} but the problem has d = {problem.dim_d}")

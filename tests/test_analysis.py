@@ -11,6 +11,7 @@ from rbdsdep.analysis import (
     norm_report,
     positivity_check,
     skorokhod_check,
+    tree_norm_report,
 )
 from rbdsdep.drivers import (
     MarkSpace,
@@ -20,6 +21,7 @@ from rbdsdep.drivers import (
 )
 from rbdsdep.errors import ConfigError, SolverError
 from rbdsdep.generator import GeneratorSpec
+from rbdsdep.schemes import _successive_diffs
 from rbdsdep.solver import ProblemSpec, solve_tree_exact
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))
@@ -307,3 +309,60 @@ class TestNormReport:
         sol.Y[2, 1] = np.nan
         with pytest.raises(SolverError, match=r"NaN in Y at \(path, step\) \(2, 1\)"):
             norm_report(sol, prob.marks)
+
+
+def _slice_case(d, m, binding):
+    """A problem with g != 0, so values depend on the future B signs, and
+    (when binding) a barrier that is hit at several steps, so K_T != 0."""
+    marks = MarkSpace(np.array([1.0, 2.0][:m]), np.array([0.4, 0.7][:m]))
+    N = {1: 5, 2: 4, 3: 3, 4: 3, 5: 2}[d + m]
+    w = " + ".join(f"w{c + 1}" for c in range(d))
+    u = "".join(f" + 0.1*u{k + 1}" for k in range(m))
+    j = "".join(f" + 0.2*j{k + 1}" for k in range(m))
+    barrier = f"{w} - 0.1 + 0.8*(0.5 - t)" if binding else "-10"
+    gen = GeneratorSpec(
+        f=f"0.2*y - 0.3*z1 + 0.05*max(y, 0){u}", g="0.1*y + 0.05*z1"
+    )
+    return ProblemSpec(build_time_grid(0.5, N), d, marks, gen, barrier, w + j)
+
+
+SLICE_CASES = [(d, m) for d in (1, 2) for m in (0, 1, 2)]
+
+
+class TestSliceFormsAgainstPaths:
+    """The slice forms of the sequence report against the path forms, which
+    stay in use (tree solve reports, LSMC) and serve as the oracle."""
+
+    @pytest.mark.parametrize("d,m", SLICE_CASES)
+    def test_norms_and_k_mean(self, d, m):
+        binding = (d, m) != (1, 0)
+        prob = _slice_case(d, m, binding)
+        sol = solve_tree_exact(prob)
+        paths = sol.to_solution_grid()
+        k_mean = float(paths.weights @ paths.K[:, -1])
+        assert (k_mean > 0.0) == binding
+        want = norm_report(paths, prob.marks)
+        got = tree_norm_report(sol)
+        assert set(got) == set(want)
+        for key, value in want.items():
+            np.testing.assert_allclose(got[key], value, rtol=1e-12, atol=0, err_msg=key)
+        np.testing.assert_allclose(sol.k_moments()[0], k_mean, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d,m", SLICE_CASES)
+    def test_successive_diffs(self, d, m):
+        prob = _slice_case(d, m, binding=True)
+        other = ProblemSpec(
+            prob.grid, d, prob.marks,
+            GeneratorSpec(f="0.5*y + 0.3*z1 + 0.1*max(y, 0)", g=prob.generator.g),
+            prob.barrier, prob.terminal,
+        )
+        sols = [solve_tree_exact(prob), solve_tree_exact(other)]
+        a, b = (s.to_solution_grid() for s in sols)
+        dt = prob.grid.dt
+        lam = prob.marks.intensities
+        dz = ((b.Z[:, :-1] - a.Z[:, :-1]) ** 2).sum(axis=(1, 2)) * dt
+        du = (lam * (b.U[:, :-1] - a.U[:, :-1]) ** 2).sum(axis=(1, 2)) * dt
+        z_diffs, u_diffs = _successive_diffs(sols)
+        assert z_diffs[0] > 0.0 and (u_diffs[0] > 0.0) == (m > 0)
+        np.testing.assert_allclose(z_diffs, [a.weights @ dz], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(u_diffs, [a.weights @ du], rtol=1e-12, atol=0)

@@ -435,3 +435,55 @@ class TestLsmcRegressionDesign:
         conditions = summary["diagnostics"]["regression_condition"]
         assert len(conditions) == 10
         assert max(conditions) <= 1e14
+
+
+ONE_MARK = {"values": [1.0], "intensities": [0.4]}
+
+
+def sequence_beyond_the_path_budget(pipeline: str) -> dict:
+    """N = 8, d = 1, one mark: 130816 tree states, well inside the state
+    budget, but 2**24 = 16777216 full paths, past MAX_PATHS."""
+    data = {
+        "pipeline": pipeline,
+        "grid": {"T": 0.5, "N": 8},
+        "dims": {"d": 1},
+        "marks": dict(ONE_MARK),
+        "scheme": {"tree_max_steps": 8},
+        "outputs": {"formats": ["csv", "json"]},
+    }
+    if pipeline == "bracketing":
+        data["problem"] = {
+            "f": "indicator_pos(y)", "g": "0", "pi": "0", "f_t": "1",
+            "barrier": "-4", "terminal": "w1 + 0.2",
+        }
+        data["bracketing"] = {"count": 5}
+    else:
+        data["problem"] = {
+            "f": "min(abs(y), 2)", "g": "0.1*y", "growth_c": 1,
+            "barrier": "w1 + 0.5*(0.5 - t)", "terminal": "w1 + 0.2*j1",
+        }
+        data["envelope"] = {"box": {"y": [-5, 5]}, "ns": [1, 2, 4]}
+    return data
+
+
+class TestSequencesBeyondThePathBudget:
+    """Sequence runs check and norm on the tree slices, so a tree with more
+    paths than MAX_PATHS finishes; only E sup Y^2 is skipped, with its
+    reason."""
+
+    @pytest.mark.parametrize("pipeline", ["bracketing", "inf_sequence"])
+    def test_run_finishes_and_skips_sup_y(self, tmp_path, capsys, pipeline):
+        path = write_config(tmp_path, sequence_beyond_the_path_budget(pipeline))
+        assert main(["validate-config", path]) == 0
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "sequence.json").read_text())
+        assert summary["validators"] and all(summary["validators"].values())
+        norms = summary["report"]["norms"]
+        assert len(norms) == len(summary["y0_series"]) >= 3
+        for entry in norms:
+            assert entry["sup_y_sq"] is None
+            assert "16777216 paths (> 2000000)" in entry["sup_y_sq_skipped"]
+            assert entry["z_norm_sq"] > 0.0
+        rows = (out_dir / "sequence.csv").read_text().splitlines()
+        assert len(rows) == 2 + len(norms)

@@ -15,6 +15,7 @@ from rbdsdep.drivers import (
     simulate_scenarios,
 )
 from rbdsdep.errors import ConfigError, SolverError
+from rbdsdep.solver import TreeModel
 
 
 class TestTimeGrid:
@@ -61,6 +62,54 @@ class TestMarkSpace:
     def test_nonpositive_intensity(self):
         with pytest.raises(ConfigError, match="positive"):
             MarkSpace(np.array([1.0]), np.array([0.0]))
+
+
+class TestValueEquality:
+    """Grids, mark spaces and the trees built on them compare and hash by
+    value, so separately built equal ones are interchangeable."""
+
+    TWO = ((1.0, -0.5), (0.4, 0.7))
+
+    def marks(self, values=TWO[0], intensities=TWO[1]):
+        return MarkSpace(np.array(values), np.array(intensities))
+
+    def test_separately_built_equal_objects(self):
+        pairs = [
+            (build_time_grid(1.0, 4), build_time_grid(1.0, 4)),
+            (self.marks(), self.marks()),
+            (empty_marks(), empty_marks()),
+            (
+                TreeModel(build_time_grid(1.0, 4), 2, self.marks()),
+                TreeModel(build_time_grid(1.0, 4), 2, self.marks()),
+            ),
+        ]
+        for a, b in pairs:
+            assert a is not b
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_grids_differ_in_horizon_or_steps(self):
+        grid = build_time_grid(1.0, 4)
+        assert grid != build_time_grid(2.0, 4)
+        assert grid != build_time_grid(1.0, 5)
+        assert grid != (1.0, 4)
+
+    def test_mark_spaces_differ_in_a_value_or_an_intensity(self):
+        marks = self.marks()
+        assert marks != self.marks(values=(1.0, 0.5))
+        assert marks != self.marks(intensities=(0.4, 0.8))
+        assert marks != self.marks(values=(1.0,), intensities=(0.4,))
+        assert marks != empty_marks()
+
+    def test_trees_differ_in_their_grid_or_marks(self):
+        tree = TreeModel(build_time_grid(1.0, 4), 2, self.marks())
+        assert tree != TreeModel(build_time_grid(0.5, 4), 2, self.marks())
+        assert tree != TreeModel(build_time_grid(1.0, 3), 2, self.marks())
+        assert tree != TreeModel(build_time_grid(1.0, 4), 2, self.marks(values=(1.0, 2.0)))
+        assert tree != TreeModel(
+            build_time_grid(1.0, 4), 2, self.marks(intensities=(0.4, 0.1))
+        )
 
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))

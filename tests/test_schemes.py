@@ -4,8 +4,9 @@ companion upper bound."""
 import numpy as np
 import pytest
 
+from rbdsdep import schemes
 from rbdsdep.drivers import MarkSpace, build_time_grid, empty_marks
-from rbdsdep.errors import ConfigError
+from rbdsdep.errors import ConfigError, SolverError
 from rbdsdep.generator import EnvelopeParams, GeneratorSpec
 from rbdsdep.schemes import (
     run_bracketing_sequence,
@@ -14,7 +15,7 @@ from rbdsdep.schemes import (
     sequence_csv_rows,
     solve_upper_bound_tree,
 )
-from rbdsdep.solver import ProblemSpec, solve_tree_exact
+from rbdsdep.solver import ProblemSpec, SolutionGrid, TreeSolution, solve_tree_exact
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))
 ENV = EnvelopeParams(n=1.0, box={"y": (-5.0, 5.0)}, grid_points=201)
@@ -258,3 +259,93 @@ class TestSequenceCsv:
         assert len(rows) == 1 + 3
         # first margin is against the lower anchor, not a dummy zero
         assert rows[1][-1] == run.report["pair_margins"][0]
+
+
+BRACKETING = dict(
+    f="indicator_pos(y)", pi="0", rate="1", barrier="-4",
+    terminal="w1 + 0.2", T=0.25, N=4,
+)
+
+
+def _corrupt_solve(monkeypatch, call):
+    """Make the call-th tree solve of a pipeline (0-based) return a
+    solution with one negative dK; other solves are untouched."""
+    calls = []
+    real = schemes.solve_tree_exact
+
+    def solve(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if len(calls) == call:
+            sol.dK[1].flat[2] = -1e-300
+        calls.append(sol)
+        return sol
+
+    monkeypatch.setattr(schemes, "solve_tree_exact", solve)
+    return calls
+
+
+class TestNodeChecksGateTheRun:
+    """Each tree solution of a run is validated on its slices when solved,
+    the companions included, although their path views are lazy."""
+
+    @pytest.mark.parametrize("call", [0, 1, 2], ids=["lower_anchor", "upper_anchor", "iterate"])
+    def test_bracketing_aborts(self, monkeypatch, call):
+        _corrupt_solve(monkeypatch, call)
+        with pytest.raises(SolverError, match=r"negative dK at \(slice, node\) \(1, 2\)"):
+            run_bracketing_sequence(make_problem(**BRACKETING), ns_count=2)
+
+    def test_upper_bound_v_aborts(self, monkeypatch):
+        prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
+        _corrupt_solve(monkeypatch, 2)  # solves n = 1 and 2, then V
+        with pytest.raises(SolverError, match=r"negative dK"):
+            run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
+
+    def test_uncorrupted_run_passes(self, monkeypatch):
+        calls = _corrupt_solve(monkeypatch, 99)
+        run_bracketing_sequence(make_problem(**BRACKETING), ns_count=2)
+        assert len(calls) == 4
+
+
+class TestLazyPathViews:
+    def count_materializations(self, monkeypatch):
+        calls = []
+        real = TreeSolution.to_solution_grid
+
+        def to_solution_grid(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TreeSolution, "to_solution_grid", to_solution_grid)
+        return calls
+
+    def test_bracketing_expands_paths_only_on_access(self, monkeypatch):
+        calls = self.count_materializations(monkeypatch)
+        run = run_bracketing_sequence(make_problem(**BRACKETING), ns_count=3)
+        list(sequence_csv_rows(run))
+        assert calls == []
+        lower = run.lower_anchor
+        assert isinstance(lower, SolutionGrid)
+        assert calls == [run.lower_anchor_tree]
+        assert run.lower_anchor is lower
+        assert len(run.solutions) == 3 and len(calls) == 4
+        run.upper_anchor
+        run.upper_anchor
+        assert len(calls) == 5
+
+    def test_envelope_expands_paths_only_on_access(self, monkeypatch):
+        calls = self.count_materializations(monkeypatch)
+        prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
+        run = run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
+        list(sequence_csv_rows(run))
+        assert calls == []
+        assert run.upper_solution.root_value() == pytest.approx(run.report["v_root"])
+        assert calls == [run.upper_tree]
+
+    def test_k_t_mean_column_matches_the_paths(self):
+        prob = make_problem(**dict(BRACKETING, barrier="w1 + 4*(0.25 - t)"))
+        run = run_bracketing_sequence(prob, ns_count=2)
+        rows = list(sequence_csv_rows(run))[1:]
+        for row, sol in zip(rows, run.solutions):
+            k_mean = float(sol.weights @ sol.K[:, -1])
+            assert k_mean > 0.0
+            assert row[2] == pytest.approx(k_mean, rel=1e-12)

@@ -415,6 +415,53 @@ class TestSolutionGridValidate:
         assert len(rows) == 1 + sol.path_count * 4
 
 
+class TestTreeSolutionValidate:
+    """Node-wise reflection checks: one bad value in a solved tree must be
+    named by its (slice, node), node being the flat index into the slice."""
+
+    def base(self):
+        sol = solve_tree_exact(make_problem(**MIXED))
+        assert sol.to_solution_grid().terminal_k().max() > 0.0
+        return sol
+
+    def test_solved_tree_passes(self):
+        sol = self.base()
+        assert sol.validate() is sol
+
+    def test_nan_in_z(self):
+        sol = self.base()
+        sol.Z[2].reshape(-1, 1)[5, 0] = np.nan
+        with pytest.raises(SolverError, match=r"non-finite Z at \(slice, node\) \(2, 5\)"):
+            sol.validate()
+
+    def test_negative_dk(self):
+        sol = self.base()
+        sol.dK[1].flat[3] = -1e-300
+        with pytest.raises(SolverError, match=r"negative dK at \(slice, node\) \(1, 3\)"):
+            sol.validate()
+
+    def test_y_below_the_barrier(self):
+        sol = self.base()
+        sol.Y[3].flat[6] = sol.S[3].flat[6] - 1e-9
+        with pytest.raises(SolverError, match=r"below the barrier at \(slice, node\) \(3, 6\)"):
+            sol.validate()
+
+    def test_barrier_tolerance(self):
+        sol = self.base()
+        sol.Y[3].flat[6] = sol.S[3].flat[6] - 1e-13
+        sol.validate()
+
+    def test_reflection_not_complementary(self):
+        sol = self.base()
+        gap = sol.Y[1] - sol.S[1]
+        node = int(np.flatnonzero((gap > 0.0) & (sol.dK[1] == 0.0))[0])
+        sol.dK[1].flat[node] = 1e-300
+        with pytest.raises(
+            SolverError, match=rf"not complementary at \(slice, node\) \(1, {node}\)"
+        ):
+            sol.validate()
+
+
 class TestLsmcGuards:
     def test_path_floor_for_poly_basis(self):
         prob = make_problem(marks=MARKS)
