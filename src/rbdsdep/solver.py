@@ -59,6 +59,9 @@ from .table import CsvTable
 #: coefficient callables receive (next_step_index, t_next, y, z, u, w, j)
 CoefficientFn = Callable[..., np.ndarray]
 
+#: how far Y may sit below the barrier S before validate() rejects it
+_BARRIER_TOL = 1e-12
+
 
 def coefficient_from_expr(expr, intensities) -> CoefficientFn:
     expr = ensure_expr(expr)
@@ -210,7 +213,7 @@ class SolutionGrid:
     def terminal_k(self) -> np.ndarray:
         return self.K[:, -1]
 
-    def validate(self, barrier_tol: float = 1e-12):
+    def validate(self):
         """Raise SolverError if the structural invariants fail."""
         for name, arr in (("Y", self.Y), ("Z", self.Z), ("U", self.U), ("K", self.K)):
             if not np.isfinite(arr).all():
@@ -220,8 +223,8 @@ class SolutionGrid:
             raise SolverError("K does not start at zero")
         if np.any(np.diff(self.K, axis=1) < 0.0):
             raise SolverError("K is not nondecreasing")
-        if np.any(self.Y < self.S - barrier_tol):
-            bad = np.argwhere(self.Y < self.S - barrier_tol)[0]
+        if np.any(self.Y < self.S - _BARRIER_TOL):
+            bad = np.argwhere(self.Y < self.S - _BARRIER_TOL)[0]
             raise SolverError(f"Y below the barrier at (path, step) {tuple(bad)}")
         dk = np.diff(self.K, axis=1)
         products = (self.Y[:, :-1] - self.S[:, :-1]) * dk
@@ -444,11 +447,11 @@ class TreeSolution:
     def root_value(self) -> float:
         return float(self.Y[0].mean())
 
-    def validate(self, barrier_tol: float = 1e-12):
+    def validate(self):
         """Raise SolverError if a reflection invariant fails on a node.
 
         The node-wise form of ``SolutionGrid.validate``: Y, Z, U and dK
-        finite, dK >= 0, Y >= S - barrier_tol and (Y - S) * dK == 0
+        finite, dK >= 0, Y >= S - _BARRIER_TOL and (Y - S) * dK == 0
         bitwise.  Errors name the (slice, node), node being the flat index
         into the slice's (W, jump, B) axes.
         """
@@ -458,7 +461,7 @@ class TreeSolution:
         for i, dk in enumerate(self.dK):
             _raise_at(dk < 0.0, "negative dK", i)
         for i, (y, s) in enumerate(zip(self.Y, self.S)):
-            _raise_at(y < s - barrier_tol, "Y below the barrier", i)
+            _raise_at(y < s - _BARRIER_TOL, "Y below the barrier", i)
         for i, dk in enumerate(self.dK):
             products = (self.Y[i] - self.S[i]) * dk
             _raise_at(products != 0.0, "reflection is not complementary", i)
