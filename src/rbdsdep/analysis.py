@@ -29,6 +29,12 @@ from .solver import (
 )
 
 _PREMISE_SLACK = 1e-9
+# (size, seed) of the certificate clouds and the verdict tolerances of the
+# comparison and the positivity check
+_COMPARE_CLOUD = (512, 2024)
+_COMPARE_TOL = 1e-12
+_POSITIVITY_CLOUD = (256, 511)
+_POSITIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,9 +90,6 @@ def compare_solutions(
     p1: ProblemSpec,
     p2: ProblemSpec,
     tree: Optional[TreeModel] = None,
-    cloud_size: int = 512,
-    cloud_seed: int = 2024,
-    tolerance: float = 1e-12,
 ) -> ComparisonReport:
     """Certify ordered data, solve both problems on one tree, report margin.
 
@@ -118,8 +121,7 @@ def compare_solutions(
     )
     radius = _solution_radius((sol1, sol2)) * 1.5
     cloud = sample_cloud(
-        cloud_size,
-        cloud_seed,
+        *_COMPARE_CLOUD,
         p1.dim_d,
         p1.marks.m,
         t_max=p1.grid.T,
@@ -138,11 +140,11 @@ def compare_solutions(
     root_gap = sol2.root_value() - sol1.root_value()
     if not all(c.passed for c in premises):
         verdict = "premises-not-met"
-    elif margin >= -tolerance:
+    elif margin >= -_COMPARE_TOL:
         verdict = "pass"
     else:
         verdict = "fail"
-    return ComparisonReport(premises, margin, root_gap, verdict, tolerance)
+    return ComparisonReport(premises, margin, root_gap, verdict, _COMPARE_TOL)
 
 
 def skorokhod_check(sol: SolutionGrid) -> np.ndarray:
@@ -176,15 +178,12 @@ class PositivityReport:
 def positivity_check(
     sol: SolutionGrid,
     problem: ProblemSpec,
-    cloud_size: int = 256,
-    cloud_seed: int = 511,
-    tolerance: float = 1e-10,
 ) -> PositivityReport:
     """Minimum of Y under the signed generator split f = pi + h.
 
     Premises certified: the modulus pi and the rate h are present, f agrees
     with pi + h on a sampled cloud, h >= 0 on the grid times, and the
-    terminal values are nonnegative.  Only then is min Y >= -tolerance
+    terminal values are nonnegative.  Only then is min Y >= -_POSITIVITY_TOL
     asserted.
     """
     premises = []
@@ -196,8 +195,7 @@ def positivity_check(
     if have_split:
         radius = max(1.0, float(np.abs(sol.Y).max()), float(np.abs(sol.Z).max(initial=0.0)))
         cloud = sample_cloud(
-            cloud_size,
-            cloud_seed,
+            *_POSITIVITY_CLOUD,
             problem.dim_d,
             problem.marks.m,
             t_max=problem.grid.T,
@@ -219,7 +217,7 @@ def positivity_check(
     min_y = float(sol.Y.min())
     if not all(c.passed for c in premises):
         verdict = "premises-not-met"
-    elif min_y >= -tolerance:
+    elif min_y >= -_POSITIVITY_TOL:
         verdict = "pass"
     else:
         verdict = "fail"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,7 +39,7 @@ grid:        T (number > 0), N (integer >= 1)
 dims:        d (integer >= 1, default 1)
 marks:       values (list of nonzero numbers, default []),
              intensities (list of positive numbers, same length)
-drivers:     paths (integer >= 1, default 4096), seed (integer, default 2024),
+drivers:     paths (integer >= 1, default 4096), seed (integer >= 0, default 2024),
              mode (two-point | gaussian | enumerate, default two-point)
 problem:     f (expression, required), g (expression, default "0"),
              pi (expression, optional), f_t (expression over t, optional),
@@ -47,7 +48,7 @@ problem:     f (expression, required), g (expression, default "0"),
              growth_c (number > 0, default 1.0),
              alpha (number in (0, 1), default 0.5)
 problem2:    f / barrier / terminal / pi / f_t overrides (compare pipeline;
-             g is shared with problem by construction)
+             g, growth_c and alpha are shared with problem and may not be set)
 scheme:      solver (tree | lsmc, default tree),
              basis (poly | indicator, default poly),
              degree (integer >= 1, default 2),
@@ -55,9 +56,9 @@ scheme:      solver (tree | lsmc, default tree),
              max_condition (number > 0, default 1e14),
              tree_max_steps (integer >= 1, default 6),
              tree_max_states (integer >= 1, default 4000000)
-envelope:    box (mapping axis -> [lo, hi]; axes y, z1.., u1..),
+envelope:    box (mapping axis -> [lo, hi]; axes y, z1..zd, u1..um),
              grid_points (integer >= 2, default 201),
-             ns (list of numbers >= 1, default [1, 2, 4, 8, 16])
+             ns (non-empty list of numbers >= 1, default [1, 2, 4, 8, 16])
 bracketing:  count (integer >= 1, default 5)
 ito:         alpha0 (number, default 0), beta / gamma / eta / sigma
              (expression over t, w*, j*, or number, optional),
@@ -67,71 +68,140 @@ pipeline:    solve | inf_sequence | bracketing | sup_sequence | compare
 outputs:     directory (string, default "out"),
              formats (subset of [csv, json], default both)
 
-expressions use the published operator grammar (`rbdsdep grammar`).
+every number must be finite (.nan and .inf are refused); expressions use
+the published operator grammar (`rbdsdep grammar`).
 """
 
 
-def _require_mapping(value, where):
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    return value
+_TOP = "configuration"
+_DEFAULT_NS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
-def _reject_unknown(section: dict, allowed, where):
-    extra = sorted(set(section) - set(allowed))
-    if extra:
-        raise ConfigError(f"unknown key '{where}.{extra[0]}'")
-
-
-def _get_number(section, key, where, default=None, minimum=None, strict_min=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key '{where}.{key}'")
+def _finite(value, name, wrong):
+    """value as a float.  ConfigError "'name' <wrong>" unless it is an int
+    or a float (a bool is neither), and "'name' must be finite" unless it is
+    finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be a number, got {value!r}")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"'{where}.{key}' must be >= {minimum}, got {value}")
-    if strict_min is not None and value <= strict_min:
-        raise ConfigError(f"'{where}.{key}' must be > {strict_min}, got {value}")
-    return value
+        raise ConfigError(f"'{name}' {wrong}")
+    if not math.isfinite(value):
+        raise ConfigError(f"'{name}' must be finite, got {value!r}")
+    return float(value)
 
 
-def _get_int(section, key, where, default=None, minimum=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key '{where}.{key}'")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{where}.{key}' must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"'{where}.{key}' must be >= {minimum}, got {value}")
-    return value
+class _Section:
+    """Typed reads from one YAML mapping.
 
+    Each read checks its value and records it under its key, so the record
+    of a fully read section is its canonical form, defaults resolved.  A
+    missing key takes the read's default (a fallback mapping, when given,
+    comes first); a key given as None keeps None, which a read that needs
+    a value reports as missing.  close() rejects the keys nothing read, in
+    this section and in every section read from it.
+    """
 
-def _get_str(section, key, where, default=None, choices=None, required=False):
-    value = section.get(key, default)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing required key '{where}.{key}'")
-        return None
-    if not isinstance(value, str):
-        raise ConfigError(f"'{where}.{key}' must be a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(
-            f"'{where}.{key}' must be one of {sorted(choices)}, got {value!r}"
-        )
-    return value
+    def __init__(self, raw, where, fallback=None):
+        if raw is not None and not isinstance(raw, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        self.raw = raw or {}
+        self.where = where
+        self.fallback = fallback or {}
+        self.record = {}
+        self._read = set()
+        self._sections = []
 
+    def _name(self, key):
+        return f"{self.where}.{key}"
 
-def _get_number_list(section, key, where, default):
-    value = section.get(key, default)
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        raise ConfigError(f"'{where}.{key}' must be a list of numbers")
-    return [float(v) for v in value]
+    def _value(self, key, default, required=True):
+        value = self.raw.get(key, self.fallback.get(key, default))
+        if value is None and required:
+            raise ConfigError(f"missing required key '{self._name(key)}'")
+        return value
+
+    def _keep(self, key, value):
+        self._read.add(key)
+        self.record[key] = value
+        return value
+
+    def number(self, key, default=None, minimum=None, strict_min=None, optional=False):
+        if optional and key not in self.raw:
+            return self._keep(key, None)
+        name = self._name(key)
+        value = self._value(key, default)
+        value = _finite(value, name, f"must be a number, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"'{name}' must be >= {minimum}, got {value}")
+        if strict_min is not None and value <= strict_min:
+            raise ConfigError(f"'{name}' must be > {strict_min}, got {value}")
+        return self._keep(key, value)
+
+    def integer(self, key, default=None, minimum=None):
+        value = self._value(key, default)
+        name = self._name(key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"'{name}' must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"'{name}' must be >= {minimum}, got {value}")
+        return self._keep(key, value)
+
+    def string(self, key, default=None, choices=None, required=False):
+        value = self._value(key, default, required)
+        name = self._name(key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"'{name}' must be a string, got {value!r}")
+        if value is not None and choices is not None and value not in choices:
+            raise ConfigError(
+                f"'{name}' must be one of {sorted(choices)}, got {value!r}"
+            )
+        return self._keep(key, value)
+
+    def numbers(self, key, default):
+        value, name = self._value(key, default, required=False), self._name(key)
+        wrong = "must be a list of numbers"
+        if not isinstance(value, list):
+            raise ConfigError(f"'{name}' {wrong}")
+        return self._keep(key, [_finite(v, name, wrong) for v in value])
+
+    def number_or_expression(self, key):
+        value = self._value(key, None, required=False)
+        if value is not None and not isinstance(value, str):
+            wrong = "must be a number or expression string"
+            value = _finite(value, self._name(key), wrong)
+        return self._keep(key, value)
+
+    def interval(self, key):
+        value, name = self.raw[key], self._name(key)
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"'{name}' must be a [lo, hi] pair")
+        lo_hi = [_finite(v, name, "must contain numbers") for v in value]
+        return tuple(self._keep(key, lo_hi))
+
+    def subset(self, key, choices):
+        value = self._value(key, list(choices), required=False)
+        if not isinstance(value, list) or any(v not in choices for v in value):
+            raise ConfigError(
+                f"'{self._name(key)}' must be a subset of [{', '.join(choices)}]"
+            )
+        return self._keep(key, list(value))
+
+    def section(self, key, optional=False, required=False, fallback=None):
+        """The mapping under key, read as its own section; None, recorded
+        as None, for an optional one that is absent or null."""
+        raw = self._value(key, None, required)
+        if optional and raw is None:
+            return self._keep(key, None)
+        where = key if self.where == _TOP else self._name(key)
+        section = _Section(raw, where, fallback)
+        self._sections.append(section)
+        self._keep(key, section.record)
+        return section
+
+    def close(self):
+        unread = sorted((k for k in self.raw if k not in self._read), key=str)
+        if unread:
+            raise ConfigError(f"unknown key '{self._name(unread[0])}'")
+        for section in self._sections:
+            section.close()
 
 
 @dataclass
@@ -170,258 +240,137 @@ class ExperimentConfig:
         )
 
 
-def _parse_marks(data) -> MarkSpace:
-    section = _require_mapping(data.get("marks"), "marks")
-    _reject_unknown(section, ("values", "intensities"), "marks")
-    values = _get_number_list(section, "values", "marks", [])
-    intensities = _get_number_list(section, "intensities", "marks", [])
+def _read_marks(s: _Section) -> MarkSpace:
+    values = s.numbers("values", [])
+    intensities = s.numbers("intensities", [])
     if len(values) != len(intensities):
         raise ConfigError("'marks.values' and 'marks.intensities' differ in length")
     return MarkSpace(np.array(values, dtype=float), np.array(intensities, dtype=float))
 
 
-def _parse_problem(section, where, grid, dim_d, marks, base=None):
-    section = _require_mapping(section, where)
-    allowed = ("f", "g", "pi", "f_t", "barrier", "terminal", "growth_c", "alpha")
-    _reject_unknown(section, allowed, where)
-    if base is None:
-        f = _get_str(section, "f", where, required=True)
-        g = _get_str(section, "g", where, default="0")
-        barrier = _get_str(section, "barrier", where, required=True)
-        terminal = _get_str(section, "terminal", where, required=True)
-        growth_c = _get_number(section, "growth_c", where, default=1.0, strict_min=0.0)
-        alpha = _get_number(section, "alpha", where, default=0.5)
-        pi = _get_str(section, "pi", where)
-        rate = _get_str(section, "f_t", where)
+def _read_problem(s: _Section, grid, dim_d, marks) -> ProblemSpec:
+    """A problem section.  The second problem of a comparison (its fallback
+    is the first one's record) takes every key it leaves out from the first
+    and shares g and the constants, which it may not set."""
+    if not s.fallback:
+        shared = (
+            s.string("g", "0"),
+            s.number("growth_c", 1.0, strict_min=0.0),
+            s.number("alpha", 0.5),
+        )
+    elif "g" in s.raw:
+        raise ConfigError(f"'{s.where}.g' is not allowed: the comparison shares g")
     else:
-        # the second problem of a comparison shares g and the constants
-        if "g" in section:
-            raise ConfigError(f"'{where}.g' is not allowed: the comparison shares g")
-        f = _get_str(section, "f", where, default=base["f"])
-        g = base["g"]
-        barrier = _get_str(section, "barrier", where, default=base["barrier"])
-        terminal = _get_str(section, "terminal", where, default=base["terminal"])
-        growth_c = base["growth_c"]
-        alpha = base["alpha"]
-        pi = _get_str(section, "pi", where, default=base["pi"])
-        rate = _get_str(section, "f_t", where, default=base["f_t"])
+        keys = ("g", "growth_c", "alpha")
+        shared = [s.record.setdefault(k, s.fallback[k]) for k in keys]
+    g, growth_c, alpha = shared
     gen = GeneratorSpec(
-        f=f, g=g, pi=pi, rate=rate, growth_C=growth_c, contraction_alpha=alpha
+        f=s.string("f", required=True),
+        g=g,
+        pi=s.string("pi"),
+        rate=s.string("f_t"),
+        growth_C=growth_c,
+        contraction_alpha=alpha,
     )
-    problem = ProblemSpec(
+    return ProblemSpec(
         grid=grid,
         dim_d=dim_d,
         marks=marks,
         generator=gen,
-        barrier=barrier,
-        terminal=terminal,
+        barrier=s.string("barrier", required=True),
+        terminal=s.string("terminal", required=True),
     )
-    resolved = {
-        "f": f,
-        "g": g,
-        "pi": pi,
-        "f_t": rate,
-        "barrier": barrier,
-        "terminal": terminal,
-        "growth_c": growth_c,
-        "alpha": alpha,
-    }
-    return problem, resolved
 
 
-def _parse_envelope(data, dim_d, num_marks):
-    section = data.get("envelope")
-    if section is None:
-        return None, [1.0, 2.0, 4.0, 8.0, 16.0], {}
-    section = _require_mapping(section, "envelope")
-    _reject_unknown(section, ("box", "grid_points", "ns"), "envelope")
-    box_raw = _require_mapping(section.get("box"), "envelope.box")
-    if not box_raw:
-        raise ConfigError("missing required key 'envelope.box'")
-    box = {}
-    for name, pair in box_raw.items():
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"'envelope.box.{name}' must be a [lo, hi] pair")
-        lo, hi = pair
-        for v in (lo, hi):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"'envelope.box.{name}' must contain numbers")
-        box[str(name)] = (float(lo), float(hi))
-    grid_points = _get_int(section, "grid_points", "envelope", default=201, minimum=2)
-    ns = _get_number_list(section, "ns", "envelope", [1.0, 2.0, 4.0, 8.0, 16.0])
+def _read_envelope(s: _Section, dim_d, num_marks):
+    box = s.section("box")
+    if not box.raw:
+        raise ConfigError(f"missing required key '{box.where}'")
+    axes = ["y"] + [f"z{c}" for c in range(1, dim_d + 1)]
+    axes += [f"u{k}" for k in range(1, num_marks + 1)]
+    intervals = {name: box.interval(name) for name in box.raw if name in axes}
+    grid_points = s.integer("grid_points", 201, minimum=2)
+    ns = s.numbers("ns", list(_DEFAULT_NS))
+    if not ns:
+        raise ConfigError("'envelope.ns' must not be empty")
     if any(n < 1.0 for n in ns):
         raise ConfigError("'envelope.ns' entries must be >= 1")
-    # n is rewritten per sequence element; 1.0 here is a placeholder
-    params = EnvelopeParams(n=max(ns), box=box, grid_points=grid_points)
-    resolved = {
-        "box": {k: [v[0], v[1]] for k, v in box.items()},
-        "grid_points": grid_points,
-        "ns": ns,
-    }
-    return params, ns, resolved
+    # n is rewritten per sequence element; the largest one stands in here
+    return EnvelopeParams(n=max(ns), box=intervals, grid_points=grid_points), ns
 
 
-def _parse_ito(data):
-    section = data.get("ito")
-    if section is None:
-        return None
-    section = _require_mapping(section, "ito")
-    allowed = ("alpha0", "beta", "gamma", "eta", "sigma", "expected_terminal_sq")
-    _reject_unknown(section, allowed, "ito")
-    out = {"alpha0": _get_number(section, "alpha0", "ito", default=0.0)}
+def _read_ito(s: _Section) -> dict:
+    s.number("alpha0", 0.0)
     for key in ("beta", "gamma", "eta", "sigma"):
-        value = section.get(key)
-        if value is None:
-            out[key] = None
-        elif isinstance(value, bool):
-            raise ConfigError(f"'ito.{key}' must be a number or expression string")
-        elif isinstance(value, (int, float)):
-            out[key] = float(value)
-        elif isinstance(value, str):
-            out[key] = value
-        else:
-            raise ConfigError(f"'ito.{key}' must be a number or expression string")
-    if "expected_terminal_sq" in section:
-        out["expected_terminal_sq"] = _get_number(
-            section, "expected_terminal_sq", "ito"
-        )
-    else:
-        out["expected_terminal_sq"] = None
-    return out
+        s.number_or_expression(key)
+    s.number("expected_terminal_sq", optional=True)
+    return s.record
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = _require_mapping(data, "configuration")
-    top_allowed = (
-        "grid",
-        "dims",
-        "marks",
-        "drivers",
-        "problem",
-        "problem2",
-        "scheme",
-        "envelope",
-        "bracketing",
-        "ito",
-        "pipeline",
-        "outputs",
-    )
-    _reject_unknown(data, top_allowed, "configuration")
+    top = _Section(data, _TOP)
 
-    grid_section = _require_mapping(data.get("grid"), "grid")
-    _reject_unknown(grid_section, ("T", "N"), "grid")
-    T = _get_number(grid_section, "T", "grid", strict_min=0.0)
-    N = _get_int(grid_section, "N", "grid", minimum=1)
-    grid = build_time_grid(T, N)
+    s = top.section("grid")
+    grid = build_time_grid(s.number("T", strict_min=0.0), s.integer("N", minimum=1))
+    dim_d = top.section("dims").integer("d", 1, minimum=1)
+    marks = _read_marks(top.section("marks"))
 
-    dims_section = _require_mapping(data.get("dims"), "dims")
-    _reject_unknown(dims_section, ("d",), "dims")
-    dim_d = _get_int(dims_section, "d", "dims", default=1, minimum=1)
+    s = top.section("drivers")
+    paths = s.integer("paths", 4096, minimum=1)
+    seed = s.integer("seed", 2024, minimum=0)
+    mode = s.string("mode", "two-point", choices=("two-point", "gaussian", "enumerate"))
 
-    marks = _parse_marks(data)
-
-    drivers_section = _require_mapping(data.get("drivers"), "drivers")
-    _reject_unknown(drivers_section, ("paths", "seed", "mode"), "drivers")
-    paths = _get_int(drivers_section, "paths", "drivers", default=4096, minimum=1)
-    seed = _get_int(drivers_section, "seed", "drivers", default=2024)
-    mode = _get_str(
-        drivers_section,
-        "mode",
-        "drivers",
-        default="two-point",
-        choices=("two-point", "gaussian", "enumerate"),
-    )
-
-    pipeline = _get_str(
-        data, "pipeline", "configuration", default="solve", choices=PIPELINES
-    )
-
-    if "problem" not in data:
-        raise ConfigError("missing required key 'configuration.problem'")
-    problem, resolved_problem = _parse_problem(
-        data["problem"], "problem", grid, dim_d, marks
-    )
-    problem2 = None
-    resolved_problem2 = None
-    if pipeline == "compare":
-        if "problem2" not in data:
-            raise ConfigError("pipeline 'compare' needs a 'problem2' section")
-        problem2, resolved_problem2 = _parse_problem(
-            data["problem2"], "problem2", grid, dim_d, marks, base=resolved_problem
+    pipeline = top.string("pipeline", "solve", choices=PIPELINES)
+    problem = _read_problem(top.section("problem", required=True), grid, dim_d, marks)
+    compare = pipeline == "compare"
+    if compare != ("problem2" in top.raw):
+        raise ConfigError(
+            "pipeline 'compare' needs a 'problem2' section"
+            if compare
+            else "'problem2' is only meaningful for the compare pipeline"
         )
-    elif "problem2" in data:
-        raise ConfigError("'problem2' is only meaningful for the compare pipeline")
+    s = top.section("problem2", optional=not compare, fallback=top.record["problem"])
+    problem2 = None if s is None else _read_problem(s, grid, dim_d, marks)
 
-    scheme_section = _require_mapping(data.get("scheme"), "scheme")
-    scheme_allowed = (
-        "solver",
-        "basis",
-        "degree",
-        "ridge",
-        "max_condition",
-        "tree_max_steps",
-        "tree_max_states",
-    )
-    _reject_unknown(scheme_section, scheme_allowed, "scheme")
-    solver_kind = _get_str(
-        scheme_section, "solver", "scheme", default="tree", choices=("tree", "lsmc")
-    )
+    s = top.section("scheme")
+    solver_kind = s.string("solver", "tree", choices=("tree", "lsmc"))
     scheme = SchemeParams(
-        basis=_get_str(
-            scheme_section,
-            "basis",
-            "scheme",
-            default="poly",
-            choices=("poly", "indicator"),
-        ),
-        degree=_get_int(scheme_section, "degree", "scheme", default=2, minimum=1),
-        ridge=_get_number(scheme_section, "ridge", "scheme", default=1e-8, minimum=0.0),
-        max_condition=_get_number(
-            scheme_section, "max_condition", "scheme", default=1e14, strict_min=0.0
-        ),
+        basis=s.string("basis", "poly", choices=("poly", "indicator")),
+        degree=s.integer("degree", 2, minimum=1),
+        ridge=s.number("ridge", 1e-8, minimum=0.0),
+        max_condition=s.number("max_condition", 1e14, strict_min=0.0),
     )
-    tree_max_steps = _get_int(
-        scheme_section, "tree_max_steps", "scheme", default=6, minimum=1
-    )
-    tree_max_states = _get_int(
-        scheme_section, "tree_max_states", "scheme", default=4_000_000, minimum=1
-    )
+    tree_max_steps = s.integer("tree_max_steps", 6, minimum=1)
+    tree_max_states = s.integer("tree_max_states", 4_000_000, minimum=1)
 
-    envelope, envelope_ns, resolved_env = _parse_envelope(data, dim_d, marks.m)
+    s = top.section("envelope", optional=True)
+    envelope, envelope_ns = None, list(_DEFAULT_NS)
+    if s is not None:
+        envelope, envelope_ns = _read_envelope(s, dim_d, marks.m)
     if pipeline in ("inf_sequence", "sup_sequence") and envelope is None:
         raise ConfigError(f"pipeline '{pipeline}' needs an 'envelope' section")
 
-    bracketing_section = _require_mapping(data.get("bracketing"), "bracketing")
-    _reject_unknown(bracketing_section, ("count",), "bracketing")
-    bracketing_count = _get_int(
-        bracketing_section, "count", "bracketing", default=5, minimum=1
-    )
+    bracketing_count = top.section("bracketing").integer("count", 5, minimum=1)
     if pipeline == "bracketing":
         if problem.generator.pi is None:
             raise ConfigError("pipeline 'bracketing' needs 'problem.pi'")
         if problem.generator.rate is None:
             raise ConfigError("pipeline 'bracketing' needs 'problem.f_t'")
 
-    ito = _parse_ito(data)
+    s = top.section("ito", optional=True)
+    ito = None if s is None else _read_ito(s)
     if pipeline == "ito_check" and ito is None:
         raise ConfigError("pipeline 'ito_check' needs an 'ito' section")
 
-    outputs_section = _require_mapping(data.get("outputs"), "outputs")
-    _reject_unknown(outputs_section, ("directory", "formats"), "outputs")
-    out_dir = _get_str(outputs_section, "directory", "outputs", default="out")
-    formats = outputs_section.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or any(
-        f not in ("csv", "json") for f in formats
-    ):
-        raise ConfigError("'outputs.formats' must be a subset of [csv, json]")
+    s = top.section("outputs")
+    out_dir = s.string("directory", "out")
+    formats = s.subset("formats", ("csv", "json"))
+    top.close()
 
     # module preconditions that couple sections; the tree constraints only
     # bind when the pipeline actually builds a tree
     uses_tree = (pipeline == "solve" and solver_kind == "tree") or pipeline in (
-        "inf_sequence",
-        "sup_sequence",
-        "bracketing",
-        "compare",
+        "inf_sequence", "sup_sequence", "bracketing", "compare"
     )
     uses_scenarios = pipeline == "ito_check" or (
         pipeline == "solve" and solver_kind == "lsmc"
@@ -434,31 +383,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"{tree_max_steps}"
         )
 
-    canonical = {
-        "pipeline": pipeline,
-        "grid": {"T": T, "N": N},
-        "dims": {"d": dim_d},
-        "marks": {
-            "values": [float(v) for v in marks.values],
-            "intensities": [float(v) for v in marks.intensities],
-        },
-        "drivers": {"paths": paths, "seed": seed, "mode": mode},
-        "problem": resolved_problem,
-        "problem2": resolved_problem2,
-        "scheme": {
-            "solver": solver_kind,
-            "basis": scheme.basis,
-            "degree": scheme.degree,
-            "ridge": scheme.ridge,
-            "max_condition": scheme.max_condition,
-            "tree_max_steps": tree_max_steps,
-            "tree_max_states": tree_max_states,
-        },
-        "envelope": resolved_env or None,
-        "bracketing": {"count": bracketing_count},
-        "ito": ito,
-        "outputs": {"directory": out_dir, "formats": list(formats)},
-    }
+    canonical = top.record
     config_hash = hashlib.sha256(
         json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()

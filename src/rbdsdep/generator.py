@@ -353,20 +353,22 @@ class EnvelopeFunction:
     therefore taken one block at a time, for every grid point of the blocks
     not yet reduced:
 
-    * a one-axis block by the lower-envelope trick (Felzenszwalb and
-      Huttenlocher, "Distance Transforms of Sampled Functions", 2012):
-      with s = n (n*sqrt(lambda_k) on a u axis), the prefix minima of
-      f - s*x' and the suffix minima of f + s*x' along the axis, read at
-      the grid interval holding the query, give the minimum in O(1) per
-      query and grid point of the other axes;
-    * a block of two or more axes (znorm with d > 1, unorm with m > 1)
-      densely, over the block's own grid points.
+    * the first block, when it has one axis and f reads neither w nor j
+      (so its grid values serve every query), by the lower-envelope trick
+      (Felzenszwalb and Huttenlocher, "Distance Transforms of Sampled
+      Functions", 2012): with s = n (n*sqrt(lambda_k) on a u axis), the
+      prefix minima of f - s*x' and the suffix minima of f + s*x' along
+      the axis, built once per distinct t and read at the grid interval
+      holding the query, give the minimum in O(1) per query and grid
+      point of the other axes;
+    * every other block densely, over the block's own grid points.  Its
+      rows differ per query, so tables would cost as much as the dense
+      pass they replace.
 
     One-axis blocks go first, so with P points per axis and G = P**axes
     grid points a query costs O(G/P), against O(G) for a dense penalty
-    matrix; only a Euclidean block reduced first stays at O(G).  When f
-    reads neither w nor j, its grid values serve every query and the first
-    block's tables are built once per distinct t.  An f that reads w or j
+    matrix.  A Euclidean block (znorm with d > 1, unorm with m > 1)
+    reduced first stays at O(G), and so does an f that reads w or j: it
     has one row of grid values per query, carried as a batch axis through
     the same code.
 
@@ -487,7 +489,7 @@ class EnvelopeFunction:
         F = fvals.reshape((-1,) + (self.params.grid_points,) * len(self.axes))
         first = self._order[0]
         tables = None
-        if len(first) == 1:
+        if len(first) == 1 and F.shape[0] == 1:
             axis = self.axes[first[0]]
             V = _block_view(F, list(range(len(self.axes))), first)
             tables = _lower_envelope_tables(V, axis.grid, self._slope(axis))
@@ -507,14 +509,14 @@ class EnvelopeFunction:
         R, remaining, picks = F, list(range(len(self.axes))), []
         for step, block in enumerate(self._order):
             V = _block_view(R, remaining, block)
-            if len(block) == 1:
+            if step == 0 and first_tables is not None:
                 axis = self.axes[block[0]]
-                s = self._slope(axis)
-                tables = first_tables if step == 0 else _lower_envelope_tables(V, axis.grid, s)
                 # off-box queries (within the domain slack) see the same
                 # minimiser from the nearest box end
                 x = np.clip(columns[block[0]], axis.grid[0], axis.grid[-1])
-                R, arg = _lower_envelope_lookup(tables, batch, x, axis.grid, s)
+                R, arg = _lower_envelope_lookup(
+                    first_tables, batch, x, axis.grid, self._slope(axis)
+                )
             else:
                 total = V[batch] + self._block_penalty(block, columns)[:, :, None]
                 arg = np.argmin(total, axis=1)

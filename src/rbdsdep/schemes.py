@@ -58,6 +58,11 @@ from .table import CsvTable
 
 _CERT_CLOUD_SIZE = 512
 _CERT_RADIUS = 5.0
+# seeds of the certificate clouds, and the slack a node margin between
+# successive solutions may fall below zero before monotonicity fails
+_ENVELOPE_CERT_SEED = 977
+_BRACKETING_CERT_SEED = 1789
+_MARGIN_TOL = 1e-10
 
 
 @dataclass
@@ -233,9 +238,8 @@ def _run_envelope(
     threads: int,
     early_stop_tol: float,
     with_upper: bool,
-    cert_seed: int,
 ) -> SequenceRun:
-    worst_growth = _certify_growth(problem, cert_seed)
+    worst_growth = _certify_growth(problem, _ENVELOPE_CERT_SEED)
     if ns is None:
         ns = [1, 2, 4, 8, 16]
     eff = _effective_indices(ns, problem.generator.growth_C)
@@ -258,7 +262,7 @@ def _run_envelope(
         "truncated": truncated,
         "growth_worst_ratio": worst_growth,
         "pair_margins": pair_margins,
-        "monotone_ok": all(mg >= -1e-10 for mg in pair_margins),
+        "monotone_ok": all(mg >= -_MARGIN_TOL for mg in pair_margins),
         "norms": norms,
         "z_diffs": z_diffs,
         "u_diffs": u_diffs,
@@ -289,7 +293,6 @@ def run_inf_envelope_sequence(
     threads: int = 1,
     early_stop_tol: float = 1e-9,
     with_upper: bool = True,
-    cert_seed: int = 977,
 ) -> SequenceRun:
     """Monotone-from-below sequence of envelope solves.
 
@@ -299,7 +302,7 @@ def run_inf_envelope_sequence(
     thread count, so parallel runs report the identical truncation).
     """
     return _run_envelope(
-        problem, env, ns, "inf", tree, threads, early_stop_tol, with_upper, cert_seed
+        problem, env, ns, "inf", tree, threads, early_stop_tol, with_upper
     )
 
 
@@ -310,12 +313,9 @@ def run_sup_envelope_sequence(
     tree: Optional[TreeModel] = None,
     threads: int = 1,
     early_stop_tol: float = 1e-9,
-    cert_seed: int = 977,
 ) -> SequenceRun:
     """Mirror of the inf sequence: nonincreasing roots from above."""
-    return _run_envelope(
-        problem, env, ns, "sup", tree, threads, early_stop_tol, False, cert_seed
-    )
+    return _run_envelope(problem, env, ns, "sup", tree, threads, early_stop_tol, False)
 
 
 def _certify_signed_growth(problem: ProblemSpec, seed: int) -> float:
@@ -387,8 +387,6 @@ def run_bracketing_sequence(
     problem: ProblemSpec,
     ns_count: int = 5,
     tree: Optional[TreeModel] = None,
-    tolerance: float = 1e-10,
-    cert_seed: int = 1789,
 ) -> SequenceRun:
     """Anchor solves plus the frozen-source iteration.
 
@@ -396,7 +394,7 @@ def run_bracketing_sequence(
     iterate n solves with f at iterate n-1's node values plus pi of the
     increment.  The node-wise sandwich lower <= iterate n <= iterate n+1
     <= upper is recorded with its worst node; a violation beyond
-    tolerance marks the report failed rather than raising.
+    _MARGIN_TOL marks the report failed rather than raising.
     """
     gen = problem.generator
     if gen.pi is None:
@@ -405,8 +403,9 @@ def run_bracketing_sequence(
         raise ConfigError("bracketing needs the dominating rate f_t")
     if ns_count < 1:
         raise ConfigError("ns_count must be >= 1")
-    certs = {"signed_growth_excess": _certify_signed_growth(problem, cert_seed)}
-    cloud_a, cloud_b = _paired_clouds(problem, cert_seed + 10)
+    worst_growth = _certify_signed_growth(problem, _BRACKETING_CERT_SEED)
+    certs = {"signed_growth_excess": worst_growth}
+    cloud_a, cloud_b = _paired_clouds(problem, _BRACKETING_CERT_SEED + 10)
     pi_report = check_pi_minorant(gen, cloud_a, cloud_b)
     if not pi_report.passed:
         raise ConfigError(
@@ -453,8 +452,8 @@ def run_bracketing_sequence(
         "pair_margins": pair_margins,
         "upper_margins": upper_margins,
         "sandwich_worst": sandwich_worst,
-        "sandwich_ok": sandwich_worst >= -tolerance,
-        "monotone_ok": all(mg >= -tolerance for mg in pair_margins),
+        "sandwich_ok": sandwich_worst >= -_MARGIN_TOL,
+        "monotone_ok": all(mg >= -_MARGIN_TOL for mg in pair_margins),
         "norms": norms,
         "z_diffs": z_diffs,
         "u_diffs": u_diffs,

@@ -1,0 +1,174 @@
+"""Config reading: the canonical form and its hash, the grammar text, and
+inputs refused at load with the key named."""
+
+import math
+import re
+
+import pytest
+import yaml
+
+from rbdsdep.cli import main
+from rbdsdep.config import CONFIG_GRAMMAR, config_from_dict
+from rbdsdep.errors import ConfigError
+
+
+def minimal() -> dict:
+    return {
+        "grid": {"T": 1.0, "N": 4},
+        "problem": {"f": "0", "barrier": "-10", "terminal": "0"},
+    }
+
+
+#: a compare config that sets every key of every section
+ALL_KEYS = {
+    "pipeline": "compare",
+    "grid": {"T": 0.5, "N": 3},
+    "dims": {"d": 2},
+    "marks": {"values": [1.0, -0.5], "intensities": [0.4, 0.3]},
+    "drivers": {"paths": 64, "seed": 11, "mode": "enumerate"},
+    "problem": {
+        "f": "0.1*y + 0.2*z1 - 0.1*u2",
+        "g": "0.1*y",
+        "pi": "0",
+        "f_t": "1",
+        "barrier": "-1 + 0.1*t",
+        "terminal": "w1 + 0.2*j1",
+        "growth_c": 1.5,
+        "alpha": 0.4,
+    },
+    "problem2": {
+        "f": "0.1*y + 0.2*z1 - 0.1*u2 + 0.05",
+        "pi": "0",
+        "f_t": "2",
+        "barrier": "-1.5 + 0.1*t",
+        "terminal": "w1 + 0.2*j1 + 0.1",
+    },
+    "scheme": {
+        "solver": "tree",
+        "basis": "indicator",
+        "degree": 3,
+        "ridge": 1e-6,
+        "max_condition": 1e12,
+        "tree_max_steps": 5,
+        "tree_max_states": 100000,
+    },
+    "envelope": {
+        "box": {"y": [-3, 3], "z2": [-2, 2], "u1": [-1, 1]},
+        "grid_points": 51,
+        "ns": [2, 4],
+    },
+    "bracketing": {"count": 3},
+    "ito": {
+        "alpha0": 0.25,
+        "beta": "0.1*y",
+        "gamma": 0.5,
+        "eta": "w1",
+        "sigma": 1,
+        "expected_terminal_sq": 0.75,
+    },
+    "outputs": {"directory": "results", "formats": ["json"]},
+}
+
+
+def with_section(section, **keys) -> dict:
+    data = minimal()
+    data[section] = {**data.get(section, {}), **keys}
+    return data
+
+
+class TestCanonicalForm:
+    def test_golden_hashes(self):
+        # a change here changes the hash in every report written before it
+        assert config_from_dict(minimal()).config_hash == (
+            "4a5f30f6a74374ca2f4b14e4edbff085da158c0f70e60fdefe8915cda15ae1ab"
+        )
+        assert config_from_dict(ALL_KEYS).config_hash == (
+            "5c28d91ffca60dfab1b4e3895f9ab6d64dcb0809f8896471305cd28d32a8df1e"
+        )
+
+    def test_every_recorded_key_is_in_the_grammar(self):
+        blocks, name = {}, None
+        for line in CONFIG_GRAMMAR.splitlines():
+            head = re.match(r"^(\w+):", line)
+            if head:
+                name = head.group(1)
+            if name:
+                blocks[name] = blocks.get(name, "") + line + "\n"
+        for section, body in config_from_dict(ALL_KEYS).canonical.items():
+            assert section in blocks, section
+            for key in body if isinstance(body, dict) else ():
+                assert re.search(rf"\b{key}\b", blocks[section]), f"{section}.{key}"
+
+
+def non_finite_cases():
+    nan, inf = math.nan, math.inf
+    box = {"box": {"y": [-1.0, 1.0]}}
+    return {
+        "scheme.max_condition": with_section("scheme", max_condition=nan),
+        "grid.T": with_section("grid", T=inf),
+        "marks.intensities": with_section(
+            "marks", values=[1.0], intensities=[nan]
+        ),
+        "marks.values": with_section("marks", values=[-inf], intensities=[0.5]),
+        "problem.growth_c": with_section("problem", growth_c=inf),
+        "scheme.ridge": with_section("scheme", ridge=inf),
+        "envelope.ns": with_section("envelope", ns=[2.0, inf], **box),
+        "envelope.box.y": with_section("envelope", box={"y": [-1.0, inf]}),
+        "ito.alpha0": with_section("ito", alpha0=nan),
+        "ito.beta": with_section("ito", beta=-inf),
+        "ito.expected_terminal_sq": with_section("ito", expected_terminal_sq=nan),
+    }
+
+
+def refused_cases():
+    cases = {f"non-finite {k}": (k, v) for k, v in non_finite_cases().items()}
+    compare = {**minimal(), "pipeline": "compare"}
+    cases.update(
+        {
+            "empty ns": (
+                "envelope.ns",
+                with_section("envelope", box={"y": [-1.0, 1.0]}, ns=[]),
+            ),
+            "negative seed": ("drivers.seed", with_section("drivers", seed=-1)),
+            "problem2.growth_c": (
+                "problem2.growth_c",
+                {**compare, "problem2": {"f": "1", "growth_c": 2.0}},
+            ),
+            "problem2.alpha": (
+                "problem2.alpha",
+                {**compare, "problem2": {"f": "1", "alpha": 0.25}},
+            ),
+            "box axis q7": (
+                "envelope.box.q7",
+                with_section("envelope", box={"y": [-1.0, 1.0], "q7": [0.0, 1.0]}),
+            ),
+            "box axis z3 at d=1": (
+                "envelope.box.z3",
+                with_section("envelope", box={"y": [-1.0, 1.0], "z3": [0.0, 1.0]}),
+            ),
+        }
+    )
+    return cases
+
+
+REFUSED = refused_cases()
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_validate_config_refuses_naming_the_key(case, tmp_path, capsys):
+    key, data = REFUSED[case]
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]:")
+    assert f"'{key}'" in err
+
+
+def test_box_axes_follow_d_and_the_marks():
+    data = with_section("envelope", box={"z1": [-1.0, 1.0], "u1": [0.0, 1.0]})
+    data["marks"] = {"values": [1.0], "intensities": [0.5]}
+    assert sorted(config_from_dict(data).envelope.box) == ["u1", "z1"]
+    data["envelope"]["box"]["u2"] = [0.0, 1.0]
+    with pytest.raises(ConfigError, match=r"unknown key 'envelope\.box\.u2'"):
+        config_from_dict(data)
