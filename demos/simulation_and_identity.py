@@ -1,7 +1,7 @@
 """Simulated scenario laws, the second-moment identity, and solution checks.
 
-Scenario i draws from a counter keyed by (seed, i), so the simulated law
-is independent of batch size and thread count.  The discrete identity
+Scenario i draws its own run of one Philox stream keyed by the seed, so
+the simulated law is independent of batch size and thread count.  The discrete identity
 splits a semimartingale square into drift, reflection, and martingale
 parts whose residual vanishes path by path.
 """

@@ -95,8 +95,9 @@ class _Section:
     of a fully read section is its canonical form, defaults resolved.  A
     missing key takes the read's default (a fallback mapping, when given,
     comes first); a key given as None keeps None, which a read that needs
-    a value reports as missing.  close() rejects the keys nothing read, in
-    this section and in every section read from it.
+    a value reports as missing and a string read with a default or choices
+    refuses.  close() rejects the keys nothing read, in this section and in
+    every section read from it.
     """
 
     def __init__(self, raw, where, fallback=None):
@@ -147,9 +148,11 @@ class _Section:
     def string(self, key, default=None, choices=None, required=False):
         value = self._value(key, default, required)
         name = self._name(key)
-        if value is not None and not isinstance(value, str):
+        # None stands for "unset" only where unset is the default
+        nullable = default is None and choices is None
+        if not isinstance(value, str) and not (value is None and nullable):
             raise ConfigError(f"'{name}' must be a string, got {value!r}")
-        if value is not None and choices is not None and value not in choices:
+        if choices is not None and value not in choices:
             raise ConfigError(
                 f"'{name}' must be one of {sorted(choices)}, got {value!r}"
             )

@@ -14,13 +14,30 @@ plus a finite-activity marked Poisson stream.  Scenarios come in two modes:
     lambda_k * dt.  This is an exact finite probability space, the same one
     the enumeration tree uses, not an approximation of the gaussian mode.
 
-Path generation is counter-seeded: path p of a set with seed s draws from
-``np.random.default_rng((s, p))``, so regeneration is bit-identical and
-independent of path order, chunking or thread count.
+Path generation is counter-based.  A set with seed s draws from one Philox
+stream keyed by ``SeedSequence(s)``.  Every path takes the same number K
+of raw 64-bit words, rounded up to a multiple of 4, and path p owns the
+words from Philox counter p*K/4 on: its N*d dW values (step-major), its N
+dB values, then its N*m jump words.  Each value takes a fixed number of
+words:
+
+* gaussian: dW and dB by Box-Muller on 53-bit uniforms, one word per value
+  (the words of values 2k and 2k+1 are one pair, with one pad word when
+  N*(d+1) is odd); each jump count by inversion of one uniform against an
+  exact table of its mark's Poisson(lambda_k*dt) law.
+* two-point: each sign from the top bit of one word (bit 0 means +1); mark
+  k fires when one uniform is below lambda_k*dt.
+
+Paths are drawn in fixed blocks by ``Philox.advance`` and ``random_raw``,
+so path p depends only on (s, p), never on the path count, the block or
+the thread count.  The raw words are exact; the gaussian values go
+through ``log``, ``cos`` and ``sin``, so their bytes repeat on one machine
+and numpy build, not necessarily across them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -210,6 +227,56 @@ class ScenarioSet:
         return out
 
 
+#: Paths drawn per block of raw words; path p's draws do not depend on it.
+_BLOCK_PATHS = 4096
+
+#: Largest lambda_k * dt the gaussian sampler takes: its Poisson inversion
+#: table holds about 20 * sqrt(lambda_k * dt) entries.
+MAX_POISSON_MEAN = 2.0**30
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """One 53-bit uniform on [0, 1) per raw word."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _normals(words: np.ndarray) -> np.ndarray:
+    """Standard normals by Box-Muller, one per raw word: columns 2k and
+    2k+1 are the cosine and sine values of that pair of uniforms."""
+    u = _uniforms(words)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    out = np.empty(u.shape)
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius * np.sin(angle)
+    return out
+
+
+def _poisson_table(mean: float):
+    """(lowest, cdf) inverting Poisson(mean): a uniform u draws the count
+    lowest + (number of cdf entries <= u).
+
+    The pmf is built from the mode outward by its term ratios, so neither
+    exp(-mean) nor a factorial is formed; the window reaches 10 standard
+    deviations plus 30 past the mode, and the mass outside it (below
+    1e-20) goes to its end counts.  The last entry is +inf, so every u
+    lands in the table.
+    """
+    if mean > MAX_POISSON_MEAN:
+        raise ConfigError(
+            f"gaussian jump counts need intensity * dt <= 2**30 per mark, got {mean:.6g}"
+        )
+    mode = math.floor(mean)
+    reach = int(10.0 * math.sqrt(mean)) + 30
+    lowest = max(0, mode - reach)
+    up = np.cumprod(mean / np.arange(mode + 1, mode + reach + 1))
+    down = np.cumprod(np.arange(mode, lowest, -1) / mean)[::-1]
+    pmf = np.concatenate((down, [1.0], up))
+    cdf = np.cumsum(pmf / pmf.sum())
+    cdf[-1] = np.inf
+    return lowest, cdf
+
+
 def simulate_scenarios(
     grid: TimeGrid,
     dim_d: int,
@@ -218,7 +285,8 @@ def simulate_scenarios(
     seed: int,
     mode: str = "gaussian",
 ) -> ScenarioSet:
-    """Sample driving-noise paths; see the module docstring for the modes."""
+    """Sample driving-noise paths; see the module docstring for the modes
+    and the layout of each path's raw words."""
     if dim_d < 1:
         raise ConfigError(f"dim_d must be >= 1, got {dim_d}")
     if path_count < 1:
@@ -227,23 +295,36 @@ def simulate_scenarios(
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     N, dt = grid.N, grid.dt
     m = marks.m
-    if mode == "two-point":
+    gaussian = mode == "gaussian"
+    lam_dt = marks.intensities * dt
+    if gaussian:
+        tables = [_poisson_table(mean) for mean in lam_dt]
+    else:
         check_two_point_law(marks, dt)
+    signs = N * (dim_d + 1)
+    noise = signs + signs % 2 if gaussian else signs
+    words = -(-(noise + N * m) // 4) * 4
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     dW = np.empty((path_count, N, dim_d))
     dB = np.empty((path_count, N))
     counts = np.empty((path_count, N, m))
     root = np.sqrt(dt)
-    lam_dt = marks.intensities * dt
-    for p in range(path_count):
-        rng = np.random.default_rng((seed, p))
-        if mode == "gaussian":
-            dW[p] = rng.standard_normal((N, dim_d)) * root
-            dB[p] = rng.standard_normal(N) * root
-            counts[p] = rng.poisson(lam_dt, (N, m))
+    for first in range(0, path_count, _BLOCK_PATHS):
+        rows = slice(first, min(first + _BLOCK_PATHS, path_count))
+        # each counter gives 4 words: path p's start at counter p*words/4
+        bitgen = np.random.Philox(key=key)
+        bitgen.advance(first * words // 4)
+        raw = bitgen.random_raw((rows.stop - first) * words).reshape(-1, words)
+        jumps = _uniforms(raw[:, noise : noise + N * m]).reshape(len(raw), N, m)
+        if gaussian:
+            values = _normals(raw[:, :noise])[:, :signs] * root
+            for k, (lowest, cdf) in enumerate(tables):
+                counts[rows, :, k] = lowest + np.searchsorted(cdf, jumps[:, :, k], side="right")
         else:
-            dW[p] = (1 - 2 * rng.integers(0, 2, (N, dim_d))) * root
-            dB[p] = (1 - 2 * rng.integers(0, 2, N)) * root
-            counts[p] = rng.random((N, m)) < lam_dt
+            values = (1.0 - 2.0 * (raw[:, :signs] >> np.uint64(63))) * root
+            counts[rows] = jumps < lam_dt
+        dW[rows] = values[:, : N * dim_d].reshape(len(raw), N, dim_d)
+        dB[rows] = values[:, N * dim_d :]
     return ScenarioSet(grid, dim_d, mode, seed, dW, dB, counts)
 
 

@@ -482,15 +482,20 @@ class TreeSolution:
 
     def sup_y_sq(self) -> float:
         """E[max_i Y_i^2] over the full paths, the one path functional of
-        the sequence reports.  Y alone is gathered, one slice at a time
-        into a running max: a few arrays of ``path_count`` floats."""
+        the sequence reports.  The running max of Y^2 is carried from slice
+        to slice on (W history, jump history, all N B signs): each slice-i
+        node's max splits into its W and jump children and meets their
+        Y^2, so slice i holds path_count / (2**(d+m))**(N-i) values."""
         tree, N = self.tree, self.grid.N
-        top = tree.on_paths(0, self.Y[0] ** 2).copy()
-        for i in range(1, N + 1):
-            np.maximum(top, tree.on_paths(i, self.Y[i] ** 2), out=top)
+        top = self.Y[0] ** 2
+        for i in range(N):
+            a, b, n = tree.slice_shape(i)
+            kids = tree.children(i, self.Y[i + 1] ** 2)[:, :, :, :, None, :]
+            # the step-i B sign moves from the future axis to the past one
+            top = np.maximum(top.reshape(a, 1, b, 1, 2 ** (i + 1), n // 2), kids)
         # each B path of a slice-N node has probability 0.5**N
-        weights = tree.on_paths(N, tree.state_probs(N)) * 0.5**N
-        return float(weights @ top)
+        weights = tree.on_paths(N, tree.state_probs(N) * 0.5**N)
+        return float(weights @ top.reshape(-1))
 
     def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
         """Materialize every full history as a weighted path, in the path

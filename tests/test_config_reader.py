@@ -146,6 +146,10 @@ def refused_cases():
                 "envelope.box.z3",
                 with_section("envelope", box={"y": [-1.0, 1.0], "z3": [0.0, 1.0]}),
             ),
+            "null problem.g": ("problem.g", with_section("problem", g=None)),
+            "null pipeline": ("configuration.pipeline", {**minimal(), "pipeline": None}),
+            "null drivers.mode": ("drivers.mode", with_section("drivers", mode=None)),
+            "null scheme.solver": ("scheme.solver", with_section("scheme", solver=None)),
         }
     )
     return cases
@@ -172,3 +176,9 @@ def test_box_axes_follow_d_and_the_marks():
     data["envelope"]["box"]["u2"] = [0.0, 1.0]
     with pytest.raises(ConfigError, match=r"unknown key 'envelope\.box\.u2'"):
         config_from_dict(data)
+
+
+def test_null_keeps_unset_where_unset_is_the_default():
+    data = with_section("problem", pi=None, f_t=None)
+    generator = config_from_dict(data).problem.generator
+    assert generator.pi is None and generator.rate is None

@@ -1,11 +1,15 @@
 """Grids, marks and scenario generation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbdsdep import drivers
 from rbdsdep.drivers import (
+    MAX_POISSON_MEAN,
     MarkSpace,
     ScenarioSet,
     build_time_grid,
@@ -186,6 +190,120 @@ class TestSimulate:
         scen = simulate_scenarios(grid, 1, MARKS, 8, seed=1)
         assert scen.weights is None
         assert scen.path_weights().tolist() == [0.125] * 8
+
+
+BLOCK = drivers._BLOCK_PATHS
+
+
+def _poisson_pmf(mean, k):
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+
+
+class TestSampler:
+    """The counter-based sampler: layout, block independence and the law of
+    every drawn value."""
+
+    @pytest.mark.parametrize("mode", ["gaussian", "two-point"])
+    def test_prefix_and_block_invariance(self, mode, monkeypatch):
+        grid = build_time_grid(1.0, 2)
+        full = simulate_scenarios(grid, 1, MARKS, 2 * BLOCK + 1, seed=8, mode=mode)
+        for P in (BLOCK - 3, BLOCK + 5):
+            part = simulate_scenarios(grid, 1, MARKS, P, seed=8, mode=mode)
+            for name in ("dW", "dB", "jump_counts"):
+                assert np.array_equal(getattr(part, name), getattr(full, name)[:P])
+        monkeypatch.setattr(drivers, "_BLOCK_PATHS", 1000)
+        rechunked = simulate_scenarios(grid, 1, MARKS, 2 * BLOCK + 1, seed=8, mode=mode)
+        for name in ("dW", "dB", "jump_counts"):
+            assert np.array_equal(getattr(rechunked, name), getattr(full, name))
+
+    def test_gaussian_moments(self):
+        grid = build_time_grid(1.0, 3)
+        P = 20000
+        scen = simulate_scenarios(grid, 2, empty_marks(), P, seed=21)
+        z = np.concatenate((scen.dW.reshape(P, -1), scen.dB), axis=1) / np.sqrt(grid.dt)
+        n = z.size
+        assert abs(z.mean()) < 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+        # every pair of values of a path, Box-Muller partners included
+        corr = np.corrcoef(z, rowvar=False)
+        off = corr[~np.eye(corr.shape[0], dtype=bool)]
+        assert np.abs(off).max() < 5.0 / np.sqrt(P)
+
+    def test_poisson_count_frequencies(self):
+        means = (0.04, 3.0, 50.0)
+        grid = build_time_grid(2.0, 2)  # dt = 1
+        marks = MarkSpace(np.ones(3), np.array(means))
+        scen = simulate_scenarios(grid, 1, marks, 20000, seed=33)
+        for k, mean in enumerate(means):
+            counts = scen.jump_counts[:, :, k].ravel()
+            n = counts.size
+            for c in range(int(counts.max()) + 5):
+                p = _poisson_pmf(mean, c)
+                freq = np.count_nonzero(counts == c) / n
+                assert abs(freq - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n), (mean, c)
+
+    def test_very_large_poisson_mean(self):
+        mean = 1e8
+        grid = build_time_grid(1.0, 2)
+        marks = MarkSpace(np.array([1.0]), np.array([2.0 * mean]))
+        scen = simulate_scenarios(grid, 1, marks, 500, seed=4)
+        counts = scen.jump_counts.ravel()
+        assert np.array_equal(counts, np.round(counts))
+        assert abs(counts.mean() - mean) < 5.0 * np.sqrt(mean / counts.size)
+        too_heavy = MarkSpace(np.array([1.0]), np.array([4.0 * MAX_POISSON_MEAN]))
+        with pytest.raises(ConfigError, match="intensity \\* dt <= 2\\*\\*30"):
+            simulate_scenarios(grid, 1, too_heavy, 4, seed=4)
+
+    def test_two_point_frequencies(self):
+        grid = build_time_grid(1.0, 3)
+        marks = MarkSpace(np.array([1.0, -1.0]), np.array([0.6, 1.5]))
+        P = 20000
+        scen = simulate_scenarios(grid, 2, marks, P, seed=17, mode="two-point")
+        plus = np.concatenate((scen.dW.ravel(), scen.dB.ravel())) > 0
+        assert abs(plus.mean() - 0.5) < 5.0 * np.sqrt(0.25 / plus.size)
+        for k, lam in enumerate(marks.intensities):
+            p = lam * grid.dt
+            fired = scen.jump_counts[:, :, k].ravel()
+            assert abs(fired.mean() - p) < 5.0 * np.sqrt(p * (1.0 - p) / fired.size)
+
+    # path BLOCK + 4 of seed 2024, on 2 steps with d = 2 and two marks
+    GOLDEN_MARKS = MarkSpace(np.array([1.0, -1.0]), np.array([0.4, 0.9]))
+
+    def test_golden_gaussian_path(self):
+        grid = build_time_grid(1.0, 2)
+        scen = simulate_scenarios(grid, 2, self.GOLDEN_MARKS, BLOCK + 5, seed=2024)
+        p = BLOCK + 4
+        np.testing.assert_allclose(
+            scen.dW[p],
+            [[-0.6341621785730366, 0.5736922606534627],
+             [-1.007058358304713, -0.058791555827949066]],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            scen.dB[p], [0.021940837702234428, 0.15096217536614845], rtol=1e-12
+        )
+        assert scen.jump_counts[p].tolist() == [[0.0, 1.0], [0.0, 1.0]]
+
+    def test_two_point_path_reads_its_own_philox_words(self):
+        """Path p's K = 12 words (6 signs, 4 jump words, 2 pad) start at
+        Philox counter 3p of the key SeedSequence(seed) gives."""
+        grid = build_time_grid(1.0, 2)
+        p = BLOCK + 4
+        scen = simulate_scenarios(
+            grid, 2, self.GOLDEN_MARKS, p + 1, seed=2024, mode="two-point"
+        )
+        key = np.random.SeedSequence(2024).generate_state(2, np.uint64)
+        bitgen = np.random.Philox(key=key)
+        bitgen.advance(3 * p)
+        words = bitgen.random_raw(12)
+        signs = [1.0 - 2.0 * int(w >> np.uint64(63)) for w in words[:6]]
+        root = np.sqrt(grid.dt)
+        assert scen.dW[p].ravel().tolist() == [s * root for s in signs[:4]]
+        assert scen.dB[p].tolist() == [s * root for s in signs[4:6]]
+        u = [int(w >> np.uint64(11)) * 2.0**-53 for w in words[6:10]]
+        lam_dt = self.GOLDEN_MARKS.intensities * grid.dt
+        expected = [[float(u[2 * i + k] < lam_dt[k]) for k in range(2)] for i in range(2)]
+        assert scen.jump_counts[p].tolist() == expected
 
 
 class TestCumulativePaths:

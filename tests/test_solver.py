@@ -357,6 +357,21 @@ class TestTreeStructure:
                     err_msg=f"{name} with d={d}, m={marks.m}",
                 )
 
+    def test_sup_y_sq_equals_the_path_gather(self):
+        """The running max carried from slice to slice has the bits of the
+        max over every full path of Y_i^2 spread onto the paths."""
+        no_jumps = dict(f="0.2*y - 0.3*z1 + 0.05*max(y, 0)", terminal="w1 + 0.2")
+        for d in (1, 2):
+            for marks in (empty_marks(), MARKS):
+                kw = dict(MIXED, dim_d=d, marks=marks, N=3)
+                if marks.m == 0:
+                    kw.update(no_jumps)
+                sol = solve_tree_exact(make_problem(**kw))
+                tree, N = sol.tree, sol.grid.N
+                top = np.max([tree.on_paths(i, sol.Y[i] ** 2) for i in range(N + 1)], axis=0)
+                weights = tree.on_paths(N, tree.state_probs(N)) * 0.5**N
+                assert sol.sup_y_sq() == float(weights @ top), (d, marks.m)
+
     def test_materialization_budget(self):
         sol = solve_tree_exact(make_problem(**MIXED))
         with pytest.raises(SolverError, match="paths"):
