@@ -18,7 +18,13 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .drivers import MarkSpace, TimeGrid, build_time_grid, check_two_point_law
+from .drivers import (
+    MarkSpace,
+    TimeGrid,
+    build_time_grid,
+    check_gaussian_law,
+    check_two_point_law,
+)
 from .errors import ConfigError
 from .generator import EnvelopeParams, GeneratorSpec
 from .solver import ProblemSpec, SchemeParams, TreeModel
@@ -55,7 +61,8 @@ scheme:      solver (tree | lsmc, default tree),
              ridge (number >= 0, default 1e-8),
              max_condition (number > 0, default 1e14),
              tree_max_steps (integer >= 1, default 6),
-             tree_max_states (integer >= 1, default 4000000)
+             tree_max_states (integer >= 1, default 4000000; counts the
+             nodes of the recombining (W, J) lattice, summed over slices)
 envelope:    box (mapping axis -> [lo, hi]; axes y, z1..zd, u1..um),
              grid_points (integer >= 2, default 201),
              ns (non-empty list of numbers >= 1, default [1, 2, 4, 8, 16])
@@ -380,6 +387,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
     if uses_tree or (uses_scenarios and mode in ("two-point", "enumerate")):
         check_two_point_law(marks, grid.dt)
+    if uses_scenarios and mode == "gaussian":
+        check_gaussian_law(marks, grid.dt)
     if uses_tree and grid.N > tree_max_steps:
         raise ConfigError(
             f"tree depth N = {grid.N} exceeds scheme.tree_max_steps = "

@@ -235,6 +235,16 @@ _BLOCK_PATHS = 4096
 MAX_POISSON_MEAN = 2.0**30
 
 
+def check_gaussian_law(marks: MarkSpace, dt: float):
+    """Raise ConfigError unless the gaussian sampler can draw every mark's
+    jump counts on steps of dt: lambda_k * dt <= MAX_POISSON_MEAN."""
+    for mean in marks.intensities * dt:
+        if mean > MAX_POISSON_MEAN:
+            raise ConfigError(
+                f"gaussian jump counts need intensity * dt <= 2**30 per mark, got {mean:.6g}"
+            )
+
+
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """One 53-bit uniform on [0, 1) per raw word."""
     return (words >> np.uint64(11)) * 2.0**-53
@@ -260,12 +270,9 @@ def _poisson_table(mean: float):
     exp(-mean) nor a factorial is formed; the window reaches 10 standard
     deviations plus 30 past the mode, and the mass outside it (below
     1e-20) goes to its end counts.  The last entry is +inf, so every u
-    lands in the table.
+    lands in the table.  The mean is at most MAX_POISSON_MEAN
+    (``check_gaussian_law``).
     """
-    if mean > MAX_POISSON_MEAN:
-        raise ConfigError(
-            f"gaussian jump counts need intensity * dt <= 2**30 per mark, got {mean:.6g}"
-        )
     mode = math.floor(mean)
     reach = int(10.0 * math.sqrt(mean)) + 30
     lowest = max(0, mode - reach)
@@ -298,6 +305,7 @@ def simulate_scenarios(
     gaussian = mode == "gaussian"
     lam_dt = marks.intensities * dt
     if gaussian:
+        check_gaussian_law(marks, dt)
         tables = [_poisson_table(mean) for mean in lam_dt]
     else:
         check_two_point_law(marks, dt)

@@ -18,11 +18,10 @@ scheme; dB_i is E_i-measurable, so the g term is dB_i * E_i[g]).
 
 ``solve_tree_exact`` computes every E_i exactly on the finite two-point
 probability space (each dW component and dB equal to +-sqrt(dt), each mark
-firing with probability lambda_k*dt).  ``TreeModel`` is that tree: its node
-layout, its state probabilities, its path view and its backward step,
-which computes the continuation value on a slice.  The exact solve
-reflects it, and ``tree_balance_residual`` reruns the same step on the
-stored slices to check Y_i - dK_i against it.
+firing with probability lambda_k*dt), held by ``TreeModel`` as a
+recombining lattice.  Its backward step computes the continuation value
+on a slice; the exact solve reflects it, and ``tree_balance_residual``
+reruns the same step on the stored slices to check Y_i - dK_i against it.
 
 ``solve_lsmc`` replaces E_i by cross-sectional least squares on scenario
 paths; it shares the coefficient defaults and the terminal/barrier
@@ -46,7 +45,6 @@ from .drivers import (
     MarkSpace,
     ScenarioSet,
     TimeGrid,
-    _jump_pattern_probs,
     _jump_patterns,
     _sign_patterns,
     check_two_point_law,
@@ -257,24 +255,22 @@ def solution_csv_rows(sol: SolutionGrid) -> CsvTable:
 
 @dataclass(frozen=True)
 class TreeModel:
-    """The exhaustive two-point tree: its budget, its node layout and its
-    backward step.
+    """The recombining two-point lattice: its budget, its node layout and
+    its backward step.
 
-    Per step a node branches into 2**d W-sign patterns, 2 B signs and 2**m
-    jump patterns, mark k firing with probability lambda_k*dt.  Values
-    never depend on past B signs, so slice i holds arrays shaped
-    (2**(d*i), 2**(m*i), 2**(N-i)), plus a component axis for Z and U: the
-    W-sign and jump histories of steps 0..i-1 and the B signs of steps
-    i..N-1, each index reading its per-step patterns as digits, step 0 the
-    most significant, + and no jump as digit 0.  dK has one slice per step
-    i < N.  A full path is a slice-N node with all N B signs, indexed by
-    (W digits, jump digits, B digits).  Going from slice i to slice i+1
-    drops the step-i B sign, the high digit of axis 2, and adds the step-i
-    W and jump digits as the low digits of axes 0 and 1.
+    Histories with equal W and jump counts share a node (the recombination
+    of Cox, Ross and Rubinstein); only the future B signs stay exponential,
+    as g*dB_i makes Y depend on their order.  Slice i holds arrays shaped
+    (i+1,)*d + (i+1,)*m + (2**(N-i),), plus a component axis for Z and U:
+    per W component the count k_c of minus signs in steps 0..i-1 (w_c =
+    (i - 2*k_c)*sqrt(dt)), per mark its jump count, and the B signs of
+    steps i..N-1 as digits, step i the most significant, + as digit 0.
+    dK has one slice per step i < N.  Full paths, in
+    ``enumerate_scenarios``' order, are gathers of lattice values.
 
     max_steps guards the default desk scale; max_states bounds the stored
-    slice sizes.  The step patterns and histories are built on first use,
-    after ``ensure_budget``; ``==`` and the hash read the five fields only.
+    lattice nodes.  The step probabilities are built on first use, after
+    ``ensure_budget``; ``==`` and the hash read the five fields only.
     """
 
     grid: TimeGrid
@@ -294,16 +290,13 @@ class TreeModel:
         check_two_point_law(self.marks, self.grid.dt)
 
     @property
-    def nw(self) -> int:
-        return 2**self.dim_d
-
-    @property
-    def nj(self) -> int:
-        return 2**self.marks.m
+    def node_axes(self) -> int:
+        """Axes of a slice before any z/u component axis: d + m + 1."""
+        return self.dim_d + self.marks.m + 1
 
     def slice_shape(self, i: int):
-        """(W histories, jump histories, future B signs) of slice i."""
-        return self.nw**i, self.nj**i, 2 ** (self.grid.N - i)
+        """(W minus counts..., jump counts..., future B signs) of slice i."""
+        return (i + 1,) * (self.node_axes - 1) + (2 ** (self.grid.N - i),)
 
     def slice_states(self, i: int) -> int:
         return math.prod(self.slice_shape(i))
@@ -312,53 +305,54 @@ class TreeModel:
         return sum(self.slice_states(i) for i in range(self.grid.N + 1))
 
     def path_count(self) -> int:
-        """Full paths: each slice-N node with each of its 2**N B paths."""
-        return self.slice_states(self.grid.N) * 2**self.grid.N
+        """Full paths: every W, jump and B history of N steps."""
+        return 2 ** (self.node_axes * self.grid.N)
 
     def ensure_budget(self):
         total = self.total_states()
         if total > self.max_states:
             raise SolverError(
-                f"tree budget exceeded: {total} states > {self.max_states}; "
+                f"tree budget exceeded: {total} lattice nodes > {self.max_states}; "
                 "use solve_lsmc for this problem size"
             )
 
     @cached_property
-    def _steps(self):
-        """One step's dW patterns (2**d, d), jump patterns (2**m, m) and
-        jump-pattern probabilities (2**m,)."""
+    def _axis_probs(self) -> np.ndarray:
+        """Per lattice axis, the one-step probability of moving up: 1/2 (a
+        minus sign) on each W axis, lambda_k*dt on mark axis k.  Builds
+        are bitwise equal, so threads sharing a tree may race."""
         self.ensure_budget()
-        dt = self.grid.dt
-        return (
-            _sign_patterns(self.dim_d) * np.sqrt(dt),
-            _jump_patterns(self.marks.m),
-            _jump_pattern_probs(self.marks, dt),
-        )
+        return np.concatenate((np.full(self.dim_d, 0.5), self.marks.intensities * self.grid.dt))
 
     @cached_property
-    def _histories(self):
-        """Per slice i: the W values (2**(d*i), d), the jump totals
-        (2**(m*i), m) and the jump-history probabilities (2**(m*i),).
-        Builds are bitwise equal, so threads sharing a tree may race."""
-        w_step, j_step, pj = self._steps
-        d, m = self.dim_d, self.marks.m
-        w_vals, j_vals, j_prob = [np.zeros((1, d))], [np.zeros((1, m))], [np.ones(1)]
-        for i in range(self.grid.N):
-            w_vals.append((w_vals[i][:, None] + w_step).reshape(-1, d))
-            j_vals.append((j_vals[i][:, None] + j_step).reshape(self.nj ** (i + 1), m))
-            j_prob.append((j_prob[i][:, None] * pj).reshape(-1))
-        return w_vals, j_vals, j_prob
+    def _points(self):
+        """Per slice i: w and j broadcastable against the slice, and the
+        probability of reaching each lattice point, per axis comb(i, k)
+        p**k (1-p)**(i-k).  Builds are bitwise equal."""
+        d, p, out = self.dim_d, self._axis_probs, []
+        for i in range(self.grid.N + 1):
+            k = np.arange(i + 1.0)
+            # the lattice coordinates on a trailing axis, after a B axis of 1
+            c = np.stack(np.meshgrid(*[k] * (self.node_axes - 1), indexing="ij"), -1)[..., None, :]
+            comb = np.array([math.comb(i, n) for n in range(i + 1)], float)[c.astype(int)]
+            probs = (comb * p**c * (1.0 - p) ** (i - c)).prod(axis=-1)
+            out.append(((i - 2.0 * c[..., :d]) * np.sqrt(self.grid.dt), c[..., d:], probs))
+        return out
 
     def context(self, i: int):
         """(w, j) broadcastable against slice-i arrays."""
-        w_vals, j_vals, _ = self._histories
-        return w_vals[i][:, None, None, :], j_vals[i][None, :, None, :]
+        return self._points[i][:2]
 
-    def children(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Slice-(i+1) values with the step-i W and jump branches split out:
-        shape (2**(d*i), 2**d, 2**(m*i), 2**m, 2**(N-i-1))."""
-        nb1 = 2 ** (self.grid.N - i - 1)
-        return values.reshape(self.nw**i, self.nw, self.nj**i, self.nj, nb1)
+    def _step_mean(self, values: np.ndarray, diff_axis: Optional[int] = None) -> np.ndarray:
+        """E over the step-i W and jump branches of slice-(i+1) values: on
+        each lattice axis the two-point mean (1-p)*lo + p*hi of a node's
+        children at coordinates k and k+1; on diff_axis the difference
+        hi - lo instead.  Trailing axes (B, components) pass through."""
+        for axis, p in enumerate(self._axis_probs):
+            head = (slice(None),) * axis
+            lo, hi = values[head + (slice(None, -1),)], values[head + (slice(1, None),)]
+            values = hi - lo if axis == diff_axis else (1.0 - p) * lo + p * hi
+        return values
 
     def expectation(self, i: int, y1, z1, u1, f_fn, g_fn) -> np.ndarray:
         """E_i[Y_{i+1} + f*dt + g*dB_i] on slice i, with f and g evaluated
@@ -367,66 +361,92 @@ class TreeModel:
         f1, g1 = _coefficient_values(
             (f_fn, g_fn), i + 1, t_next, y1, z1, u1, *self.context(i + 1)
         )
-        _, _, pj = self._steps
-        Ar = self.children(i, y1 + f1 * dt)
-        EA = np.einsum("awbjn,j->abn", Ar, pj) / self.nw
-        Eg = np.einsum("awbjn,j->abn", self.children(i, g1), pj) / self.nw
-        g_db = np.sqrt(dt) * Eg
-        # the step-i B sign is the high digit of axis 2: + first, then -
-        return np.concatenate((EA + g_db, EA - g_db), axis=2)
+        EA = self._step_mean(y1 + f1 * dt)
+        g_db = np.sqrt(dt) * self._step_mean(g1)
+        # the step-i B sign is the high digit of the B axis: + first, then -
+        return np.concatenate((EA + g_db, EA - g_db), axis=-1)
 
     def integrands(self, i: int, y1) -> tuple:
-        """(Z_i, U_i) on slice i: E_i[Y_{i+1} dW_i] / dt and
-        E_i[Y_{i+1} (count_k - lambda_k*dt)] / Var(count_k), the same for
-        both step-i B signs."""
-        w_step, j_step, pj = self._steps
-        dt = self.grid.dt
-        Yr = self.children(i, y1)
-        Zc = np.einsum("awbjn,wc,j->abnc", Yr, w_step, pj) / (self.nw * dt)
-        ju_weights = pj[:, None] * (j_step - self.marks.intensities * dt)
-        Uc = np.einsum("awbjn,jk->abnk", Yr, ju_weights) / self.nw
-        if self.marks.m:
-            Uc = Uc / jump_variances(self.marks, dt, "two-point")
-        return np.concatenate((Zc, Zc), axis=2), np.concatenate((Uc, Uc), axis=2)
+        """(Z_i, U_i) on slice i: E_i[Y_{i+1} dW_i] / dt and E_i[Y_{i+1}
+        (count_k - lambda_k*dt)] / Var(count_k), the same for both step-i B
+        signs.  A minus sign moves W axis c up, so Z_c = -E_i[hi - lo] /
+        (2 sqrt(dt)); the variance cancels: U_k = E_i[hi - lo] on axis d+k."""
+        d = self.dim_d
+        scale = [-0.5 / np.sqrt(self.grid.dt)] * d + [1.0] * self.marks.m
+        zu = np.stack([self._step_mean(y1, a) * c for a, c in enumerate(scale)], axis=-1)
+        zu = np.concatenate((zu, zu), axis=-2)
+        return zu[..., :d].copy(), zu[..., d:].copy()
 
     def state_probs(self, i: int) -> np.ndarray:
         """Exact probability of each slice-i node, as a read-only
         broadcast; sums to one."""
-        pw = self.nw ** (-float(i))
-        pb = 0.5 ** (self.grid.N - i)
-        j_prob = self._histories[2][i]
-        return np.broadcast_to(pw * pb * j_prob[None, :, None], self.slice_shape(i))
+        pb = self._points[i][2] * 0.5 ** (self.grid.N - i)
+        return np.broadcast_to(pb, self.slice_shape(i))
 
     def weighted_sum(self, i: int, values: np.ndarray):
         """Weighted slice sum: sum over the slice-i nodes of state_probs(i)
         times values, one sum per trailing z/u component if any."""
-        return np.tensordot(self.state_probs(i), values, axes=3)
+        return np.tensordot(self.state_probs(i), values, axes=self.node_axes)
 
-    def forward(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Slice-i values carried to slice i+1: averaged over the step-i B
-        sign, which slice i+1 no longer holds, then copied to every step-i
-        W and jump child, which slice-i values do not depend on."""
-        a, b, n = self.slice_shape(i)
-        # the step-i B sign is the high digit of axis 2: + first, then -
-        mean = 0.5 * (values[:, :, : n // 2] + values[:, :, n // 2 :])
-        kids = (a, self.nw, b, self.nj, n // 2)
-        spread = np.broadcast_to(mean[:, None, :, None, :], kids)
-        return spread.reshape(self.slice_shape(i + 1))
+    def forward(self, i: int, mass: np.ndarray) -> np.ndarray:
+        """Probability-weighted slice-i values carried to slice i+1: summed
+        over the step-i B sign, which slice i+1 no longer holds, then split
+        onto each node's children with the step probabilities and summed
+        at each child over its parents."""
+        n = mass.shape[-1]
+        # the step-i B sign is the high digit of the B axis: + first, then -
+        mass = mass[..., : n // 2] + mass[..., n // 2 :]
+        for axis, p in enumerate(self._axis_probs):
+            zero = np.zeros_like(np.take(mass, [0], axis=axis))
+            stay, move = np.concatenate((mass, zero), axis), np.concatenate((zero, mass), axis)
+            mass = (1.0 - p) * stay + p * move
+        return mass
+
+    @cached_property
+    def _history_nodes(self):
+        """Per slice i, the flat lattice-point index of each W and jump
+        history of steps 0..i-1, shape (2**(d*i), 2**(m*i)), a history read
+        as per-step digits, step 0 the most significant (the order of
+        ``enumerate_scenarios``).  Only path views, within MAX_PATHS, build it."""
+        d, m = self.dim_d, self.marks.m
+        w_step = (_sign_patterns(d) < 0).astype(np.int64)
+        j_step = _jump_patterns(m).astype(np.int64)
+        w_counts, j_counts, out = np.zeros((1, d), np.int64), np.zeros((1, m), np.int64), []
+        for i in range(self.grid.N + 1):
+            strides = (i + 1) ** np.arange(self.node_axes - 2, -1, -1)
+            out.append((w_counts @ strides[:d])[:, None] + (j_counts @ strides[d:])[None, :])
+            if i < self.grid.N:
+                w_counts = (w_counts[:, None] + w_step).reshape(-1, d)
+                j_counts = (j_counts[:, None] + j_step).reshape(len(j_counts) * len(j_step), m)
+        return out
+
+    def _on_histories(self, i: int, values: np.ndarray) -> np.ndarray:
+        """Slice-i values, with any trailing z/u axis, gathered onto (W
+        history, jump history, future B signs)."""
+        shape = ((i + 1) ** (self.node_axes - 1), 2 ** (self.grid.N - i))
+        return values.reshape(shape + values.shape[self.node_axes :])[self._history_nodes[i]]
 
     def on_paths(self, i: int, values: np.ndarray) -> np.ndarray:
         """Slice-i values, with any trailing z/u axis, copied onto every
         full path: shape (paths,) + trailing axes."""
-        a, b, n = self.slice_shape(i)
-        rest = values.shape[3:]
-        lost = self.grid.N - i
-        cube = (a, self.nw**lost, b, self.nj**lost, 2**i, n)
-        spread = np.broadcast_to(values.reshape((a, 1, b, 1, 1, n) + rest), cube + rest)
-        return spread.reshape((math.prod(cube),) + rest)
+        nw, nj, lost = 2**self.dim_d, 2**self.marks.m, self.grid.N - i
+        a, b, n, rest = nw**i, nj**i, 2**lost, values.shape[self.node_axes :]
+        cube = (a, nw**lost, b, nj**lost, 2**i, n)
+        nodes = self._on_histories(i, values).reshape((a, 1, b, 1, 1, n) + rest)
+        return np.broadcast_to(nodes, cube + rest).reshape((math.prod(cube),) + rest)
+
+    def path_weights(self) -> np.ndarray:
+        """Probability of each full path: 1/2 per W and B sign, and
+        lambda_k*dt or 1 - lambda_k*dt per step of mark k."""
+        N, (_, j) = self.grid.N, self.context(self.grid.N)
+        lam_dt = self.marks.intensities * self.grid.dt
+        one = (lam_dt**j * (1.0 - lam_dt) ** (N - j)).prod(axis=-1)
+        return self.on_paths(N, one * 0.5 ** ((self.dim_d + 1) * N))
 
 
 @dataclass
 class TreeSolution:
-    """Slice-indexed exact solution on ``tree``, in its slice layout."""
+    """Node-indexed exact solution on the lattice ``tree``, in its layout."""
 
     problem: ProblemSpec
     tree: TreeModel
@@ -441,7 +461,7 @@ class TreeSolution:
         return self.problem.grid
 
     def state_probs(self, i: int) -> np.ndarray:
-        """Exact probability of each slice-i state; sums to one."""
+        """Exact probability of each slice-i node; sums to one."""
         return self.tree.state_probs(i)
 
     def root_value(self) -> float:
@@ -452,89 +472,69 @@ class TreeSolution:
 
         The node-wise form of ``SolutionGrid.validate``: Y, Z, U and dK
         finite, dK >= 0, Y >= S - _BARRIER_TOL and (Y - S) * dK == 0
-        bitwise.  Errors name the (slice, node), node being the flat index
-        into the slice's (W, jump, B) axes.
+        bitwise.  Errors name the (slice, node), node a flat slice index.
         """
+        axes = self.tree.node_axes
         for name, slices in (("Y", self.Y), ("Z", self.Z), ("U", self.U), ("dK", self.dK)):
             for i, arr in enumerate(slices):
-                _raise_at(~np.isfinite(arr), f"non-finite {name}", i)
+                _raise_at(~np.isfinite(arr), f"non-finite {name}", i, axes)
         for i, dk in enumerate(self.dK):
-            _raise_at(dk < 0.0, "negative dK", i)
+            _raise_at(dk < 0.0, "negative dK", i, axes)
         for i, (y, s) in enumerate(zip(self.Y, self.S)):
-            _raise_at(y < s - _BARRIER_TOL, "Y below the barrier", i)
-        for i, dk in enumerate(self.dK):
-            products = (self.Y[i] - self.S[i]) * dk
-            _raise_at(products != 0.0, "reflection is not complementary", i)
+            _raise_at(y < s - _BARRIER_TOL, "Y below the barrier", i, axes)
+        for i, (y, s, dk) in enumerate(zip(self.Y, self.S, self.dK)):
+            _raise_at((y - s) * dk != 0.0, "reflection is not complementary", i, axes)
         return self
 
     def k_moments(self):
-        """(E[K_T], E[K_T^2]) by a forward pass over the first two moments
-        of K_i given the slice-i node: K_{i+1} = K_i + dK_i, so
-        (m1, m2) <- (m1 + dK_i, m2 + 2*m1*dK_i + dK_i^2), carried to slice
-        i+1 by ``TreeModel.forward``."""
+        """(E[K_T], E[K_T^2]) by a forward pass over q1 = E[K_i; node] and
+        q2 = E[K_i^2; node]: K_{i+1} = K_i + dK_i, so (q1, q2) <- (q1 +
+        p*dK_i, q2 + 2*q1*dK_i + p*dK_i^2), p the node's probability, then
+        ``TreeModel.forward`` sums them over each child's parents."""
         tree = self.tree
-        m1 = m2 = np.zeros(tree.slice_shape(0))
+        q1 = q2 = np.zeros(tree.slice_shape(0))
         for i, dk in enumerate(self.dK):
-            m1, m2 = m1 + dk, m2 + 2.0 * m1 * dk + dk * dk
-            m1, m2 = tree.forward(i, m1), tree.forward(i, m2)
-        N = self.grid.N
-        return float(tree.weighted_sum(N, m1)), float(tree.weighted_sum(N, m2))
+            p = tree.state_probs(i)
+            q1, q2 = q1 + p * dk, q2 + 2.0 * q1 * dk + p * dk * dk
+            q1, q2 = tree.forward(i, q1), tree.forward(i, q2)
+        return float(q1.sum()), float(q2.sum())
 
     def sup_y_sq(self) -> float:
         """E[max_i Y_i^2] over the full paths, the one path functional of
-        the sequence reports.  The running max of Y^2 is carried from slice
-        to slice on (W history, jump history, all N B signs): each slice-i
-        node's max splits into its W and jump children and meets their
-        Y^2, so slice i holds path_count / (2**(d+m))**(N-i) values."""
+        the sequence reports.  The running max of Y^2 is carried on (W
+        history, jump history, all N B signs): each history's max splits
+        into its W and jump children and meets their lattice Y^2."""
         tree, N = self.tree, self.grid.N
+        nw, nj = 2**tree.dim_d, 2**tree.marks.m
         top = self.Y[0] ** 2
         for i in range(N):
-            a, b, n = tree.slice_shape(i)
-            kids = tree.children(i, self.Y[i + 1] ** 2)[:, :, :, :, None, :]
+            a, b, n = nw**i, nj**i, 2 ** (N - i)
+            kids = tree._on_histories(i + 1, self.Y[i + 1] ** 2).reshape(a, nw, b, nj, 1, n // 2)
             # the step-i B sign moves from the future axis to the past one
             top = np.maximum(top.reshape(a, 1, b, 1, 2 ** (i + 1), n // 2), kids)
-        # each B path of a slice-N node has probability 0.5**N
-        weights = tree.on_paths(N, tree.state_probs(N) * 0.5**N)
-        return float(weights @ top.reshape(-1))
+        return float(tree.path_weights() @ top.reshape(-1))
 
     def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
         """Materialize every full history as a weighted path, in the path
-        order of ``TreeModel``."""
-        tree, N = self.tree, self.grid.N
+        order of ``enumerate_scenarios``."""
+        tree = self.tree
         P = tree.path_count()
         if P > max_paths:
             raise SolverError(f"path materialization needs {P} paths (> {max_paths})")
-        Y = np.empty((P, N + 1))
-        K = np.zeros((P, N + 1))
-        S = np.empty((P, N + 1))
-        Z = np.zeros((P, N + 1, tree.dim_d))
-        U = np.zeros((P, N + 1, tree.marks.m))
-        for i in range(N + 1):
-            Y[:, i] = tree.on_paths(i, self.Y[i])
-            S[:, i] = tree.on_paths(i, self.S[i])
-            Z[:, i, :] = tree.on_paths(i, self.Z[i])
-            U[:, i, :] = tree.on_paths(i, self.U[i])
-            if i < N:
-                K[:, i + 1] = K[:, i] + tree.on_paths(i, self.dK[i])
-        # each B path of a slice-N node has probability 0.5**N
-        weights = tree.on_paths(N, tree.state_probs(N)) * 0.5**N
-        return SolutionGrid(
-            grid=self.grid,
-            Y=Y,
-            Z=Z,
-            U=U,
-            K=K,
-            S=S,
-            weights=weights,
-            diagnostics={"source": "tree"},
-        )
+
+        def gather(slices):
+            return np.stack([tree.on_paths(i, v) for i, v in enumerate(slices)], axis=1)
+
+        K = np.concatenate((np.zeros((P, 1)), np.cumsum(gather(self.dK), axis=1)), axis=1)
+        Y, Z, U, S = (gather(v) for v in (self.Y, self.Z, self.U, self.S))
+        return SolutionGrid(self.grid, Y, Z, U, K, S, tree.path_weights(), {"source": "tree"})
 
 
-def _raise_at(bad: np.ndarray, what: str, i: int):
+def _raise_at(bad: np.ndarray, what: str, i: int, axes: int):
     """Raise SolverError naming the first slice-i node where bad holds (on
-    any z/u component)."""
-    if bad.ndim > 3:
-        bad = bad.any(axis=tuple(range(3, bad.ndim)))
+    any z/u component past the first ``axes`` node axes)."""
+    if bad.ndim > axes:
+        bad = bad.any(axis=tuple(range(axes, bad.ndim)))
     if bad.any():
         raise SolverError(f"{what} at (slice, node) ({i}, {int(np.flatnonzero(bad)[0])})")
 
@@ -642,9 +642,8 @@ def tree_balance_residual(
     the stored slices, so the residual catches faults in the reflection
     and in the bookkeeping of Y and dK, and must vanish to float
     roundoff; it cannot catch an error in the expectation itself, which
-    both sides share.  That error is covered by
-    ``test_acceptance.test_01_exact_tree_equals_saturated_regression``,
-    which checks the tree against an independent indicator regression.
+    both sides share.  The tests check that against an independent
+    indicator regression and against the exponential tree.
     """
     f_fn, g_fn = _coefficients(sol.problem, f_fn, g_fn)
     worst = 0.0

@@ -1,6 +1,7 @@
 """Configuration loading, validation, hashing, and the command line."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 import yaml
 
+import rbdsdep
 from rbdsdep.cli import main, run_pipeline
 from rbdsdep.config import PIPELINES, config_from_dict, load_config
 from rbdsdep.errors import ConfigError
@@ -380,6 +382,20 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "expression grammar" in proc.stdout
+
+    def test_module_entry_point(self, tmp_path):
+        """``python -m rbdsdep`` runs the command line where the console
+        script is not installed."""
+        path = write_config(tmp_path, SNELL)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(rbdsdep.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbdsdep", "validate-config", path],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("valid: pipeline=")
 
 
 class TestRunPipelineApi:

@@ -182,3 +182,25 @@ def test_null_keeps_unset_where_unset_is_the_default():
     data = with_section("problem", pi=None, f_t=None)
     generator = config_from_dict(data).problem.generator
     assert generator.pi is None and generator.rate is None
+
+
+@pytest.mark.parametrize("pipeline", ["solve", "ito_check"])
+def test_validate_config_refuses_a_jump_mean_the_gaussian_sampler_cannot_draw(
+    pipeline, tmp_path, capsys
+):
+    data = {
+        **minimal(),
+        "pipeline": pipeline,
+        "grid": {"T": 1.0, "N": 1},
+        "marks": {"values": [1.0], "intensities": [1.0e10]},
+        "drivers": {"mode": "gaussian"},
+        "scheme": {"solver": "lsmc"},
+        "ito": {"alpha0": 0.5},
+    }
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", str(path)]) == 2
+    assert "gaussian jump counts need intensity * dt <= 2**30" in capsys.readouterr().err
+    data["marks"]["intensities"] = [1.0e9]
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", str(path)]) == 0

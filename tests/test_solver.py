@@ -3,6 +3,7 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,20 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rbdsdep.analysis import compare_solutions, tree_norm_report
 from rbdsdep.drivers import (
     MarkSpace,
     ScenarioSet,
+    _jump_pattern_probs,
+    _jump_patterns,
+    _sign_patterns,
     build_time_grid,
     empty_marks,
     enumerate_scenarios,
     simulate_scenarios,
 )
 from rbdsdep.errors import ConfigError, SolverError
-from rbdsdep.generator import GeneratorSpec
+from rbdsdep.generator import EnvelopeParams, GeneratorSpec
+from rbdsdep.schemes import run_bracketing_sequence, run_inf_envelope_sequence
 from rbdsdep.solver import (
     ProblemSpec,
     SchemeParams,
     TreeModel,
+    _coefficient_values,
     extract_zu,
     jump_variances,
     reflect_step,
@@ -185,9 +192,9 @@ class TestTreeModel:
     def test_state_counts(self):
         grid = build_time_grid(1.0, 3)
         tree = TreeModel(grid, 1, MARKS)
-        # slice i holds 2^i * 2^i * 2^(3-i) states
-        assert [tree.slice_states(i) for i in range(4)] == [8, 16, 32, 64]
-        assert tree.total_states() == 120
+        # slice i holds (i+1) W counts * (i+1) jump counts * 2^(3-i) B signs
+        assert [tree.slice_states(i) for i in range(4)] == [8, 16, 18, 16]
+        assert tree.total_states() == 58
 
     def test_budget_guard(self):
         grid = build_time_grid(1.0, 4)
@@ -203,7 +210,7 @@ class TestTreeModel:
             TreeModel(grid, 1, heavy)
 
     def test_tree_of_another_dimension_is_rejected(self):
-        # 192 states fit this budget, but the d=3 one-mark problem has 1.2M
+        # 120 lattice nodes fit this budget, but the d=3 one-mark problem has 4506
         prob = make_problem(N=5, dim_d=3, marks=MARKS)
         tree = TreeModel(prob.grid, 1, empty_marks(), max_states=200)
         with pytest.raises(SolverError, match="tree has d = 1 but the problem has d = 3"):
@@ -304,6 +311,201 @@ MIXED = dict(
 )
 
 
+class ExponentialTree(TreeModel):
+    """The exhaustive two-point tree that the lattice recombines, kept as
+    the reference for its node layout and backward step.
+
+    Slice i holds arrays shaped (2**(d*i), 2**(m*i), 2**(N-i)): the W-sign
+    and jump histories of steps 0..i-1 and the B signs of steps i..N-1,
+    each index reading its per-step patterns as digits, step 0 the most
+    significant, + and no jump as digit 0.  Every history is its own node,
+    so nothing recombines; ``solve_tree_exact`` and the ``TreeSolution``
+    checks, norms and path views run on it unchanged.
+    """
+
+    @property
+    def node_axes(self):
+        return 3
+
+    def slice_shape(self, i):
+        return 2 ** (self.dim_d * i), 2 ** (self.marks.m * i), 2 ** (self.grid.N - i)
+
+    def path_count(self):
+        return self.slice_states(self.grid.N) * 2**self.grid.N
+
+    @cached_property
+    def _steps(self):
+        """One step's dW patterns (2**d, d), jump patterns (2**m, m) and
+        jump-pattern probabilities (2**m,)."""
+        self.ensure_budget()
+        dt = self.grid.dt
+        return (
+            _sign_patterns(self.dim_d) * np.sqrt(dt),
+            _jump_patterns(self.marks.m),
+            _jump_pattern_probs(self.marks, dt),
+        )
+
+    @cached_property
+    def _histories(self):
+        """Per slice i: the W values (2**(d*i), d), the jump totals
+        (2**(m*i), m) and the jump-history probabilities (2**(m*i),)."""
+        w_step, j_step, pj = self._steps
+        d, m = self.dim_d, self.marks.m
+        w_vals, j_vals, j_prob = [np.zeros((1, d))], [np.zeros((1, m))], [np.ones(1)]
+        for i in range(self.grid.N):
+            w_vals.append((w_vals[i][:, None] + w_step).reshape(-1, d))
+            j_vals.append((j_vals[i][:, None] + j_step).reshape(2 ** (m * (i + 1)), m))
+            j_prob.append((j_prob[i][:, None] * pj).reshape(-1))
+        return w_vals, j_vals, j_prob
+
+    def context(self, i):
+        w_vals, j_vals, _ = self._histories
+        return w_vals[i][:, None, None, :], j_vals[i][None, :, None, :]
+
+    def children(self, i, values):
+        """Slice-(i+1) values with the step-i W and jump branches split out:
+        shape (2**(d*i), 2**d, 2**(m*i), 2**m, 2**(N-i-1))."""
+        nw, nj = 2**self.dim_d, 2**self.marks.m
+        return values.reshape(nw**i, nw, nj**i, nj, 2 ** (self.grid.N - i - 1))
+
+    def expectation(self, i, y1, z1, u1, f_fn, g_fn):
+        t_next, dt = self.grid.times[i + 1], self.grid.dt
+        f1, g1 = _coefficient_values(
+            (f_fn, g_fn), i + 1, t_next, y1, z1, u1, *self.context(i + 1)
+        )
+        _, _, pj = self._steps
+        nw = 2**self.dim_d
+        EA = np.einsum("awbjn,j->abn", self.children(i, y1 + f1 * dt), pj) / nw
+        Eg = np.einsum("awbjn,j->abn", self.children(i, g1), pj) / nw
+        g_db = np.sqrt(dt) * Eg
+        return np.concatenate((EA + g_db, EA - g_db), axis=2)
+
+    def integrands(self, i, y1):
+        w_step, j_step, pj = self._steps
+        dt, nw = self.grid.dt, 2**self.dim_d
+        Yr = self.children(i, y1)
+        Zc = np.einsum("awbjn,wc,j->abnc", Yr, w_step, pj) / (nw * dt)
+        ju_weights = pj[:, None] * (j_step - self.marks.intensities * dt)
+        Uc = np.einsum("awbjn,jk->abnk", Yr, ju_weights) / nw
+        if self.marks.m:
+            Uc = Uc / jump_variances(self.marks, dt, "two-point")
+        return np.concatenate((Zc, Zc), axis=2), np.concatenate((Uc, Uc), axis=2)
+
+    def state_probs(self, i):
+        pw = 2.0 ** (-self.dim_d * i)
+        pb = 0.5 ** (self.grid.N - i)
+        j_prob = self._histories[2][i]
+        return np.broadcast_to(pw * pb * j_prob[None, :, None], self.slice_shape(i))
+
+    def forward(self, i, mass):
+        """Each node's mass, summed over the step-i B sign, split onto its
+        W and jump children, each of which has this one parent."""
+        _, _, pj = self._steps
+        a, b, n = self.slice_shape(i)
+        nw = 2**self.dim_d
+        mass = mass[:, :, : n // 2] + mass[:, :, n // 2 :]
+        kids = mass[:, None, :, None, :] * (pj[:, None] / nw)
+        return np.broadcast_to(kids, (a, nw, b, pj.size, n // 2)).reshape(self.slice_shape(i + 1))
+
+    def _on_histories(self, i, values):
+        # a tree node already is a (W history, jump history, B signs) triple
+        return values
+
+    def path_weights(self):
+        N = self.grid.N
+        return self.on_paths(N, self.state_probs(N)) * 0.5**N
+
+
+TWO_MARKS = MarkSpace(np.array([1.0, 2.0]), np.array([0.4, 0.7]))
+
+
+def oracle_case(d, m, with_g, N=3):
+    """A problem on d W components and m marks whose barrier binds."""
+    w = " + ".join(f"w{c + 1}" for c in range(d))
+    u = "".join(f" + 0.1*u{k + 1}" for k in range(m))
+    j = "".join(f" + 0.2*j{k + 1}" for k in range(m))
+    return make_problem(
+        f=f"0.2*y - 0.3*z1 + 0.05*max(y, 0){u}",
+        g="0.1*y + 0.05*z1" if with_g else "0",
+        barrier=f"{w} - 0.1 + 0.8*(0.5 - t)",
+        terminal=w + j,
+        T=0.5,
+        N=N,
+        dim_d=d,
+        marks=(empty_marks(), MARKS, TWO_MARKS)[m],
+    )
+
+
+def solve_both(prob, **kw):
+    """The lattice and the exponential-tree solutions of one problem."""
+    args = (prob.grid, prob.dim_d, prob.marks)
+    return (
+        solve_tree_exact(prob, TreeModel(*args), **kw),
+        solve_tree_exact(prob, ExponentialTree(*args), **kw),
+    )
+
+
+ORACLE_CASES = [(d, m, g) for d in (1, 2) for m in (0, 1, 2) for g in (False, True)]
+
+
+class TestLatticeAgainstTheExponentialTree:
+    """The recombining lattice against the exponential tree: path by path,
+    in the norms and K moments, and through whole pipelines."""
+
+    @pytest.mark.parametrize("d,m,with_g", ORACLE_CASES)
+    def test_paths_agree(self, d, m, with_g):
+        lattice, tree = solve_both(oracle_case(d, m, with_g))
+        assert lattice.tree.total_states() < tree.tree.total_states()
+        a, b = lattice.to_solution_grid(), tree.to_solution_grid()
+        assert a.terminal_k().max() > 0.0
+        for name in ("Y", "Z", "U", "K", "S", "weights"):
+            np.testing.assert_allclose(
+                getattr(a, name), getattr(b, name), rtol=0, atol=1e-12, err_msg=name
+            )
+
+    @pytest.mark.parametrize("d,m,with_g", ORACLE_CASES)
+    def test_slice_reports_agree(self, d, m, with_g):
+        lattice, tree = solve_both(oracle_case(d, m, with_g))
+        assert tree_balance_residual(lattice) <= 1e-12
+        want, got = tree_norm_report(tree), tree_norm_report(lattice)
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
+        np.testing.assert_allclose(lattice.k_moments(), tree.k_moments(), rtol=1e-12)
+
+    def test_bracketing_run_agrees(self):
+        prob = make_problem(
+            f="indicator_pos(y)", g="0.1*y", pi="0", rate="1", barrier="w1 - 0.2",
+            terminal="w1 + 0.2", T=0.5, N=4, marks=MARKS,
+        )
+        runs = [
+            run_bracketing_sequence(prob, ns_count=3, tree=cls(prob.grid, 1, MARKS))
+            for cls in (TreeModel, ExponentialTree)
+        ]
+        self.assert_runs_agree(*runs, ("pair_margins", "upper_margins", "sandwich_worst"))
+        assert runs[0].report["lower_root"] == pytest.approx(runs[1].report["lower_root"], abs=1e-12)
+
+    def test_inf_sequence_run_agrees(self):
+        prob = make_problem(f="min(abs(y), 2)", barrier="w1 - 0.3", terminal="w1", T=0.5, N=3, marks=MARKS)
+        env = EnvelopeParams(n=1.0, box={"y": (-5.0, 5.0)}, grid_points=201)
+        runs = [
+            run_inf_envelope_sequence(prob, env, ns=[1, 2, 4], tree=cls(prob.grid, 1, MARKS))
+            for cls in (TreeModel, ExponentialTree)
+        ]
+        self.assert_runs_agree(*runs, ("pair_margins", "v_node_margin", "v_root"))
+
+    @staticmethod
+    def assert_runs_agree(lattice, tree, keys):
+        assert lattice.report["monotone_ok"] and tree.report["monotone_ok"]
+        np.testing.assert_allclose(lattice.y0_series, tree.y0_series, rtol=0, atol=1e-12)
+        for key in keys + ("z_diffs", "u_diffs"):
+            np.testing.assert_allclose(
+                lattice.report[key], tree.report[key], rtol=0, atol=1e-12, err_msg=key
+            )
+        for got, want in zip(lattice.report["norms"], tree.report["norms"]):
+            for key in want:
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-12, err_msg=key)
+
+
 class TestTreeStructure:
     def test_state_probs_sum_to_one(self):
         sol = solve_tree_exact(make_problem(**MIXED))
@@ -358,19 +560,21 @@ class TestTreeStructure:
                 )
 
     def test_sup_y_sq_equals_the_path_gather(self):
-        """The running max carried from slice to slice has the bits of the
-        max over every full path of Y_i^2 spread onto the paths."""
+        """The running max carried on the histories equals the max over
+        every full path of Y_i^2, spread onto the paths of the exponential
+        tree, weighted by its state probabilities."""
         no_jumps = dict(f="0.2*y - 0.3*z1 + 0.05*max(y, 0)", terminal="w1 + 0.2")
         for d in (1, 2):
             for marks in (empty_marks(), MARKS):
                 kw = dict(MIXED, dim_d=d, marks=marks, N=3)
                 if marks.m == 0:
                     kw.update(no_jumps)
-                sol = solve_tree_exact(make_problem(**kw))
-                tree, N = sol.tree, sol.grid.N
-                top = np.max([tree.on_paths(i, sol.Y[i] ** 2) for i in range(N + 1)], axis=0)
+                sol, ref = solve_both(make_problem(**kw))
+                tree, N = ref.tree, ref.grid.N
+                top = np.max([tree.on_paths(i, ref.Y[i] ** 2) for i in range(N + 1)], axis=0)
                 weights = tree.on_paths(N, tree.state_probs(N)) * 0.5**N
-                assert sol.sup_y_sq() == float(weights @ top), (d, marks.m)
+                assert sol.sup_y_sq() == pytest.approx(float(weights @ top), rel=1e-12, abs=0)
+                assert ref.sup_y_sq() == float(weights @ top), (d, marks.m)
 
     def test_materialization_budget(self):
         sol = solve_tree_exact(make_problem(**MIXED))
@@ -387,6 +591,33 @@ class TestTreeStructure:
         high = solve_tree_exact(make_problem(**bumped))
         for i in range(4):
             assert (high.Y[i] >= low.Y[i] - 1e-12).all()
+
+    @pytest.mark.parametrize("d,m,N", [(1, 1, 5), (2, 1, 3), (1, 2, 3)])
+    def test_k_moments_equal_the_path_gather(self, d, m, N):
+        """A lattice node's parents carry different K, so its moments are
+        summed over them; moments copied from one parent fail this."""
+        sol = solve_tree_exact(oracle_case(d, m, with_g=True, N=N))
+        paths = sol.to_solution_grid()
+        k_t = paths.terminal_k()
+        assert k_t.min() < k_t.max()
+        want = (paths.weights @ k_t, paths.weights @ k_t**2)
+        np.testing.assert_allclose(sol.k_moments(), want, rtol=0, atol=1e-12)
+
+    def test_compare_deep_problem_at_sixteen_steps(self):
+        """The compare_deep benchmark problem at N = 16: about 0.8M lattice
+        nodes, within the default max_states (the tree had 2**32)."""
+        grid = build_time_grid(0.5, 16)
+        f, barrier, terminal = "0.2*y - 0.3*z1 + 0.1*u1", "w1 - 0.5*(0.5 - t)", "w1 + 0.2*j1"
+        p1 = ProblemSpec(grid, 1, MARKS, GeneratorSpec(f=f, g="0.1*y"), barrier, terminal)
+        p2 = ProblemSpec(
+            grid, 1, MARKS, GeneratorSpec(f=f + " + 0.05", g="0.1*y"), barrier, terminal + " + 0.1"
+        )
+        tree = TreeModel(grid, 1, MARKS, max_steps=16)
+        assert 700_000 < tree.total_states() <= TreeModel.max_states
+        sol = solve_tree_exact(p1, tree).validate()
+        assert max(float(dk.max()) for dk in sol.dK) > 0.0
+        assert tree_balance_residual(sol) <= 1e-9
+        assert compare_solutions(p1, p2, tree).verdict == "pass"
 
 
 class TestSolutionGridValidate:
