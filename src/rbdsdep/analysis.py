@@ -440,8 +440,8 @@ def tree_norm_report(sol: TreeSolution) -> dict:
     The Z and U norms are weighted slice sums and E K_T^2 comes from
     ``TreeSolution.k_moments``.  E sup Y^2 is a path functional: it is
     gathered only when the tree has at most MAX_PATHS paths; otherwise it
-    is None and "sup_y_sq_skipped" says why.  Call it on a validated
-    solution.
+    is None and "sup_y_sq_skipped" says why.  The norms of a solution that
+    fails ``TreeSolution.validate`` may be non-finite.
     """
     z_norm, u_norm = integrand_norms(sol.tree, sol.Z, sol.U)
     report = {

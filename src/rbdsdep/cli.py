@@ -30,6 +30,7 @@ from .analysis import (
     ito_residual_check,
     norm_report,
     skorokhod_check,
+    tree_norm_report,
 )
 from .config import CONFIG_GRAMMAR, ExperimentConfig, load_config
 from .drivers import enumerate_scenarios, simulate_scenarios
@@ -42,6 +43,7 @@ from .schemes import (
     sequence_csv_rows,
 )
 from .solver import (
+    lattice_csv_rows,
     solution_csv_rows,
     solve_lsmc,
     solve_tree_exact,
@@ -119,6 +121,7 @@ def _scenarios_for(cfg: ExperimentConfig):
 
 
 def _solution_summary(sol, cfg: ExperimentConfig) -> dict:
+    """Summary of an LSMC solution, from its paths."""
     norms = norm_report(sol, cfg.marks)
     sk = skorokhod_check(sol)
     return {
@@ -128,20 +131,33 @@ def _solution_summary(sol, cfg: ExperimentConfig) -> dict:
         "min_y": float(sol.Y.min()),
         "norms": norms,
         "skorokhod_max": float(sk.max()),
+        "diagnostics": sol.diagnostics,
+    }
+
+
+def _tree_summary(sol) -> dict:
+    """Summary of an exact tree solution, from its lattice slices."""
+    return {
+        "root_value": sol.root_value(),
+        "k_t_mean": sol.k_moments()[0],
+        "min_y": min(float(y.min()) for y in sol.Y),
+        "norms": tree_norm_report(sol),
+        "skorokhod_max": max(
+            float(np.abs((y - s) * dk).max()) for y, s, dk in zip(sol.Y, sol.S, sol.dK)
+        ),
+        "balance_residual": tree_balance_residual(sol),
     }
 
 
 def _run_solve(cfg: ExperimentConfig, threads: int, verbose: bool):
-    validators = {}
     if cfg.solver_kind == "tree":
-        tsol = solve_tree_exact(cfg.problem, cfg.tree_model())
-        sol = tsol.to_solution_grid()
-        balance = tree_balance_residual(tsol)
-        validators["balance_residual_ok"] = balance <= BALANCE_TOL
+        sol = solve_tree_exact(cfg.problem, cfg.tree_model())
+        summary, csv_name, csv_rows = _tree_summary(sol), "lattice.csv", lattice_csv_rows
+        validators = {"balance_residual_ok": summary["balance_residual"] <= BALANCE_TOL}
     else:
-        scen = _scenarios_for(cfg)
-        sol = solve_lsmc(cfg.problem, scen, cfg.scheme)
-        balance = None
+        sol = solve_lsmc(cfg.problem, _scenarios_for(cfg), cfg.scheme)
+        summary = _solution_summary(sol, cfg)
+        csv_name, csv_rows, validators = "solution.csv", solution_csv_rows, {}
     try:
         sol.validate()
         validators["solution_valid"] = True
@@ -149,17 +165,12 @@ def _run_solve(cfg: ExperimentConfig, threads: int, verbose: bool):
         validators["solution_valid"] = False
         if verbose:
             print(f"solution validation failed: {exc}", file=sys.stderr)
-    summary = _solution_summary(sol, cfg)
     validators["skorokhod_ok"] = summary["skorokhod_max"] <= SKOROKHOD_TOL
     summary["validators"] = validators
     summary["solver"] = cfg.solver_kind
-    if balance is not None:
-        summary["balance_residual"] = balance
-    if cfg.solver_kind == "lsmc":
-        summary["diagnostics"] = sol.diagnostics
     files = {"summary.json": summary}
     if "csv" in cfg.formats:
-        files["solution.csv"] = solution_csv_rows(sol)
+        files[csv_name] = csv_rows(sol)
     return validators, summary, files
 
 

@@ -400,7 +400,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         pipeline=pipeline,
         grid=grid,
         dim_d=dim_d,
@@ -423,6 +423,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         canonical=canonical,
         config_hash=config_hash,
     )
+    if uses_tree:
+        cfg.tree_model().ensure_budget()
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

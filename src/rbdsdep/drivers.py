@@ -44,7 +44,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .table import CsvTable
 
 MODES = ("gaussian", "two-point")
 
@@ -408,21 +407,3 @@ def enumerate_scenarios(
         weights *= j_probs[j_digit]
     return ScenarioSet(grid, dim_d, "two-point", None, dW, dB, counts, weights)
 
-
-def scenario_csv_rows(scen: ScenarioSet) -> CsvTable:
-    """Header plus one row per path-step for CSV export."""
-    P, N, d = scen.dW.shape
-    m = scen.num_marks
-    header = (
-        ["path", "step"]
-        + [f"dw{c + 1}" for c in range(d)]
-        + ["db"]
-        + [f"jumps{k + 1}" for k in range(m)]
-    )
-    columns = (
-        [np.repeat(np.arange(P), N), np.tile(np.arange(N), P)]
-        + [scen.dW[:, :, c].ravel() for c in range(d)]
-        + [scen.dB.ravel()]
-        + [scen.jump_counts[:, :, k].ravel().astype(np.int64) for k in range(m)]
-    )
-    return CsvTable(header, columns)

@@ -253,6 +253,39 @@ def solution_csv_rows(sol: SolutionGrid) -> CsvTable:
     return CsvTable(header, columns)
 
 
+def lattice_csv_rows(sol: TreeSolution) -> CsvTable:
+    """Header plus one row per lattice node of slices 0..N, each slice's
+    nodes in flat C order (the node index of ``TreeSolution.validate``'s
+    errors): the slice, the node's coordinates (per W axis its count of
+    minus signs, per mark its jump count, then its B column), its
+    probability, and Y, Z, U, dK (0.0 on slice N) and S at the node."""
+    tree, N = sol.tree, sol.grid.N
+    d, m = tree.dim_d, tree.marks.m
+    header = (
+        ["slice"]
+        + [f"w{c + 1}_minus" for c in range(d)]
+        + [f"j{k + 1}" for k in range(m)]
+        + ["b_column", "prob", "y"]
+        + [f"z{c + 1}" for c in range(d)]
+        + [f"u{k + 1}" for k in range(m)]
+        + ["dk", "s"]
+    )
+    slices = []
+    for i in range(N + 1):
+        shape = tree.slice_shape(i)
+        n = math.prod(shape)
+        dk = sol.dK[i] if i < N else np.zeros(shape)
+        slices.append(
+            [np.full(n, i)]
+            + list(np.indices(shape).reshape(len(shape), n))
+            + [tree.state_probs(i).ravel(), sol.Y[i].ravel()]
+            + list(sol.Z[i].reshape(n, d).T)
+            + list(sol.U[i].reshape(n, m).T)
+            + [dk.ravel(), sol.S[i].ravel()]
+        )
+    return CsvTable(header, [np.concatenate(column) for column in zip(*slices)])
+
+
 @dataclass(frozen=True)
 class TreeModel:
     """The recombining two-point lattice: its budget, its node layout and

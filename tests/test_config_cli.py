@@ -6,13 +6,16 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 import rbdsdep
+from rbdsdep.analysis import norm_report, skorokhod_check
 from rbdsdep.cli import main, run_pipeline
 from rbdsdep.config import PIPELINES, config_from_dict, load_config
 from rbdsdep.errors import ConfigError
+from rbdsdep.solver import TreeSolution, solution_csv_rows, solve_tree_exact
 
 
 def minimal() -> dict:
@@ -261,7 +264,7 @@ class TestCli:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["schema"] == "rbdsdep.manifest.v1"
         assert manifest["config_hash"] == summary["config_hash"]
-        assert "solution.csv" in manifest["outputs"]
+        assert "lattice.csv" in manifest["outputs"]
         assert set(manifest["versions"]) == {"python", "numpy", "rbdsdep"}
 
     def test_csv_schema_header_carries_the_config_hash(self, tmp_path):
@@ -269,15 +272,15 @@ class TestCli:
         out_dir = tmp_path / "out"
         main(["run", "--config", path, "--out", str(out_dir)])
         cfg = load_config(path)
-        first = (out_dir / "solution.csv").read_text().splitlines()[0]
-        assert first == f"# schema=rbdsdep.solution.v1 config_hash={cfg.config_hash}"
+        first = (out_dir / "lattice.csv").read_text().splitlines()[0]
+        assert first == f"# schema=rbdsdep.lattice.v1 config_hash={cfg.config_hash}"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path, SNELL)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", path, "--out", str(d1)]) == 0
         assert main(["run", "--config", path, "--out", str(d2)]) == 0
-        for name in ("solution.csv", "summary.json"):
+        for name in ("lattice.csv", "summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_thread_count_does_not_change_outputs(self, tmp_path):
@@ -354,7 +357,7 @@ class TestCli:
         path = write_config(tmp_path, data)
         out_dir = tmp_path / "out"
         main(["run", "--config", path, "--out", str(out_dir)])
-        assert (out_dir / "solution.csv").exists()
+        assert (out_dir / "lattice.csv").exists()
         assert not (out_dir / "summary.json").exists()
         # the manifest is always written
         assert (out_dir / "manifest.json").exists()
@@ -405,7 +408,7 @@ class TestRunPipelineApi:
         assert ok
         assert summary["config_hash"] == cfg.config_hash
         names = sorted(p.rsplit("/", 1)[-1] for p in written)
-        assert names == ["manifest.json", "solution.csv", "summary.json"]
+        assert names == ["lattice.csv", "manifest.json", "summary.json"]
 
 
 def lsmc_one_mark(mode="gaussian", barrier="-0.8 + 0.3*t") -> dict:
@@ -503,3 +506,130 @@ class TestSequencesBeyondThePathBudget:
             assert entry["z_norm_sq"] > 0.0
         rows = (out_dir / "sequence.csv").read_text().splitlines()
         assert len(rows) == 2 + len(norms)
+
+
+def tree_solve(N: int, d: int = 1, m: int = 1, formats=("json",)) -> dict:
+    """A tree solve on d W axes and m marks whose barrier binds."""
+    w = " + ".join(f"w{c}" for c in range(1, d + 1))
+    j = "".join(f" + 0.2*j{k}" for k in range(1, m + 1))
+    u = "".join(f" + 0.1*u{k}" for k in range(1, m + 1))
+    return {
+        "grid": {"T": 0.5, "N": N},
+        "dims": {"d": d},
+        "marks": {"values": [1.0, -0.5][:m], "intensities": [0.4, 0.3][:m]},
+        "problem": {
+            "f": f"0.2*y - 0.3*z1{u}",
+            "g": "0.1*y",
+            "barrier": f"{w} - 0.1*(0.5 - t)",
+            "terminal": f"{w}{j}",
+        },
+        "scheme": {"tree_max_steps": max(N, 6)},
+        "outputs": {"formats": list(formats)},
+    }
+
+
+def read_lattice_csv(path):
+    """The header row and the columns of a lattice.csv, each cell parsed
+    back (integers for the slice and coordinates, floats for the rest)."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# schema=rbdsdep.lattice.v1 ")
+    header = lines[1].split(",")
+    cells = list(zip(*(line.split(",") for line in lines[2:])))
+    ints = header.index("prob")
+    columns = [np.array([int(c) for c in col]) for col in cells[:ints]]
+    columns += [np.array([float(c) for c in col]) for col in cells[ints:]]
+    return header, columns
+
+
+class TestTreeSolveOnTheLattice:
+    """A tree solve checks, norms and writes its lattice slices; no path
+    is built."""
+
+    @pytest.mark.parametrize("N", [10, 16])
+    def test_deep_tree_solve_passes(self, tmp_path, capsys, N):
+        path = write_config(tmp_path, tree_solve(N))
+        assert main(["validate-config", path]) == 0
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("balance_residual_ok", "solution_valid", "skorokhod_ok"):
+            assert f"PASS {name}" in lines
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert all(summary["validators"].values()) and len(summary["validators"]) == 3
+        assert summary["norms"]["sup_y_sq"] is None
+        paths = 2 ** (3 * N)
+        assert f"{paths} paths (> 2000000)" in summary["norms"]["sup_y_sq_skipped"]
+        assert "root_se" not in summary
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_summary_equals_the_path_forms(self, tmp_path, d, m):
+        cfg = config_from_dict(tree_solve(3, d, m))
+        ok, summary, _ = run_pipeline(cfg, out_dir=str(tmp_path))
+        assert ok
+        paths = solve_tree_exact(cfg.problem, cfg.tree_model()).to_solution_grid()
+        paths.validate()
+        k_t = paths.weights @ paths.K[:, -1]
+        assert k_t > 0.0
+        # norm_report's k_t_sq is weights @ K[:, -1]**2
+        want = {"root_value": paths.root_value(), "k_t_mean": k_t, **norm_report(paths, cfg.marks)}
+        got = {key: summary[key] for key in ("root_value", "k_t_mean")} | summary["norms"]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            np.testing.assert_allclose(got[key], value, rtol=1e-12, atol=0, err_msg=key)
+        assert summary["min_y"] == float(paths.Y.min())
+        assert summary["skorokhod_max"] == float(skorokhod_check(paths).max())
+        assert summary["validators"]["solution_valid"]
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 0), (1, 2)])
+    def test_lattice_csv_reads_back_every_slice_and_path(self, tmp_path, d, m):
+        cfg = config_from_dict(tree_solve(3, d, m, formats=("csv",)))
+        _, _, written = run_pipeline(cfg, out_dir=str(tmp_path))
+        assert sorted(os.path.basename(p) for p in written) == ["lattice.csv", "manifest.json"]
+        header, columns = read_lattice_csv(tmp_path / "lattice.csv")
+        zs, us = [f"z{c}" for c in range(1, d + 1)], [f"u{k}" for k in range(1, m + 1)]
+        coords = [f"w{c}_minus" for c in range(1, d + 1)] + [f"j{k}" for k in range(1, m + 1)]
+        assert header == ["slice", *coords, "b_column", "prob", "y", *zs, *us, "dk", "s"]
+        col = dict(zip(header, columns))
+        tree = cfg.tree_model()
+        want = solve_tree_exact(cfg.problem, tree)
+        N = cfg.grid.N
+        assert len(col["slice"]) == tree.total_states()
+        slices = {name: [] for name in ("Y", "Z", "U", "dK", "S")}
+        for i in range(N + 1):
+            at, shape = col["slice"] == i, tree.slice_shape(i)
+            node = np.stack([col[name][at] for name in coords + ["b_column"]])
+            np.testing.assert_array_equal(node, np.indices(shape).reshape(len(shape), -1))
+            assert np.array_equal(col["prob"][at], tree.state_probs(i).ravel())
+            slices["Y"].append(col["y"][at].reshape(shape))
+            for name, parts in (("Z", zs), ("U", us)):
+                values = np.array([col[c][at] for c in parts]).T
+                slices[name].append(values.reshape(shape + (len(parts),)))
+            slices["S"].append(col["s"][at].reshape(shape))
+            if i < N:
+                slices["dK"].append(col["dk"][at].reshape(shape))
+            else:
+                assert not col["dk"][at].any()
+        for name, got in slices.items():
+            for a, b in zip(got, getattr(want, name), strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b), name
+        back = TreeSolution(cfg.problem, tree, **slices)
+        for a, b in zip(
+            solution_csv_rows(back.to_solution_grid()).columns,
+            solution_csv_rows(want.to_solution_grid()).columns,
+        ):
+            assert np.array_equal(a, b)
+
+    def test_run_pipeline_builds_no_path(self, tmp_path, monkeypatch):
+        calls = []
+        real = TreeSolution.to_solution_grid
+
+        def to_solution_grid(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TreeSolution, "to_solution_grid", to_solution_grid)
+        cfg = config_from_dict(tree_solve(4, formats=("csv", "json")))
+        ok, _, written = run_pipeline(cfg, out_dir=str(tmp_path))
+        assert ok and len(written) == 3
+        assert calls == []

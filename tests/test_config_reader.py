@@ -204,3 +204,22 @@ def test_validate_config_refuses_a_jump_mean_the_gaussian_sampler_cannot_draw(
     data["marks"]["intensities"] = [1.0e9]
     path.write_text(yaml.safe_dump(data))
     assert main(["validate-config", str(path)]) == 0
+
+
+def test_validate_config_refuses_a_tree_over_its_state_budget(tmp_path, capsys):
+    # N = 40, d = 1, one mark: sum over slices of (i+1)**2 * 2**(40-i) nodes
+    data = {
+        **minimal(),
+        "grid": {"T": 0.5, "N": 40},
+        "marks": {"values": [1.0], "intensities": [0.4]},
+        "scheme": {"tree_max_steps": 40},
+    }
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "tree budget exceeded: 13194139531461 lattice nodes > 4000000" in err
+    # an lsmc solve builds no tree, so the tree budget does not bind
+    data["scheme"]["solver"] = "lsmc"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", str(path)]) == 0

@@ -15,7 +15,6 @@ from rbdsdep.drivers import (
     build_time_grid,
     empty_marks,
     enumerate_scenarios,
-    scenario_csv_rows,
     simulate_scenarios,
 )
 from rbdsdep.errors import ConfigError, SolverError
@@ -404,11 +403,3 @@ class TestScenarioSetValidation:
                 dB=np.zeros((4, 2)),
                 jump_counts=np.zeros((4, 2, 0)),
             )
-
-    def test_csv_rows(self):
-        grid = build_time_grid(1.0, 2)
-        scen = simulate_scenarios(grid, 2, MARKS, 3, seed=7)
-        rows = list(scenario_csv_rows(scen))
-        assert rows[0] == ["path", "step", "dw1", "dw2", "db", "jumps1"]
-        assert len(rows) == 1 + 3 * 2
-        assert rows[1][0] == 0 and rows[1][1] == 0
