@@ -425,23 +425,26 @@ def norm_report(sol: SolutionGrid, marks: MarkSpace) -> dict:
 
 def integrand_norms(tree: TreeModel, Z, U):
     """(sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt) over the slices i < N
-    of slice-indexed integrands, as weighted slice sums."""
+    of slice-indexed integrands, carried backward like the solve: the sum
+    from slice i on is |Z_i|^2 plus E_i of the sum from slice i+1 on, and
+    the norms are its slice-0 means times dt."""
     lam, dt = tree.marks.intensities, tree.grid.dt
-    z_norm = u_norm = 0.0
-    for i in range(tree.grid.N):
-        z_norm += float(tree.weighted_sum(i, (Z[i] ** 2).sum(axis=-1)))
-        u_norm += float(tree.weighted_sum(i, (lam * U[i] ** 2).sum(axis=-1)))
-    return z_norm * dt, u_norm * dt
+    z_sum = u_sum = np.zeros(tree.slice_shape(tree.grid.N))
+    for i in range(tree.grid.N - 1, -1, -1):
+        z_sum = (Z[i] ** 2).sum(axis=-1) + tree.step_mean(i, z_sum)
+        u_sum = (lam * U[i] ** 2).sum(axis=-1) + tree.step_mean(i, u_sum)
+    return float(z_sum.mean()) * dt, float(u_sum.mean()) * dt
 
 
 def tree_norm_report(sol: TreeSolution) -> dict:
     """``norm_report``'s squared norms computed on the tree slices.
 
-    The Z and U norms are weighted slice sums and E K_T^2 comes from
-    ``TreeSolution.k_moments``.  E sup Y^2 is a path functional: it is
-    gathered only when the tree has at most MAX_PATHS paths; otherwise it
-    is None and "sup_y_sq_skipped" says why.  The norms of a solution that
-    fails ``TreeSolution.validate`` may be non-finite.
+    The Z and U norms come from ``integrand_norms`` and E K_T^2 from
+    ``TreeSolution.k_moments``, both carried backward.  E sup Y^2 is a
+    path functional: it is gathered only when its running max runs over
+    at most MAX_PATHS histories (``TreeModel.history_count``); otherwise
+    it is None and "sup_y_sq_skipped" says why.  The norms of a solution
+    that fails ``TreeSolution.validate`` may be non-finite.
     """
     z_norm, u_norm = integrand_norms(sol.tree, sol.Z, sol.U)
     report = {
@@ -450,11 +453,11 @@ def tree_norm_report(sol: TreeSolution) -> dict:
         "u_norm_sq": u_norm,
         "k_t_sq": sol.k_moments()[1],
     }
-    paths = sol.tree.path_count()
+    paths = sol.tree.history_count()
     if paths <= MAX_PATHS:
         report["sup_y_sq"] = sol.sup_y_sq()
     else:
         report["sup_y_sq_skipped"] = (
-            f"E sup Y^2 is a path functional; the tree has {paths} paths (> {MAX_PATHS})"
+            f"E sup Y^2 is a path functional; it gathers {paths} paths (> {MAX_PATHS})"
         )
     return report

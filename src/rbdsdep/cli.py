@@ -54,6 +54,10 @@ from .table import CsvTable
 SKOROKHOD_TOL = 1e-10
 BALANCE_TOL = 1e-9
 
+#: report schemas past v1: lattice.csv v2 has one row per stored node,
+#: one B column per lattice point when the tree's B axis is collapsed
+SCHEMA_VERSIONS = {"lattice": 2}
+
 
 #: rows formatted and written per chunk of a streamed CSV report
 CSV_BLOCK_ROWS = 8192
@@ -278,13 +282,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, threads=1, verbose=False):
             continue
         path = os.path.join(out_dir, name)
         stem = name.rsplit(".", 1)[0]
+        schema = f"rbdsdep.{stem}.v{SCHEMA_VERSIONS.get(stem, 1)}"
         if name.endswith(".csv"):
-            _write_csv(
-                path, content, f"rbdsdep.{stem}.v1", cfg.config_hash
-            )
+            _write_csv(path, content, schema, cfg.config_hash)
         else:
             content = dict(content)
-            content["schema"] = f"rbdsdep.{stem}.v1"
+            content["schema"] = schema
             _write_json(path, content)
         written.append(path)
     manifest = {

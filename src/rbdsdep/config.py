@@ -27,7 +27,7 @@ from .drivers import (
 )
 from .errors import ConfigError
 from .generator import EnvelopeParams, GeneratorSpec
-from .solver import ProblemSpec, SchemeParams, TreeModel
+from .solver import ProblemSpec, SchemeParams, TreeModel, b_axis_for
 
 PIPELINES = (
     "solve",
@@ -62,7 +62,9 @@ scheme:      solver (tree | lsmc, default tree),
              max_condition (number > 0, default 1e14),
              tree_max_steps (integer >= 1, default 6),
              tree_max_states (integer >= 1, default 4000000; counts the
-             nodes of the recombining (W, J) lattice, summed over slices)
+             stored tree nodes, (W, J) lattice points times B columns,
+             summed over slices; a g that is the constant 0 stores one
+             B column, and `0*y` does not: see rbdsdep.TreeModel)
 envelope:    box (mapping axis -> [lo, hi]; axes y, z1..zd, u1..um),
              grid_points (integer >= 2, default 201),
              ns (non-empty list of numbers >= 1, default [1, 2, 4, 8, 16])
@@ -247,6 +249,7 @@ class ExperimentConfig:
             self.marks,
             max_steps=self.tree_max_steps,
             max_states=self.tree_max_states,
+            b_axis=b_axis_for(self.problem),
         )
 
 

@@ -16,12 +16,13 @@ Three pipelines, one per construction:
 
 Every solution of a run (each per-n solution, the upper bound V and the
 bracketing anchors) is checked node-wise against the reflection
-invariants on its tree slices, and the report norms are exact weighted
-slice sums; only E sup Y^2 is gathered over paths, within the
-``MAX_PATHS`` budget.  The run keeps the tree solutions; their path views
-are materialised on first access.  Premise checks (growth, contraction,
-modulus) are sampling certificates on documented clouds; a failed
-certificate aborts the run before any solve.
+invariants on its tree slices, and the report norms are exact
+expectations carried backward over the slices; only E sup Y^2 is
+gathered over paths, within the ``MAX_PATHS`` budget.  The run keeps
+the tree solutions; their path views are materialised on first access.
+Premise checks (growth, contraction, modulus) are sampling certificates
+on documented clouds; a failed certificate aborts the run before any
+solve.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from .drivers import (
     check_two_point_law,
 )
 from .errors import ConfigError, SolverError
-from .expr import EvalContext, evaluate, variables
+from .expr import EvalContext, Num, evaluate, variables
 from .generator import GeneratorSpec, ensure_expr
 from .table import CsvTable
 
@@ -286,24 +286,55 @@ def lattice_csv_rows(sol: TreeSolution) -> CsvTable:
     return CsvTable(header, [np.concatenate(column) for column in zip(*slices)])
 
 
+#: values of ``TreeModel.b_axis``
+B_AXES = ("exhaustive", "collapsed")
+
+
+def b_axis_for(problem: ProblemSpec) -> str:
+    """The B axis a problem's own tree uses: collapsed exactly when g
+    parses to the constant 0 (see ``TreeModel``)."""
+    g = problem.generator.g
+    return "collapsed" if isinstance(g, Num) and g.value == 0.0 else "exhaustive"
+
+
 @dataclass(frozen=True)
 class TreeModel:
     """The recombining two-point lattice: its budget, its node layout and
     its backward step.
 
     Histories with equal W and jump counts share a node (the recombination
-    of Cox, Ross and Rubinstein); only the future B signs stay exponential,
-    as g*dB_i makes Y depend on their order.  Slice i holds arrays shaped
-    (i+1,)*d + (i+1,)*m + (2**(N-i),), plus a component axis for Z and U:
-    per W component the count k_c of minus signs in steps 0..i-1 (w_c =
-    (i - 2*k_c)*sqrt(dt)), per mark its jump count, and the B signs of
-    steps i..N-1 as digits, step i the most significant, + as digit 0.
-    dK has one slice per step i < N.  Full paths, in
-    ``enumerate_scenarios``' order, are gathers of lattice values.
+    of Cox, Ross and Rubinstein).  Slice i holds arrays shaped
+    (i+1,)*d + (i+1,)*m + (b_columns(i),), plus a component axis for Z and
+    U: per W component the count k_c of minus signs in steps 0..i-1 (w_c =
+    (i - 2*k_c)*sqrt(dt)), per mark its jump count, then the B axis.  dK
+    has one slice per step i < N.  Full paths, in ``enumerate_scenarios``'
+    order, are gathers of lattice values.
+
+    The B axis is one of ``B_AXES``:
+
+    * exhaustive: all 2**(N-i) future B sign patterns of steps i..N-1 as
+      digits, step i the most significant, + as digit 0.  g*dB_i makes Y
+      depend on their order, so they do not recombine.
+    * collapsed: one column.  B enters only through g*dB, and the
+      expression grammar has no B variable, so with g = 0 no value
+      depends on B.  ``b_axis_for`` chooses it exactly when g parses to
+      the constant 0 (the config default); a g that is zero only in
+      value, such as ``0*y``, stays exhaustive.  The config's tree and
+      ``solve_tree_exact``'s default tree use ``b_axis_for``; a tree
+      built by hand is exhaustive unless it says otherwise, and
+      ``expectation`` refuses a g that is not exactly 0 on a collapsed
+      axis.  The path views spread the one column over every B sign,
+      so they read the same on both axes.  ``lattice.csv`` (schema
+      ``rbdsdep.lattice.v2``) writes one row per stored node: its
+      ``b_column`` is 0 and its ``prob`` the lattice point's.
+
+    Only ``b_columns``, ``_onto_b_columns`` and ``_history_weights``
+    branch on the axis; the rest of the layout reads ``b_columns``.
 
     max_steps guards the default desk scale; max_states bounds the stored
-    lattice nodes.  The step probabilities are built on first use, after
-    ``ensure_budget``; ``==`` and the hash read the five fields only.
+    lattice nodes (lattice points times B columns, summed over slices).
+    The step probabilities are built on first use, after
+    ``ensure_budget``; ``==`` and the hash read the six fields only.
     """
 
     grid: TimeGrid
@@ -311,10 +342,13 @@ class TreeModel:
     marks: MarkSpace
     max_steps: int = 6
     max_states: int = 4_000_000
+    b_axis: str = "exhaustive"
 
     def __post_init__(self):
         if self.dim_d < 1:
             raise ConfigError(f"dim_d must be >= 1, got {self.dim_d}")
+        if self.b_axis not in B_AXES:
+            raise ConfigError(f"b_axis must be one of {B_AXES}, got {self.b_axis!r}")
         if self.grid.N > self.max_steps:
             raise ConfigError(
                 f"tree depth N = {self.grid.N} exceeds max_steps = {self.max_steps}; "
@@ -327,9 +361,13 @@ class TreeModel:
         """Axes of a slice before any z/u component axis: d + m + 1."""
         return self.dim_d + self.marks.m + 1
 
+    def b_columns(self, i: int) -> int:
+        """Stored B columns of slice i: 2**(N-i) exhaustive, 1 collapsed."""
+        return 1 if self.b_axis == "collapsed" else 2 ** (self.grid.N - i)
+
     def slice_shape(self, i: int):
-        """(W minus counts..., jump counts..., future B signs) of slice i."""
-        return (i + 1,) * (self.node_axes - 1) + (2 ** (self.grid.N - i),)
+        """(W minus counts..., jump counts..., B columns) of slice i."""
+        return (i + 1,) * (self.node_axes - 1) + (self.b_columns(i),)
 
     def slice_states(self, i: int) -> int:
         return math.prod(self.slice_shape(i))
@@ -341,12 +379,17 @@ class TreeModel:
         """Full paths: every W, jump and B history of N steps."""
         return 2 ** (self.node_axes * self.grid.N)
 
+    def history_count(self) -> int:
+        """Histories ``TreeSolution.sup_y_sq`` carries its running max on:
+        every full path, or on a collapsed axis every W and jump history."""
+        return self.path_count() // 2**self.grid.N * self.b_columns(0)
+
     def ensure_budget(self):
         total = self.total_states()
         if total > self.max_states:
             raise SolverError(
                 f"tree budget exceeded: {total} lattice nodes > {self.max_states}; "
-                "use solve_lsmc for this problem size"
+                "raise scheme.tree_max_states or lower grid.N"
             )
 
     @cached_property
@@ -387,6 +430,31 @@ class TreeModel:
             values = hi - lo if axis == diff_axis else (1.0 - p) * lo + p * hi
         return values
 
+    def _onto_b_columns(self, mean: np.ndarray, g1: Optional[np.ndarray] = None) -> np.ndarray:
+        """A step mean of slice-(i+1) values put onto slice i's B columns,
+        plus g*dB_i when g1, g on slice i+1, is given.
+
+        Exhaustive: the step-i B sign is the high digit of slice i's B
+        axis, + first, then -, so mean is repeated once per sign, plus
+        that sign times sqrt(dt)*E_i[g].  Collapsed: mean is slice i's one
+        column; there is no dB term, so g1 must be exactly 0."""
+        if self.b_axis == "collapsed":
+            if g1 is not None and np.any(g1 != 0.0):
+                raise SolverError(
+                    "g is not 0 on a tree with a collapsed B axis; "
+                    "solve it on an exhaustive one"
+                )
+            return mean
+        axis = self.node_axes - 1
+        if g1 is None:
+            return np.concatenate((mean, mean), axis=axis)
+        g_db = np.sqrt(self.grid.dt) * self._step_mean(g1)
+        return np.concatenate((mean + g_db, mean - g_db), axis=axis)
+
+    def step_mean(self, i: int, values: np.ndarray) -> np.ndarray:
+        """E_i of slice-(i+1) node values (no component axis), on slice i."""
+        return self._onto_b_columns(self._step_mean(values))
+
     def expectation(self, i: int, y1, z1, u1, f_fn, g_fn) -> np.ndarray:
         """E_i[Y_{i+1} + f*dt + g*dB_i] on slice i, with f and g evaluated
         on the slice-(i+1) values (y1, z1, u1)."""
@@ -394,10 +462,7 @@ class TreeModel:
         f1, g1 = _coefficient_values(
             (f_fn, g_fn), i + 1, t_next, y1, z1, u1, *self.context(i + 1)
         )
-        EA = self._step_mean(y1 + f1 * dt)
-        g_db = np.sqrt(dt) * self._step_mean(g1)
-        # the step-i B sign is the high digit of the B axis: + first, then -
-        return np.concatenate((EA + g_db, EA - g_db), axis=-1)
+        return self._onto_b_columns(self._step_mean(y1 + f1 * dt), g1)
 
     def integrands(self, i: int, y1) -> tuple:
         """(Z_i, U_i) on slice i: E_i[Y_{i+1} dW_i] / dt and E_i[Y_{i+1}
@@ -407,33 +472,15 @@ class TreeModel:
         d = self.dim_d
         scale = [-0.5 / np.sqrt(self.grid.dt)] * d + [1.0] * self.marks.m
         zu = np.stack([self._step_mean(y1, a) * c for a, c in enumerate(scale)], axis=-1)
-        zu = np.concatenate((zu, zu), axis=-2)
+        zu = self._onto_b_columns(zu)
         return zu[..., :d].copy(), zu[..., d:].copy()
 
     def state_probs(self, i: int) -> np.ndarray:
         """Exact probability of each slice-i node, as a read-only
-        broadcast; sums to one."""
-        pb = self._points[i][2] * 0.5 ** (self.grid.N - i)
+        broadcast; sums to one.  A collapsed B column carries its lattice
+        point's whole probability."""
+        pb = self._points[i][2] / self.b_columns(i)
         return np.broadcast_to(pb, self.slice_shape(i))
-
-    def weighted_sum(self, i: int, values: np.ndarray):
-        """Weighted slice sum: sum over the slice-i nodes of state_probs(i)
-        times values, one sum per trailing z/u component if any."""
-        return np.tensordot(self.state_probs(i), values, axes=self.node_axes)
-
-    def forward(self, i: int, mass: np.ndarray) -> np.ndarray:
-        """Probability-weighted slice-i values carried to slice i+1: summed
-        over the step-i B sign, which slice i+1 no longer holds, then split
-        onto each node's children with the step probabilities and summed
-        at each child over its parents."""
-        n = mass.shape[-1]
-        # the step-i B sign is the high digit of the B axis: + first, then -
-        mass = mass[..., : n // 2] + mass[..., n // 2 :]
-        for axis, p in enumerate(self._axis_probs):
-            zero = np.zeros_like(np.take(mass, [0], axis=axis))
-            stay, move = np.concatenate((mass, zero), axis), np.concatenate((zero, mass), axis)
-            mass = (1.0 - p) * stay + p * move
-        return mass
 
     @cached_property
     def _history_nodes(self):
@@ -455,26 +502,39 @@ class TreeModel:
 
     def _on_histories(self, i: int, values: np.ndarray) -> np.ndarray:
         """Slice-i values, with any trailing z/u axis, gathered onto (W
-        history, jump history, future B signs)."""
-        shape = ((i + 1) ** (self.node_axes - 1), 2 ** (self.grid.N - i))
+        history, jump history, stored B columns)."""
+        shape = ((i + 1) ** (self.node_axes - 1), self.b_columns(i))
         return values.reshape(shape + values.shape[self.node_axes :])[self._history_nodes[i]]
 
     def on_paths(self, i: int, values: np.ndarray) -> np.ndarray:
         """Slice-i values, with any trailing z/u axis, copied onto every
-        full path: shape (paths,) + trailing axes."""
+        full path: shape (paths,) + trailing axes.  A collapsed B column
+        is copied onto every future B sign."""
         nw, nj, lost = 2**self.dim_d, 2**self.marks.m, self.grid.N - i
-        a, b, n, rest = nw**i, nj**i, 2**lost, values.shape[self.node_axes :]
-        cube = (a, nw**lost, b, nj**lost, 2**i, n)
+        a, b, n, rest = nw**i, nj**i, self.b_columns(i), values.shape[self.node_axes :]
+        cube = (a, nw**lost, b, nj**lost, 2**i, 2**lost)
         nodes = self._on_histories(i, values).reshape((a, 1, b, 1, 1, n) + rest)
         return np.broadcast_to(nodes, cube + rest).reshape((math.prod(cube),) + rest)
 
-    def path_weights(self) -> np.ndarray:
-        """Probability of each full path: 1/2 per W and B sign, and
-        lambda_k*dt or 1 - lambda_k*dt per step of mark k."""
+    def _w_j_weights(self) -> np.ndarray:
+        """Probability of each W and jump history of N steps, on slice N's
+        lattice points: 1/2 per W sign, and lambda_k*dt or 1 - lambda_k*dt
+        per step of mark k."""
         N, (_, j) = self.grid.N, self.context(self.grid.N)
         lam_dt = self.marks.intensities * self.grid.dt
-        one = (lam_dt**j * (1.0 - lam_dt) ** (N - j)).prod(axis=-1)
-        return self.on_paths(N, one * 0.5 ** ((self.dim_d + 1) * N))
+        return (lam_dt**j * (1.0 - lam_dt) ** (N - j)).prod(axis=-1) * 0.5 ** (self.dim_d * N)
+
+    def path_weights(self) -> np.ndarray:
+        """Probability of each full path: that of its W and jump history
+        times 1/2 per B sign."""
+        return self.on_paths(self.grid.N, self._w_j_weights() * 0.5**self.grid.N)
+
+    def _history_weights(self) -> np.ndarray:
+        """Probability of each of the ``history_count`` histories, in the
+        order of ``TreeSolution.sup_y_sq``'s running max."""
+        if self.b_axis == "collapsed":
+            return self._on_histories(self.grid.N, self._w_j_weights()).reshape(-1)
+        return self.path_weights()
 
 
 @dataclass
@@ -520,32 +580,33 @@ class TreeSolution:
         return self
 
     def k_moments(self):
-        """(E[K_T], E[K_T^2]) by a forward pass over q1 = E[K_i; node] and
-        q2 = E[K_i^2; node]: K_{i+1} = K_i + dK_i, so (q1, q2) <- (q1 +
-        p*dK_i, q2 + 2*q1*dK_i + p*dK_i^2), p the node's probability, then
-        ``TreeModel.forward`` sums them over each child's parents."""
+        """(E[K_T], E[K_T^2]), carried backward like the solve: with A_i =
+        E_i[K_T - K_i] and B_i = E_i[(K_T - K_i)^2], A_i = dK_i +
+        E_i[A_{i+1}] and B_i = dK_i^2 + 2*dK_i*E_i[A_{i+1}] + E_i[B_{i+1}];
+        the moments are the slice-0 means."""
         tree = self.tree
-        q1 = q2 = np.zeros(tree.slice_shape(0))
-        for i, dk in enumerate(self.dK):
-            p = tree.state_probs(i)
-            q1, q2 = q1 + p * dk, q2 + 2.0 * q1 * dk + p * dk * dk
-            q1, q2 = tree.forward(i, q1), tree.forward(i, q2)
-        return float(q1.sum()), float(q2.sum())
+        a = b = np.zeros(tree.slice_shape(self.grid.N))
+        for i in range(self.grid.N - 1, -1, -1):
+            dk, ea = self.dK[i], tree.step_mean(i, a)
+            a, b = dk + ea, dk * dk + 2.0 * dk * ea + tree.step_mean(i, b)
+        return float(a.mean()), float(b.mean())
 
     def sup_y_sq(self) -> float:
         """E[max_i Y_i^2] over the full paths, the one path functional of
         the sequence reports.  The running max of Y^2 is carried on (W
-        history, jump history, all N B signs): each history's max splits
-        into its W and jump children and meets their lattice Y^2."""
+        history, jump history, past B signs, stored B columns): each
+        history's max splits into its W and jump children and meets their
+        lattice Y^2.  On a collapsed B axis there are no B signs to carry,
+        so it runs over the W and jump histories alone."""
         tree, N = self.tree, self.grid.N
         nw, nj = 2**tree.dim_d, 2**tree.marks.m
         top = self.Y[0] ** 2
         for i in range(N):
-            a, b, n = nw**i, nj**i, 2 ** (N - i)
-            kids = tree._on_histories(i + 1, self.Y[i + 1] ** 2).reshape(a, nw, b, nj, 1, n // 2)
-            # the step-i B sign moves from the future axis to the past one
-            top = np.maximum(top.reshape(a, 1, b, 1, 2 ** (i + 1), n // 2), kids)
-        return float(tree.path_weights() @ top.reshape(-1))
+            a, b, n = nw**i, nj**i, tree.b_columns(i + 1)
+            kids = tree._on_histories(i + 1, self.Y[i + 1] ** 2).reshape(a, nw, b, nj, 1, n)
+            # an exhaustive step-i B sign moves from the future axis to the past one
+            top = np.maximum(top.reshape(a, 1, b, 1, tree.b_columns(0) // n, n), kids)
+        return float(tree._history_weights() @ top.reshape(-1))
 
     def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
         """Materialize every full history as a weighted path, in the path
@@ -625,13 +686,13 @@ def solve_tree_exact(
 ) -> TreeSolution:
     """Exact dynamic programming over every two-point branch.
 
-    tree defaults to the problem's own with the default budget.  f_fn and
-    g_fn default to the problem's parsed coefficients; schemes pass
-    wrapped callables (envelopes, frozen iterates, growth bounds) with the
-    same signature.
+    tree defaults to the problem's own with the default budget and the B
+    axis of ``b_axis_for``.  f_fn and g_fn default to the problem's parsed
+    coefficients; schemes pass wrapped callables (envelopes, frozen
+    iterates, growth bounds) with the same signature.
     """
     if tree is None:
-        tree = TreeModel(problem.grid, problem.dim_d, problem.marks)
+        tree = TreeModel(problem.grid, problem.dim_d, problem.marks, b_axis=b_axis_for(problem))
     if tree.grid != problem.grid:
         raise SolverError("tree grid differs from the problem grid")
     if tree.dim_d != problem.dim_d:

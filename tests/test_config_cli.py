@@ -273,7 +273,7 @@ class TestCli:
         main(["run", "--config", path, "--out", str(out_dir)])
         cfg = load_config(path)
         first = (out_dir / "lattice.csv").read_text().splitlines()[0]
-        assert first == f"# schema=rbdsdep.lattice.v1 config_hash={cfg.config_hash}"
+        assert first == f"# schema=rbdsdep.lattice.v2 config_hash={cfg.config_hash}"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path, SNELL)
@@ -460,17 +460,20 @@ ONE_MARK = {"values": [1.0], "intensities": [0.4]}
 
 
 def sequence_beyond_the_path_budget(pipeline: str) -> dict:
-    """N = 8, d = 1, one mark: 130816 tree states, well inside the state
-    budget, but 2**24 = 16777216 full paths, past MAX_PATHS."""
+    """d = 1, one mark, well inside the state budget, but E sup Y^2 would
+    gather 2**24 = 16777216 paths, past MAX_PATHS: at N = 8 with g = 0.1*y
+    (130816 tree states, every full path), and at N = 12 with g = 0 (650
+    tree states on a collapsed B axis, every W and jump history)."""
     data = {
         "pipeline": pipeline,
         "grid": {"T": 0.5, "N": 8},
         "dims": {"d": 1},
         "marks": dict(ONE_MARK),
-        "scheme": {"tree_max_steps": 8},
+        "scheme": {"tree_max_steps": 12},
         "outputs": {"formats": ["csv", "json"]},
     }
     if pipeline == "bracketing":
+        data["grid"]["N"] = 12
         data["problem"] = {
             "f": "indicator_pos(y)", "g": "0", "pi": "0", "f_t": "1",
             "barrier": "-4", "terminal": "w1 + 0.2",
@@ -532,7 +535,7 @@ def read_lattice_csv(path):
     """The header row and the columns of a lattice.csv, each cell parsed
     back (integers for the slice and coordinates, floats for the rest)."""
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# schema=rbdsdep.lattice.v1 ")
+    assert lines[0].startswith("# schema=rbdsdep.lattice.v2 ")
     header = lines[1].split(",")
     cells = list(zip(*(line.split(",") for line in lines[2:])))
     ints = header.index("prob")
@@ -633,3 +636,24 @@ class TestTreeSolveOnTheLattice:
         ok, _, written = run_pipeline(cfg, out_dir=str(tmp_path))
         assert ok and len(written) == 3
         assert calls == []
+
+    @pytest.mark.parametrize("g, b_axis, rows", [("0", "collapsed", 140), ("0*y", "exhaustive", 685)])
+    def test_lattice_csv_has_one_row_per_stored_node(self, tmp_path, g, b_axis, rows):
+        """The bracketing benchmark's problem as a solve (N = 6, d = m = 1):
+        g = 0 stores one B column per lattice point, 0*y every B column."""
+        data = {
+            "grid": {"T": 0.5, "N": 6},
+            "marks": dict(ONE_MARK),
+            "problem": {"f": "indicator_pos(y)", "g": g, "barrier": "-4", "terminal": "w1 + 0.2"},
+            "outputs": {"formats": ["csv"]},
+        }
+        cfg = config_from_dict(data)
+        assert cfg.tree_model().b_axis == b_axis
+        run_pipeline(cfg, out_dir=str(tmp_path))
+        header, columns = read_lattice_csv(tmp_path / "lattice.csv")
+        col = dict(zip(header, columns))
+        assert len(col["slice"]) == rows == cfg.tree_model().total_states()
+        for i in range(7):
+            assert col["prob"][col["slice"] == i].sum() == pytest.approx(1.0, abs=1e-14)
+        if b_axis == "collapsed":
+            assert not col["b_column"].any()

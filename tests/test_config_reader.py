@@ -207,13 +207,15 @@ def test_validate_config_refuses_a_jump_mean_the_gaussian_sampler_cannot_draw(
 
 
 def test_validate_config_refuses_a_tree_over_its_state_budget(tmp_path, capsys):
-    # N = 40, d = 1, one mark: sum over slices of (i+1)**2 * 2**(40-i) nodes
+    # N = 40, d = 1, one mark, g = 0.1*y: sum over slices of (i+1)**2 *
+    # 2**(40-i) nodes
     data = {
         **minimal(),
         "grid": {"T": 0.5, "N": 40},
         "marks": {"values": [1.0], "intensities": [0.4]},
         "scheme": {"tree_max_steps": 40},
     }
+    data["problem"] = {**data["problem"], "g": "0.1*y"}
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(data))
     assert main(["validate-config", str(path)]) == 2
@@ -223,3 +225,21 @@ def test_validate_config_refuses_a_tree_over_its_state_budget(tmp_path, capsys):
     data["scheme"]["solver"] = "lsmc"
     path.write_text(yaml.safe_dump(data))
     assert main(["validate-config", str(path)]) == 0
+    # with g = 0 the tree stores one B column: sum of (i+1)**2, 23821 nodes
+    data["scheme"]["solver"] = "tree"
+    data["problem"]["g"] = "0"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", str(path)]) == 0
+
+
+def test_the_budget_refusal_names_its_key(tmp_path, capsys):
+    """compare has no LSMC form, so the refusal names the key to raise."""
+    data = {**ALL_KEYS, "grid": {"T": 0.5, "N": 40}}
+    data["scheme"] = {**ALL_KEYS["scheme"], "tree_max_steps": 40}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error[SolverError]: tree budget exceeded: " in err
+    assert "lattice nodes > 100000; raise scheme.tree_max_states" in err
+    assert "solve_lsmc" not in err

@@ -276,7 +276,7 @@ def _corrupt_solve(monkeypatch, call):
     def solve(*args, **kwargs):
         sol = real(*args, **kwargs)
         if len(calls) == call:
-            sol.dK[1].flat[2] = -1e-300
+            sol.dK[1].flat[1] = -1e-300
         calls.append(sol)
         return sol
 
@@ -291,7 +291,7 @@ class TestNodeChecksGateTheRun:
     @pytest.mark.parametrize("call", [0, 1, 2], ids=["lower_anchor", "upper_anchor", "iterate"])
     def test_bracketing_aborts(self, monkeypatch, call):
         _corrupt_solve(monkeypatch, call)
-        with pytest.raises(SolverError, match=r"negative dK at \(slice, node\) \(1, 2\)"):
+        with pytest.raises(SolverError, match=r"negative dK at \(slice, node\) \(1, 1\)"):
             run_bracketing_sequence(make_problem(**BRACKETING), ns_count=2)
 
     def test_upper_bound_v_aborts(self, monkeypatch):

@@ -397,15 +397,12 @@ class ExponentialTree(TreeModel):
         j_prob = self._histories[2][i]
         return np.broadcast_to(pw * pb * j_prob[None, :, None], self.slice_shape(i))
 
-    def forward(self, i, mass):
-        """Each node's mass, summed over the step-i B sign, split onto its
-        W and jump children, each of which has this one parent."""
+    def step_mean(self, i, values):
+        """E_i of slice-(i+1) values: the mean over each node's W and jump
+        children, the same for both step-i B signs."""
         _, _, pj = self._steps
-        a, b, n = self.slice_shape(i)
-        nw = 2**self.dim_d
-        mass = mass[:, :, : n // 2] + mass[:, :, n // 2 :]
-        kids = mass[:, None, :, None, :] * (pj[:, None] / nw)
-        return np.broadcast_to(kids, (a, nw, b, pj.size, n // 2)).reshape(self.slice_shape(i + 1))
+        mean = np.einsum("awbjn,j->abn", self.children(i, values), pj) / 2**self.dim_d
+        return np.concatenate((mean, mean), axis=2)
 
     def _on_histories(self, i, values):
         # a tree node already is a (W history, jump history, B signs) triple
@@ -504,6 +501,71 @@ class TestLatticeAgainstTheExponentialTree:
         for got, want in zip(lattice.report["norms"], tree.report["norms"]):
             for key in want:
                 np.testing.assert_allclose(got[key], want[key], rtol=1e-12, err_msg=key)
+
+
+COLLAPSE_CASES = [(d, m) for d in (1, 2) for m in (0, 1, 2)]
+
+
+def solve_on_both_b_axes(prob):
+    """The g = 0 problem on a collapsed and on an exhaustive B axis."""
+    args = (prob.grid, prob.dim_d, prob.marks)
+    return (
+        solve_tree_exact(prob, TreeModel(*args, b_axis="collapsed")),
+        solve_tree_exact(prob, TreeModel(*args)),
+    )
+
+
+class TestCollapsedBAxis:
+    """With g = 0 no value depends on B, so one B column per lattice point
+    holds the exhaustive slices exactly."""
+
+    @pytest.mark.parametrize("d,m", COLLAPSE_CASES)
+    def test_slices_equal_the_exhaustive_ones(self, d, m):
+        prob = oracle_case(d, m, with_g=False)
+        collapsed, full = solve_on_both_b_axes(prob)
+        assert solve_tree_exact(prob).tree == collapsed.tree
+        assert collapsed.tree.total_states() < full.tree.total_states()
+        assert max(float(dk.max()) for dk in full.dK) > 0.0
+        for name in ("Y", "Z", "U", "dK", "S"):
+            for i, (a, b) in enumerate(zip(getattr(collapsed, name), getattr(full, name), strict=True)):
+                assert a.shape[d + m] == 1, (name, i)
+                assert np.broadcast_to(a, b.shape).tobytes() == b.tobytes(), (name, i)
+
+    @pytest.mark.parametrize("d,m", COLLAPSE_CASES)
+    def test_path_views_are_bitwise_equal(self, d, m):
+        collapsed, full = solve_on_both_b_axes(oracle_case(d, m, with_g=False))
+        a, b = collapsed.to_solution_grid(), full.to_solution_grid()
+        for name in ("Y", "Z", "U", "K", "S", "weights"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @pytest.mark.parametrize("d,m", COLLAPSE_CASES)
+    def test_reports_agree(self, d, m):
+        collapsed, full = solve_on_both_b_axes(oracle_case(d, m, with_g=False))
+        assert collapsed.tree.history_count() * 2**full.grid.N == full.tree.history_count()
+        got, want = tree_norm_report(collapsed), tree_norm_report(full)
+        assert got.keys() == want.keys() and want["sup_y_sq"] is not None
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-13, atol=0, err_msg=key)
+        np.testing.assert_allclose(collapsed.k_moments(), full.k_moments(), rtol=1e-13, atol=0)
+        assert collapsed.root_value() == pytest.approx(full.root_value(), rel=1e-13, abs=0)
+        assert tree_balance_residual(collapsed) <= 1e-12
+
+    def test_only_the_constant_zero_collapses(self):
+        for g, axis in (("0", "collapsed"), ("0.0", "collapsed"), ("0*y", "exhaustive"), ("0.1*y", "exhaustive")):
+            assert solve_tree_exact(make_problem(g=g, N=2)).tree.b_axis == axis, g
+
+    def test_a_collapsed_axis_refuses_a_nonzero_g(self):
+        prob = make_problem(**dict(MIXED, g="0.1*y"))
+        tree = TreeModel(prob.grid, 1, MARKS, b_axis="collapsed")
+        with pytest.raises(SolverError, match="g is not 0"):
+            solve_tree_exact(prob, tree)
+        zero = make_problem(**dict(MIXED, g="0"))
+        with pytest.raises(SolverError, match="g is not 0"):
+            solve_tree_exact(zero, tree, g_fn=lambda i, t, y, z, u, w, j: 0.1 * y)
+
+    def test_unknown_b_axis_is_refused(self):
+        with pytest.raises(ConfigError, match="b_axis"):
+            TreeModel(build_time_grid(1.0, 2), 1, MARKS, b_axis="sampled")
 
 
 class TestTreeStructure:
