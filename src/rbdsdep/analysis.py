@@ -451,7 +451,7 @@ def tree_norm_report(sol: TreeSolution) -> dict:
         "sup_y_sq": None,
         "z_norm_sq": z_norm,
         "u_norm_sq": u_norm,
-        "k_t_sq": sol.k_moments()[1],
+        "k_t_sq": sol.k_moments[1],
     }
     paths = sol.tree.history_count()
     if paths <= MAX_PATHS:

@@ -49,7 +49,7 @@ from .solver import (
     solve_tree_exact,
     tree_balance_residual,
 )
-from .table import CsvTable
+from .table import CSV_BLOCK_ROWS, CsvTable
 
 SKOROKHOD_TOL = 1e-10
 BALANCE_TOL = 1e-9
@@ -59,24 +59,12 @@ BALANCE_TOL = 1e-9
 SCHEMA_VERSIONS = {"lattice": 2}
 
 
-#: rows formatted and written per chunk of a streamed CSV report
-CSV_BLOCK_ROWS = 8192
-
-
-def _bool_cell(value) -> str:
-    return "true" if value else "false"
-
-
-#: cell text by column dtype kind: shortest round-trip repr for floats
-_CELL_FORMAT = {"b": _bool_cell, "i": str, "u": str, "f": repr}
-
-
 @contextlib.contextmanager
 def _atomic_open(path: str):
-    """Text file handle on a temp file that replaces path on success."""
+    """Binary file handle on a temp file that replaces path on success."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -86,16 +74,11 @@ def _atomic_open(path: str):
 
 def _write_csv(path: str, table: CsvTable, schema: str, config_hash: str):
     """Stream a column table as CSV, CSV_BLOCK_ROWS rows at a time."""
-    formats = [_CELL_FORMAT[c.dtype.kind] for c in table.columns]
     with _atomic_open(path) as fh:
-        fh.write(f"# schema={schema} config_hash={config_hash}\n")
-        fh.write(",".join(table.header) + "\n")
+        head = f"# schema={schema} config_hash={config_hash}\n{','.join(table.header)}\n"
+        fh.write(head.encode())
         for start in range(0, table.row_count, CSV_BLOCK_ROWS):
-            cells = [
-                map(fmt, c[start : start + CSV_BLOCK_ROWS].tolist())
-                for fmt, c in zip(formats, table.columns)
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(table.encode(start, start + CSV_BLOCK_ROWS))
 
 
 def _json_default(value):
@@ -113,7 +96,7 @@ def _json_default(value):
 def _write_json(path: str, obj):
     text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
     with _atomic_open(path) as fh:
-        fh.write(text + "\n")
+        fh.write((text + "\n").encode())
 
 
 def _scenarios_for(cfg: ExperimentConfig):
@@ -143,7 +126,7 @@ def _tree_summary(sol) -> dict:
     """Summary of an exact tree solution, from its lattice slices."""
     return {
         "root_value": sol.root_value(),
-        "k_t_mean": sol.k_moments()[0],
+        "k_t_mean": sol.k_moments[0],
         "min_y": min(float(y.min()) for y in sol.Y),
         "norms": tree_norm_report(sol),
         "skorokhod_max": max(

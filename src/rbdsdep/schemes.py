@@ -484,7 +484,7 @@ def sequence_csv_rows(run: SequenceRun) -> CsvTable:
     columns = [
         run.index_set,
         run.y0_series,
-        [ts.k_moments()[0] for ts in run.tree_solutions],
+        [ts.k_moments[0] for ts in run.tree_solutions],
         [nr["z_norm_sq"] for nr in norms],
         [nr["u_norm_sq"] for nr in norms],
         run.report["row_margins"],

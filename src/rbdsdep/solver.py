@@ -36,7 +36,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -579,11 +579,13 @@ class TreeSolution:
             _raise_at((y - s) * dk != 0.0, "reflection is not complementary", i, axes)
         return self
 
-    def k_moments(self):
+    @cached_property
+    def k_moments(self) -> Tuple[float, float]:
         """(E[K_T], E[K_T^2]), carried backward like the solve: with A_i =
         E_i[K_T - K_i] and B_i = E_i[(K_T - K_i)^2], A_i = dK_i +
         E_i[A_{i+1}] and B_i = dK_i^2 + 2*dK_i*E_i[A_{i+1}] + E_i[B_{i+1}];
-        the moments are the slice-0 means."""
+        the moments are the slice-0 means.  One backward pass per
+        solution, on first use: the reports read both moments."""
         tree = self.tree
         a = b = np.zeros(tree.slice_shape(self.grid.N))
         for i in range(self.grid.N - 1, -1, -1):

@@ -346,7 +346,7 @@ class TestSliceFormsAgainstPaths:
         assert set(got) == set(want)
         for key, value in want.items():
             np.testing.assert_allclose(got[key], value, rtol=1e-12, atol=0, err_msg=key)
-        np.testing.assert_allclose(sol.k_moments()[0], k_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sol.k_moments[0], k_mean, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("d,m", SLICE_CASES)
     def test_successive_diffs(self, d, m):

@@ -1,5 +1,6 @@
 """Configuration loading, validation, hashing, and the command line."""
 
+import functools
 import json
 import os
 import shutil
@@ -657,3 +658,36 @@ class TestTreeSolveOnTheLattice:
             assert col["prob"][col["slice"] == i].sum() == pytest.approx(1.0, abs=1e-14)
         if b_axis == "collapsed":
             assert not col["b_column"].any()
+
+
+class TestKMomentsOncePerSolution:
+    def test_bracketing_run_carries_k_backward_once_per_iterate(self, tmp_path, monkeypatch):
+        """sequence.csv's k_t_mean and sequence.json's k_t_sq read the two
+        moments of one backward pass per iterate (the bracketing
+        benchmark's problem, N = 6, five iterates)."""
+        passes = []
+        real = TreeSolution.__dict__["k_moments"].func
+
+        def counted(sol):
+            passes.append(sol)
+            return real(sol)
+
+        moments = functools.cached_property(counted)
+        moments.__set_name__(TreeSolution, "k_moments")
+        monkeypatch.setattr(TreeSolution, "k_moments", moments)
+        data = {
+            "pipeline": "bracketing",
+            "grid": {"T": 0.5, "N": 6},
+            "marks": dict(ONE_MARK),
+            "problem": {
+                "f": "indicator_pos(y)", "g": "0", "pi": "0", "f_t": "1",
+                "barrier": "-4", "terminal": "w1 + 0.2",
+            },
+            "bracketing": {"count": 5},
+            "outputs": {"formats": ["csv", "json"]},
+        }
+        ok, _, _ = run_pipeline(config_from_dict(data), out_dir=str(tmp_path))
+        iterates = (tmp_path / "sequence.csv").read_text().splitlines()[2:]
+        assert ok and len(iterates) >= 3
+        assert len(passes) == len(iterates)
+        assert len({id(sol) for sol in passes}) == len(passes)

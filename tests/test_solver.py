@@ -467,7 +467,7 @@ class TestLatticeAgainstTheExponentialTree:
         want, got = tree_norm_report(tree), tree_norm_report(lattice)
         for key in want:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
-        np.testing.assert_allclose(lattice.k_moments(), tree.k_moments(), rtol=1e-12)
+        np.testing.assert_allclose(lattice.k_moments, tree.k_moments, rtol=1e-12)
 
     def test_bracketing_run_agrees(self):
         prob = make_problem(
@@ -546,7 +546,7 @@ class TestCollapsedBAxis:
         assert got.keys() == want.keys() and want["sup_y_sq"] is not None
         for key in want:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-13, atol=0, err_msg=key)
-        np.testing.assert_allclose(collapsed.k_moments(), full.k_moments(), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(collapsed.k_moments, full.k_moments, rtol=1e-13, atol=0)
         assert collapsed.root_value() == pytest.approx(full.root_value(), rel=1e-13, abs=0)
         assert tree_balance_residual(collapsed) <= 1e-12
 
@@ -663,7 +663,7 @@ class TestTreeStructure:
         k_t = paths.terminal_k()
         assert k_t.min() < k_t.max()
         want = (paths.weights @ k_t, paths.weights @ k_t**2)
-        np.testing.assert_allclose(sol.k_moments(), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.k_moments, want, rtol=0, atol=1e-12)
 
     def test_compare_deep_problem_at_sixteen_steps(self):
         """The compare_deep benchmark problem at N = 16: about 0.8M lattice
