@@ -37,6 +37,7 @@ from .drivers import enumerate_scenarios, simulate_scenarios
 from .errors import RbdsdepError, SolverError
 from .expr import GRAMMAR_TEXT
 from .schemes import (
+    MARGIN_TOL,
     run_bracketing_sequence,
     run_inf_envelope_sequence,
     run_sup_envelope_sequence,
@@ -162,31 +163,25 @@ def _run_solve(cfg: ExperimentConfig, threads: int, verbose: bool):
 
 
 def _run_sequence(cfg: ExperimentConfig, threads: int, verbose: bool):
-    if cfg.pipeline == "inf_sequence":
-        run = run_inf_envelope_sequence(
-            cfg.problem,
-            cfg.envelope,
-            ns=cfg.envelope_ns,
-            tree=cfg.tree_model(),
-            threads=threads,
-        )
-    elif cfg.pipeline == "sup_sequence":
-        run = run_sup_envelope_sequence(
-            cfg.problem,
-            cfg.envelope,
-            ns=cfg.envelope_ns,
-            tree=cfg.tree_model(),
-            threads=threads,
-        )
-    else:
+    if cfg.pipeline == "bracketing":
         run = run_bracketing_sequence(
             cfg.problem, ns_count=cfg.bracketing_count, tree=cfg.tree_model()
+        )
+    else:
+        inf = cfg.pipeline == "inf_sequence"
+        runner = run_inf_envelope_sequence if inf else run_sup_envelope_sequence
+        run = runner(
+            cfg.problem,
+            cfg.envelope,
+            ns=cfg.envelope_ns,
+            tree=cfg.tree_model(),
+            threads=threads,
         )
     validators = {"monotone_ok": bool(run.report["monotone_ok"])}
     if cfg.pipeline == "bracketing":
         validators["sandwich_ok"] = bool(run.report["sandwich_ok"])
     if "v_node_margin" in run.report:
-        validators["upper_bound_ok"] = run.report["v_node_margin"] >= -1e-10
+        validators["upper_bound_ok"] = run.report["v_node_margin"] >= -MARGIN_TOL
     summary = {
         "mode": run.mode,
         "y0_series": run.y0_series,

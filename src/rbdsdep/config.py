@@ -26,7 +26,12 @@ from .drivers import (
     check_two_point_law,
 )
 from .errors import ConfigError
-from .generator import EnvelopeParams, GeneratorSpec
+from .generator import (
+    DEFAULT_ENVELOPE_NS,
+    EnvelopeParams,
+    GeneratorSpec,
+    check_envelope_ns,
+)
 from .solver import ProblemSpec, SchemeParams, TreeModel, b_axis_for
 
 PIPELINES = (
@@ -67,7 +72,8 @@ scheme:      solver (tree | lsmc, default tree),
              B column, and `0*y` does not: see rbdsdep.TreeModel)
 envelope:    box (mapping axis -> [lo, hi]; axes y, z1..zd, u1..um),
              grid_points (integer >= 2, default 201),
-             ns (non-empty list of numbers >= 1, default [1, 2, 4, 8, 16])
+             ns (non-empty nondecreasing list of numbers >= 1,
+             default [1, 2, 4, 8, 16])
 bracketing:  count (integer >= 1, default 5)
 ito:         alpha0 (number, default 0), beta / gamma / eta / sigma
              (expression over t, w*, j*, or number, optional),
@@ -83,7 +89,6 @@ the published operator grammar (`rbdsdep grammar`).
 
 
 _TOP = "configuration"
-_DEFAULT_NS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 def _finite(value, name, wrong):
@@ -303,9 +308,8 @@ def _read_envelope(s: _Section, dim_d, num_marks):
     axes += [f"u{k}" for k in range(1, num_marks + 1)]
     intervals = {name: box.interval(name) for name in box.raw if name in axes}
     grid_points = s.integer("grid_points", 201, minimum=2)
-    ns = s.numbers("ns", list(_DEFAULT_NS))
-    if not ns:
-        raise ConfigError("'envelope.ns' must not be empty")
+    ns = s.numbers("ns", list(DEFAULT_ENVELOPE_NS))
+    check_envelope_ns(ns, "'envelope.ns'")
     if any(n < 1.0 for n in ns):
         raise ConfigError("'envelope.ns' entries must be >= 1")
     # n is rewritten per sequence element; the largest one stands in here
@@ -357,7 +361,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     tree_max_states = s.integer("tree_max_states", 4_000_000, minimum=1)
 
     s = top.section("envelope", optional=True)
-    envelope, envelope_ns = None, list(_DEFAULT_NS)
+    envelope, envelope_ns = None, list(DEFAULT_ENVELOPE_NS)
     if s is not None:
         envelope, envelope_ns = _read_envelope(s, dim_d, marks.m)
     if pipeline in ("inf_sequence", "sup_sequence") and envelope is None:

@@ -294,6 +294,17 @@ def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Ch
     )
 
 
+#: the envelope indices of a sequence run whose config or call gives none
+DEFAULT_ENVELOPE_NS = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def check_envelope_ns(ns, name: str):
+    """Refuse an empty or decreasing index list: a later n below an earlier
+    one would show as a monotonicity failure of correct solutions."""
+    if len(ns) == 0 or any(b < a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"{name} must be a non-empty nondecreasing list, got {list(ns)}")
+
+
 @dataclass(frozen=True)
 class EnvelopeParams:
     """Search box and resolution for the envelope minimization.

@@ -19,7 +19,8 @@ bracketing anchors) is checked node-wise against the reflection
 invariants on its tree slices, and the report norms are exact
 expectations carried backward over the slices; only E sup Y^2 is
 gathered over paths, within the ``MAX_PATHS`` budget.  The run keeps
-the tree solutions; their path views are materialised on first access.
+only the tree solutions; a caller that wants paths materialises them
+with ``TreeSolution.to_solution_grid``, within the same budget.
 Premise checks (growth, contraction, modulus) are sampling certificates
 on documented clouds; a failed certificate aborts the run before any
 solve.
@@ -27,9 +28,8 @@ solve.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -38,8 +38,10 @@ from .analysis import integrand_norms, tree_norm_report
 from .errors import ConfigError
 from .expr import EvalContext, evaluate
 from .generator import (
+    DEFAULT_ENVELOPE_NS,
     EnvelopeFunction,
     EnvelopeParams,
+    check_envelope_ns,
     check_g_contraction,
     check_linear_growth,
     check_pi_minorant,
@@ -49,7 +51,6 @@ from .generator import (
 from .solver import (
     CoefficientFn,
     ProblemSpec,
-    SolutionGrid,
     TreeModel,
     TreeSolution,
     _node_margin,
@@ -63,7 +64,7 @@ _CERT_RADIUS = 5.0
 # successive solutions may fall below zero before monotonicity fails
 _ENVELOPE_CERT_SEED = 977
 _BRACKETING_CERT_SEED = 1789
-_MARGIN_TOL = 1e-10
+MARGIN_TOL = 1e-10
 
 
 @dataclass
@@ -72,55 +73,24 @@ class SequenceRun:
 
     report is JSON-serializable throughout; the companions (the upper
     bound V, the bracketing anchors) sit in their own fields.  Every tree
-    solution was validated node-wise when solved.  The path views
-    ``solutions``, ``upper_solution``, ``lower_anchor`` and
-    ``upper_anchor`` are materialised, validated and cached on first
-    access, within the ``MAX_PATHS`` budget of ``to_solution_grid``.
+    solution was validated node-wise when solved; paths are not kept.
     """
 
     mode: str
-    base_problem: ProblemSpec
     index_set: List[float]
     tree_solutions: List[TreeSolution]
     y0_series: List[float]
-    report: dict = field(default_factory=dict)
+    report: dict
     upper_tree: Optional[TreeSolution] = None
     lower_anchor_tree: Optional[TreeSolution] = None
     upper_anchor_tree: Optional[TreeSolution] = None
-
-    @cached_property
-    def solutions(self) -> List[SolutionGrid]:
-        return [_path_view(ts) for ts in self.tree_solutions]
-
-    @cached_property
-    def upper_solution(self) -> Optional[SolutionGrid]:
-        return _path_view(self.upper_tree)
-
-    @cached_property
-    def lower_anchor(self) -> Optional[SolutionGrid]:
-        return _path_view(self.lower_anchor_tree)
-
-    @cached_property
-    def upper_anchor(self) -> Optional[SolutionGrid]:
-        return _path_view(self.upper_anchor_tree)
-
-
-def _path_view(ts: Optional[TreeSolution]) -> Optional[SolutionGrid]:
-    return None if ts is None else ts.to_solution_grid().validate()
 
 
 def _solve_many(problem, tree, f_fns, threads):
     if threads <= 1 or len(f_fns) <= 1:
         return [solve_tree_exact(problem, tree, f_fn=fn) for fn in f_fns]
-    out = [None] * len(f_fns)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(solve_tree_exact, problem, tree, fn): k
-            for k, fn in enumerate(f_fns)
-        }
-        for fut in as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out
+        return list(pool.map(lambda fn: solve_tree_exact(problem, tree, fn), f_fns))
 
 
 def _successive_diffs(tree_sols):
@@ -230,6 +200,29 @@ def solve_upper_bound_tree(
     return solve_tree_exact(problem, tree, f_fn=upper_bound_coefficient(problem))
 
 
+def _chain_run(mode, index_set, solutions, report, descending=False, **companions):
+    """Complete report with the ordering evidence, norms and successive
+    Z/U distances of solutions, and return their run.  The chain is the
+    lower anchor, if any, then the solutions: each successive pair gives
+    one node margin (from the later one when descending), the later one's
+    CSV row margin (0.0 for a first row without a predecessor)."""
+    anchor = companions.get("lower_anchor_tree")
+    chain = solutions if anchor is None else [anchor] + solutions
+    pairs = zip(chain[1:], chain) if descending else zip(chain, chain[1:])
+    pair_margins = [_node_margin(a, b) for a, b in pairs]
+    z_diffs, u_diffs = _successive_diffs(solutions)
+    report.update(
+        pair_margins=pair_margins,
+        monotone_ok=all(mg >= -MARGIN_TOL for mg in pair_margins),
+        norms=[tree_norm_report(ts) for ts in solutions],
+        z_diffs=z_diffs,
+        u_diffs=u_diffs,
+        row_margins=pair_margins if anchor is not None else [0.0] + pair_margins,
+    )
+    roots = [ts.root_value() for ts in solutions]
+    return SequenceRun(mode, index_set, solutions, roots, report, **companions)
+
+
 def _run_envelope(
     problem: ProblemSpec,
     env: EnvelopeParams,
@@ -238,52 +231,27 @@ def _run_envelope(
     tree: Optional[TreeModel],
     threads: int,
     early_stop_tol: float,
-    with_upper: bool,
 ) -> SequenceRun:
+    ns = DEFAULT_ENVELOPE_NS if ns is None else ns
+    check_envelope_ns(ns, "ns")
     worst_growth = _certify_growth(problem, _ENVELOPE_CERT_SEED)
-    if ns is None:
-        ns = [1, 2, 4, 8, 16]
     eff = _effective_indices(ns, problem.generator.growth_C)
     f_fns = [_envelope_coefficient(problem, env, n, kind) for n in eff]
     tree_sols = [ts.validate() for ts in _solve_many(problem, tree, f_fns, threads)]
-    roots = [ts.root_value() for ts in tree_sols]
-    cut = _truncate_at_tol(roots, early_stop_tol)
+    cut = _truncate_at_tol([ts.root_value() for ts in tree_sols], early_stop_tol)
     truncated = cut < len(eff)
-    eff, tree_sols, roots = eff[:cut], tree_sols[:cut], roots[:cut]
-
-    if kind == "inf":
-        pair_margins = [_node_margin(a, b) for a, b in zip(tree_sols, tree_sols[1:])]
-    else:
-        pair_margins = [_node_margin(b, a) for a, b in zip(tree_sols, tree_sols[1:])]
-    norms = [tree_norm_report(ts) for ts in tree_sols]
-    z_diffs, u_diffs = _successive_diffs(tree_sols)
-
+    eff, tree_sols = eff[:cut], tree_sols[:cut]
     report = {
         "index_set": eff,
         "truncated": truncated,
         "growth_worst_ratio": worst_growth,
-        "pair_margins": pair_margins,
-        "monotone_ok": all(mg >= -_MARGIN_TOL for mg in pair_margins),
-        "norms": norms,
-        "z_diffs": z_diffs,
-        "u_diffs": u_diffs,
-        "row_margins": [0.0] + pair_margins,
     }
-    run = SequenceRun(
-        mode="inf_envelope" if kind == "inf" else "sup_envelope",
-        base_problem=problem,
-        index_set=eff,
-        tree_solutions=tree_sols,
-        y0_series=roots,
-        report=report,
-    )
-    if kind == "inf" and with_upper:
-        run.upper_tree = v_tree = solve_upper_bound_tree(problem, tree).validate()
-        report["v_root"] = v_tree.root_value()
-        report["v_node_margin"] = min(
-            _node_margin(ts, v_tree) for ts in tree_sols
-        )
-    return run
+    if kind == "sup":
+        return _chain_run("sup_envelope", eff, tree_sols, report, descending=True)
+    v_tree = solve_upper_bound_tree(problem, tree).validate()
+    report["v_root"] = v_tree.root_value()
+    report["v_node_margin"] = min(_node_margin(ts, v_tree) for ts in tree_sols)
+    return _chain_run("inf_envelope", eff, tree_sols, report, upper_tree=v_tree)
 
 
 def run_inf_envelope_sequence(
@@ -293,18 +261,16 @@ def run_inf_envelope_sequence(
     tree: Optional[TreeModel] = None,
     threads: int = 1,
     early_stop_tol: float = 1e-9,
-    with_upper: bool = True,
 ) -> SequenceRun:
-    """Monotone-from-below sequence of envelope solves.
+    """Monotone-from-below sequence of envelope solves, bounded by V.
 
-    ns defaults to [1, 2, 4, 8, 16], clipped up to the growth constant and
-    deduplicated.  The series is cut after the first successive pair of
-    roots within early_stop_tol (computation order does not depend on the
-    thread count, so parallel runs report the identical truncation).
+    ns, non-empty and nondecreasing, defaults to ``DEFAULT_ENVELOPE_NS``;
+    it is clipped up to the growth constant and deduplicated.  The series
+    is cut after the first successive pair of roots within early_stop_tol
+    (computation order does not depend on the thread count, so parallel
+    runs report the identical truncation).
     """
-    return _run_envelope(
-        problem, env, ns, "inf", tree, threads, early_stop_tol, with_upper
-    )
+    return _run_envelope(problem, env, ns, "inf", tree, threads, early_stop_tol)
 
 
 def run_sup_envelope_sequence(
@@ -316,7 +282,7 @@ def run_sup_envelope_sequence(
     early_stop_tol: float = 1e-9,
 ) -> SequenceRun:
     """Mirror of the inf sequence: nonincreasing roots from above."""
-    return _run_envelope(problem, env, ns, "sup", tree, threads, early_stop_tol, False)
+    return _run_envelope(problem, env, ns, "sup", tree, threads, early_stop_tol)
 
 
 def _certify_signed_growth(problem: ProblemSpec, seed: int) -> float:
@@ -395,7 +361,7 @@ def run_bracketing_sequence(
     iterate n solves with f at iterate n-1's node values plus pi of the
     increment.  The node-wise sandwich lower <= iterate n <= iterate n+1
     <= upper is recorded with its worst node; a violation beyond
-    _MARGIN_TOL marks the report failed rather than raising.
+    MARGIN_TOL marks the report failed rather than raising.
     """
     gen = problem.generator
     if gen.pi is None:
@@ -436,40 +402,25 @@ def run_bracketing_sequence(
         iterates.append(cur)
         prev = cur
 
-    chain = [lower] + iterates
-    pair_margins = [_node_margin(a, b) for a, b in zip(chain, chain[1:])]
-    upper_margins = [_node_margin(x, upper) for x in chain]
-    sandwich_worst = min(pair_margins + upper_margins)
-
-    norms = [tree_norm_report(ts) for ts in iterates]
-    z_diffs, u_diffs = _successive_diffs(iterates)
-    roots = [ts.root_value() for ts in iterates]
-
+    upper_margins = [_node_margin(x, upper) for x in [lower] + iterates]
     report = {
         "index_set": list(range(1, ns_count + 1)),
         "certificates": certs,
         "lower_root": lower.root_value(),
         "upper_root": upper.root_value(),
-        "pair_margins": pair_margins,
         "upper_margins": upper_margins,
-        "sandwich_worst": sandwich_worst,
-        "sandwich_ok": sandwich_worst >= -_MARGIN_TOL,
-        "monotone_ok": all(mg >= -_MARGIN_TOL for mg in pair_margins),
-        "norms": norms,
-        "z_diffs": z_diffs,
-        "u_diffs": u_diffs,
-        "row_margins": pair_margins,
     }
-    return SequenceRun(
-        mode="bracketing",
-        base_problem=problem,
-        index_set=[float(n) for n in range(1, ns_count + 1)],
-        tree_solutions=iterates,
-        y0_series=roots,
-        report=report,
+    run = _chain_run(
+        "bracketing",
+        [float(n) for n in range(1, ns_count + 1)],
+        iterates,
+        report,
         lower_anchor_tree=lower,
         upper_anchor_tree=upper,
     )
+    report["sandwich_worst"] = min(report["pair_margins"] + upper_margins)
+    report["sandwich_ok"] = report["sandwich_worst"] >= -MARGIN_TOL
+    return run
 
 
 def sequence_csv_rows(run: SequenceRun) -> CsvTable:

@@ -54,6 +54,11 @@ def _register(tag, *solutions):
             REGISTRY.append((tag, sol))
 
 
+def _paths(tree_solutions):
+    """The validated path view of each tree solution."""
+    return [ts.to_solution_grid().validate() for ts in tree_solutions]
+
+
 def _report(num, description, passed, elapsed, budget=None):
     line = f"{'PASS' if passed else 'FAIL'} [{num:02d}] {description} ({elapsed:.2f}s)"
     print(line)
@@ -262,7 +267,7 @@ def test_05_monotone_sequence_below_upper_bound():
     z_norms = [n["z_norm_sq"] for n in run.report["norms"]]
     u_norms = [n["u_norm_sq"] for n in run.report["norms"]]
     norms_ok = z_norms[-1] <= 2 * np.median(z_norms) and max(u_norms) == 0.0
-    _register("monotone-sequence", *run.solutions, run.upper_solution)
+    _register("monotone-sequence", *_paths(run.tree_solutions + [run.upper_tree]))
     elapsed = time.monotonic() - start
     _report(
         5,
@@ -288,7 +293,8 @@ def test_06_bracketing_sandwich():
     )
     gaps = np.abs(np.diff(run.y0_series))
     _register(
-        "bracketing", *run.solutions, run.lower_anchor, run.upper_anchor
+        "bracketing",
+        *_paths(run.tree_solutions + [run.lower_anchor_tree, run.upper_anchor_tree]),
     )
     elapsed = time.monotonic() - start
     _report(
@@ -318,7 +324,7 @@ def test_07_maximal_dominates_minimal():
         and sup.report["monotone_ok"]
     )
     maximal = sup.y0_series[-1]
-    _register("maximal-sequence", *sup.solutions)
+    _register("maximal-sequence", *_paths(sup.tree_solutions))
     elapsed = time.monotonic() - start
     _report(
         7,

@@ -185,6 +185,10 @@ class TestConfigValidation:
             )
         with pytest.raises(ConfigError, match="missing required key 'envelope.box'"):
             config_from_dict(merged(envelope={"grid_points": 11}))
+        with pytest.raises(ConfigError, match="'envelope.ns' must be a non-empty nondecreasing"):
+            config_from_dict(
+                merged(envelope={"box": {"y": [-1.0, 1.0]}, "ns": [8, 2, 4]})
+            )
 
     def test_outputs_formats_subset(self):
         with pytest.raises(ConfigError, match="'outputs.formats' must be a subset"):
@@ -284,13 +288,21 @@ class TestCli:
         for name in ("lattice.csv", "summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_thread_count_does_not_change_outputs(self, tmp_path):
+    @pytest.mark.parametrize("pipeline", ["inf_sequence", "sup_sequence", "bracketing"])
+    def test_thread_count_does_not_change_outputs(self, tmp_path, pipeline):
         data = {
             "grid": {"T": 0.5, "N": 3},
             "problem": {"f": "min(abs(y), 2)", "barrier": "-10", "terminal": "w1"},
-            "pipeline": "inf_sequence",
+            "pipeline": pipeline,
             "envelope": {"box": {"y": [-5.0, 5.0]}, "ns": [1, 2, 4]},
         }
+        if pipeline == "bracketing":
+            data["grid"] = {"T": 0.25, "N": 4}
+            data["problem"] = {
+                "f": "indicator_pos(y)", "pi": "0", "f_t": "1",
+                "barrier": "-4", "terminal": "w1 + 0.2",
+            }
+            data["bracketing"] = {"count": 3}
         path = write_config(tmp_path, data)
         dirs = []
         for threads in (1, 2, 8):

@@ -15,7 +15,7 @@ from rbdsdep.schemes import (
     sequence_csv_rows,
     solve_upper_bound_tree,
 )
-from rbdsdep.solver import ProblemSpec, SolutionGrid, TreeSolution, solve_tree_exact
+from rbdsdep.solver import ProblemSpec, solve_tree_exact
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))
 ENV = EnvelopeParams(n=1.0, box={"y": (-5.0, 5.0)}, grid_points=201)
@@ -46,7 +46,8 @@ class TestInfEnvelopeSequence:
         run = run_inf_envelope_sequence(prob, ENV, ns=[1])
         assert run.mode == "inf_envelope"
         assert run.y0_series[0] == pytest.approx(direct.root_value(), abs=1e-12)
-        assert np.abs(run.solutions[0].Y - direct.Y).max() <= 1e-12
+        sol = run.tree_solutions[0].to_solution_grid()
+        assert np.abs(sol.Y - direct.Y).max() <= 1e-12
 
     def test_roots_nondecreasing_with_node_margins(self):
         prob = make_problem(
@@ -60,7 +61,7 @@ class TestInfEnvelopeSequence:
         assert diffs.max() > 1e-3  # the sequence actually moves
         assert run.report["monotone_ok"]
         assert min(run.report["pair_margins"]) >= -1e-10
-        assert len(run.solutions) == 4
+        assert len(run.tree_solutions) == 4
         for norms in run.report["norms"]:
             assert set(norms) == {"sup_y_sq", "z_norm_sq", "u_norm_sq", "k_t_sq"}
 
@@ -69,7 +70,7 @@ class TestInfEnvelopeSequence:
             f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS
         )
         run = run_inf_envelope_sequence(prob, ENV, ns=[1, 2, 4, 8])
-        assert run.upper_solution is not None
+        assert run.upper_tree is not None
         assert run.report["v_node_margin"] >= -1e-12
         assert run.report["v_root"] >= max(run.y0_series)
 
@@ -96,9 +97,21 @@ class TestInfEnvelopeSequence:
         seq = run_inf_envelope_sequence(prob, ENV, ns=[1, 2, 4], threads=1)
         par = run_inf_envelope_sequence(prob, ENV, ns=[1, 2, 4], threads=3)
         assert par.y0_series == seq.y0_series
-        for a, b in zip(par.solutions, seq.solutions):
-            assert np.array_equal(a.Y, b.Y)
-            assert np.array_equal(a.K, b.K)
+        assert par.report == seq.report
+        par_trees = par.tree_solutions + [par.upper_tree]
+        seq_trees = seq.tree_solutions + [seq.upper_tree]
+        for a, b in zip(par_trees, seq_trees, strict=True):
+            for name in ("Y", "Z", "U", "dK"):
+                for sa, sb in zip(getattr(a, name), getattr(b, name), strict=True):
+                    assert sa.shape == sb.shape and sa.tobytes() == sb.tobytes()
+
+    @pytest.mark.parametrize("runner", [run_inf_envelope_sequence, run_sup_envelope_sequence])
+    def test_empty_or_decreasing_ns_refused(self, runner):
+        prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3)
+        with pytest.raises(ConfigError, match=r"ns must be a non-empty nondecreasing list, got \[\]"):
+            runner(prob, ENV, ns=[])
+        with pytest.raises(ConfigError, match="ns must be a non-empty nondecreasing list"):
+            runner(prob, ENV, ns=[8, 2, 4])
 
     def test_growth_certificate_gates_the_run(self):
         prob = make_problem(f="5*y", terminal="w1", T=0.5, N=3)
@@ -113,7 +126,8 @@ class TestSupEnvelopeSequence:
         run = run_sup_envelope_sequence(prob, ENV, ns=[1])
         assert run.mode == "sup_envelope"
         assert run.y0_series[0] == pytest.approx(direct.root_value(), abs=1e-12)
-        assert np.abs(run.solutions[0].Y - direct.Y).max() <= 1e-12
+        sol = run.tree_solutions[0].to_solution_grid()
+        assert np.abs(sol.Y - direct.Y).max() <= 1e-12
 
     def test_roots_nonincreasing(self):
         prob = make_problem(
@@ -124,14 +138,14 @@ class TestSupEnvelopeSequence:
         assert (diffs <= 1e-10).all()
         assert run.report["monotone_ok"]
         assert min(run.report["pair_margins"]) >= -1e-10
-        assert run.upper_solution is None
+        assert run.upper_tree is None
 
     def test_sup_starts_at_or_above_inf(self):
         # at n = 1 both envelopes of a 1-Lipschitz f coincide with f
         prob = make_problem(
             f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS
         )
-        lo = run_inf_envelope_sequence(prob, ENV, ns=[1], with_upper=False)
+        lo = run_inf_envelope_sequence(prob, ENV, ns=[1])
         hi = run_sup_envelope_sequence(prob, ENV, ns=[1])
         assert hi.y0_series[0] == pytest.approx(lo.y0_series[0], abs=1e-12)
 
@@ -167,7 +181,8 @@ class TestBracketing:
         direct = solve_tree_exact(prob).to_solution_grid()
         run = run_bracketing_sequence(prob, ns_count=3)
         assert run.mode == "bracketing"
-        for root, sol in zip(run.y0_series, run.solutions):
+        for root, ts in zip(run.y0_series, run.tree_solutions):
+            sol = ts.to_solution_grid()
             assert root == pytest.approx(direct.root_value(), abs=1e-12)
             assert np.abs(sol.Y - direct.Y).max() <= 1e-12
         assert run.report["sandwich_ok"]
@@ -192,7 +207,7 @@ class TestBracketing:
         gaps = np.abs(np.diff(run.y0_series))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] == 0.0
-        assert run.lower_anchor is not None and run.upper_anchor is not None
+        assert run.lower_anchor_tree is not None and run.upper_anchor_tree is not None
 
     def test_certificates_recorded(self):
         prob = make_problem(
@@ -260,6 +275,16 @@ class TestSequenceCsv:
         # first margin is against the lower anchor, not a dummy zero
         assert rows[1][-1] == run.report["pair_margins"][0]
 
+    def test_k_t_mean_column_matches_the_paths(self):
+        prob = make_problem(**dict(BRACKETING, barrier="w1 + 4*(0.25 - t)"))
+        run = run_bracketing_sequence(prob, ns_count=2)
+        rows = list(sequence_csv_rows(run))[1:]
+        for row, ts in zip(rows, run.tree_solutions):
+            sol = ts.to_solution_grid()
+            k_mean = float(sol.weights @ sol.K[:, -1])
+            assert k_mean > 0.0
+            assert row[2] == pytest.approx(k_mean, rel=1e-12)
+
 
 BRACKETING = dict(
     f="indicator_pos(y)", pi="0", rate="1", barrier="-4",
@@ -286,7 +311,7 @@ def _corrupt_solve(monkeypatch, call):
 
 class TestNodeChecksGateTheRun:
     """Each tree solution of a run is validated on its slices when solved,
-    the companions included, although their path views are lazy."""
+    the companions included; no path view is built."""
 
     @pytest.mark.parametrize("call", [0, 1, 2], ids=["lower_anchor", "upper_anchor", "iterate"])
     def test_bracketing_aborts(self, monkeypatch, call):
@@ -304,48 +329,3 @@ class TestNodeChecksGateTheRun:
         calls = _corrupt_solve(monkeypatch, 99)
         run_bracketing_sequence(make_problem(**BRACKETING), ns_count=2)
         assert len(calls) == 4
-
-
-class TestLazyPathViews:
-    def count_materializations(self, monkeypatch):
-        calls = []
-        real = TreeSolution.to_solution_grid
-
-        def to_solution_grid(self, *args, **kwargs):
-            calls.append(self)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(TreeSolution, "to_solution_grid", to_solution_grid)
-        return calls
-
-    def test_bracketing_expands_paths_only_on_access(self, monkeypatch):
-        calls = self.count_materializations(monkeypatch)
-        run = run_bracketing_sequence(make_problem(**BRACKETING), ns_count=3)
-        list(sequence_csv_rows(run))
-        assert calls == []
-        lower = run.lower_anchor
-        assert isinstance(lower, SolutionGrid)
-        assert calls == [run.lower_anchor_tree]
-        assert run.lower_anchor is lower
-        assert len(run.solutions) == 3 and len(calls) == 4
-        run.upper_anchor
-        run.upper_anchor
-        assert len(calls) == 5
-
-    def test_envelope_expands_paths_only_on_access(self, monkeypatch):
-        calls = self.count_materializations(monkeypatch)
-        prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
-        run = run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
-        list(sequence_csv_rows(run))
-        assert calls == []
-        assert run.upper_solution.root_value() == pytest.approx(run.report["v_root"])
-        assert calls == [run.upper_tree]
-
-    def test_k_t_mean_column_matches_the_paths(self):
-        prob = make_problem(**dict(BRACKETING, barrier="w1 + 4*(0.25 - t)"))
-        run = run_bracketing_sequence(prob, ns_count=2)
-        rows = list(sequence_csv_rows(run))[1:]
-        for row, sol in zip(rows, run.solutions):
-            k_mean = float(sol.weights @ sol.K[:, -1])
-            assert k_mean > 0.0
-            assert row[2] == pytest.approx(k_mean, rel=1e-12)
