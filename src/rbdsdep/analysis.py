@@ -4,8 +4,9 @@ Each validator is a pure function of its inputs: comparison of ordered
 problems, the reflection complementarity check, positivity under a signed
 generator split, the discrete second-moment identity for semimartingales
 driven by (W, B, jumps), and the empirical norm report.  Premise checks are
-sampling certificates on documented clouds, never proofs; a failed premise
-marks the report "premises-not-met" and the conclusion is not asserted.
+``generator.Certificate`` records, sampled on ``problem_cloud`` clouds and
+never proofs; a failed premise marks the report "premises-not-met" and the
+conclusion is not asserted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import numpy as np
 from .drivers import MAX_PATHS, MarkSpace, ScenarioSet
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, Expr, evaluate, to_string
-from .generator import ensure_expr, sample_cloud
+from .generator import (
+    PREMISE_SLACK,
+    Certificate,
+    check_rate_nonnegative,
+    ensure_expr,
+    problem_cloud,
+)
 from .solver import (
     ProblemSpec,
     SolutionGrid,
@@ -28,25 +35,12 @@ from .solver import (
     solve_tree_exact,
 )
 
-_PREMISE_SLACK = 1e-9
 # (size, seed) of the certificate clouds and the verdict tolerances of the
 # comparison and the positivity check
 _COMPARE_CLOUD = (512, 2024)
 _COMPARE_TOL = 1e-12
 _POSITIVITY_CLOUD = (256, 511)
 _POSITIVITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """One premise check: passed iff worst violation is within slack."""
-
-    name: str
-    passed: bool
-    worst: float
-
-    def as_dict(self):
-        return {"name": self.name, "passed": bool(self.passed), "worst": self.worst}
 
 
 @dataclass
@@ -75,6 +69,14 @@ class ComparisonReport:
             "verdict": self.verdict,
             "tolerance": self.tolerance,
         }
+
+
+def _verdict(premises, holds: bool) -> str:
+    """'premises-not-met' unless every premise passed, then whether the
+    conclusion holds."""
+    if not all(c.passed for c in premises):
+        return "premises-not-met"
+    return "pass" if holds else "fail"
 
 
 def _solution_radius(sols) -> float:
@@ -113,37 +115,24 @@ def compare_solutions(
     # terminal ordering is exact on the enumerated terminal states
     xi_worst = float((sol1.Y[-1] - sol2.Y[-1]).max())
     premises.append(
-        Certificate("terminal_ordered", xi_worst <= _PREMISE_SLACK, xi_worst)
+        Certificate("terminal_ordered", xi_worst <= PREMISE_SLACK, xi_worst)
     )
     s_worst = max(float((s1 - s2).max()) for s1, s2 in zip(sol1.S, sol2.S))
     premises.append(
-        Certificate("barrier_ordered", s_worst <= _PREMISE_SLACK, s_worst)
+        Certificate("barrier_ordered", s_worst <= PREMISE_SLACK, s_worst)
     )
     radius = _solution_radius((sol1, sol2)) * 1.5
-    cloud = sample_cloud(
-        *_COMPARE_CLOUD,
-        p1.dim_d,
-        p1.marks.m,
-        t_max=p1.grid.T,
-        radius=radius,
-        intensities=p1.marks.intensities,
-    )
-    ctx = cloud.context()
+    ctx = problem_cloud(p1, *_COMPARE_CLOUD, radius).context()
     f_worst = float(
         (np.asarray(evaluate(p1.generator.f, ctx)) - evaluate(p2.generator.f, ctx)).max()
     )
     premises.append(
-        Certificate("generator_ordered", f_worst <= _PREMISE_SLACK, f_worst)
+        Certificate("generator_ordered", f_worst <= PREMISE_SLACK, f_worst)
     )
 
     margin = _node_margin(sol1, sol2)
     root_gap = sol2.root_value() - sol1.root_value()
-    if not all(c.passed for c in premises):
-        verdict = "premises-not-met"
-    elif margin >= -_COMPARE_TOL:
-        verdict = "pass"
-    else:
-        verdict = "fail"
+    verdict = _verdict(premises, margin >= -_COMPARE_TOL)
     return ComparisonReport(premises, margin, root_gap, verdict, _COMPARE_TOL)
 
 
@@ -194,33 +183,16 @@ def positivity_check(
     )
     if have_split:
         radius = max(1.0, float(np.abs(sol.Y).max()), float(np.abs(sol.Z).max(initial=0.0)))
-        cloud = sample_cloud(
-            *_POSITIVITY_CLOUD,
-            problem.dim_d,
-            problem.marks.m,
-            t_max=problem.grid.T,
-            radius=radius * 1.5,
-            intensities=problem.marks.intensities,
-        )
-        ctx = cloud.context()
+        ctx = problem_cloud(problem, *_POSITIVITY_CLOUD, radius * 1.5).context()
         split = np.asarray(evaluate(gen.pi, ctx)) + np.asarray(evaluate(gen.rate, ctx))
         gap = float(np.abs(np.asarray(evaluate(gen.f, ctx)) - split).max())
-        premises.append(Certificate("generator_is_pi_plus_h", gap <= 1e-9, gap))
-        h_vals = np.asarray(
-            evaluate(gen.rate, EvalContext(t=problem.grid.times)), dtype=float
-        )
-        h_min = float(np.min(np.broadcast_to(h_vals, problem.grid.times.shape)))
-        premises.append(Certificate("rate_nonnegative", h_min >= -1e-12, h_min))
+        premises.append(Certificate("generator_is_pi_plus_h", gap <= PREMISE_SLACK, gap))
+        premises.append(check_rate_nonnegative(gen, problem.grid.times))
     xi_min = float(sol.Y[:, -1].min())
     premises.append(Certificate("terminal_nonnegative", xi_min >= -1e-12, xi_min))
 
     min_y = float(sol.Y.min())
-    if not all(c.passed for c in premises):
-        verdict = "premises-not-met"
-    elif min_y >= -_POSITIVITY_TOL:
-        verdict = "pass"
-    else:
-        verdict = "fail"
+    verdict = _verdict(premises, min_y >= -_POSITIVITY_TOL)
     return PositivityReport(min_y, premises, verdict)
 
 

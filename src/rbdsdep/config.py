@@ -26,11 +26,13 @@ from .drivers import (
     check_two_point_law,
 )
 from .errors import ConfigError
+from .expr import variables
 from .generator import (
     DEFAULT_ENVELOPE_NS,
     EnvelopeParams,
     GeneratorSpec,
     check_envelope_ns,
+    envelope_axes,
 )
 from .solver import ProblemSpec, SchemeParams, TreeModel, b_axis_for
 
@@ -364,8 +366,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     envelope, envelope_ns = None, list(DEFAULT_ENVELOPE_NS)
     if s is not None:
         envelope, envelope_ns = _read_envelope(s, dim_d, marks.m)
-    if pipeline in ("inf_sequence", "sup_sequence") and envelope is None:
-        raise ConfigError(f"pipeline '{pipeline}' needs an 'envelope' section")
+    if pipeline in ("inf_sequence", "sup_sequence"):
+        if envelope is None:
+            raise ConfigError(f"pipeline '{pipeline}' needs an 'envelope' section")
+        # EnvelopeFunction's axis rule, so a box the run would refuse fails here
+        f_names = variables(problem.generator.f)
+        envelope_axes(f_names, dim_d, marks.m, marks.intensities, envelope)
 
     bracketing_count = top.section("bracketing").integer("count", 5, minimum=1)
     if pipeline == "bracketing":
@@ -384,23 +390,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     formats = s.subset("formats", ("csv", "json"))
     top.close()
 
-    # module preconditions that couple sections; the tree constraints only
-    # bind when the pipeline actually builds a tree
+    # module preconditions that couple sections; the tree's depth, jump law
+    # and budget bind only when the pipeline builds a tree (TreeModel)
     uses_tree = (pipeline == "solve" and solver_kind == "tree") or pipeline in (
         "inf_sequence", "sup_sequence", "bracketing", "compare"
     )
     uses_scenarios = pipeline == "ito_check" or (
         pipeline == "solve" and solver_kind == "lsmc"
     )
-    if uses_tree or (uses_scenarios and mode in ("two-point", "enumerate")):
+    if uses_scenarios and mode in ("two-point", "enumerate"):
         check_two_point_law(marks, grid.dt)
     if uses_scenarios and mode == "gaussian":
         check_gaussian_law(marks, grid.dt)
-    if uses_tree and grid.N > tree_max_steps:
-        raise ConfigError(
-            f"tree depth N = {grid.N} exceeds scheme.tree_max_steps = "
-            f"{tree_max_steps}"
-        )
 
     canonical = top.record
     config_hash = hashlib.sha256(

@@ -9,9 +9,13 @@ functions certify the structural conditions numerically on sampled clouds:
 * contraction:     |g(a) - g(b)|^2 <= C*|dy|^2 + alpha*(|dz|^2 + |du|^2)
 * lower modulus:   f(t,y,z,u) - f(t,y',z',u') >= pi(t, y-y', z-z', u-u')
                    whenever y >= y', with |pi| <= C*(|dy| + |dz| + |du|)
+* signed growth:   |f(t,y,z,u)| <= f_t(t) + C * (|y| + |z| + |u|)
+* rate sign:       f_t(t) >= 0 on the grid times
 
 Throughout, |z| is the Euclidean norm and |u| the intensity-weighted norm
-sqrt(sum_k lambda_k u_k^2).
+sqrt(sum_k lambda_k u_k^2).  Each check returns one Certificate; a cloud
+check fails when a sample breaks its bound by more than PREMISE_SLACK.
+problem_cloud is the one rule for the cloud of a problem.
 
 The envelopes replace a rough f by its Lipschitz regularizations
 
@@ -55,18 +59,21 @@ def _expr_or_none(source):
 
 
 _COEFF_VARS = {"t", "y", "znorm", "unorm"}
-_MODULUS_VARS = {"t", "y", "znorm", "unorm"}
 _RATE_VARS = {"t"}
 
 
-def _check_var_domain(expr: Expr, extra_prefixes: str, label: str):
-    """Allow t/y/znorm/unorm plus indexed families named in extra_prefixes."""
+def check_variables(expr: Expr, label: str, names, families: str, d=None, m=None):
+    """Allow the plain names plus the indexed families (letters of 'zuwj')
+    in families; given the dimensions, z*/w* indices up to d and u*/j*
+    indices up to m."""
     for name in sorted(variables(expr)):
-        if name in _COEFF_VARS:
+        if name in names:
             continue
-        if name[0] in extra_prefixes and name[1:].isdigit():
-            continue
-        raise ConfigError(f"{label} must not reference '{name}'")
+        if name[0] not in families or not name[1:].isdigit():
+            raise ConfigError(f"{label} must not reference '{name}'")
+        dim, bound = ("d", d) if name[0] in "zw" else ("m", m)
+        if bound is not None and int(name[1:]) > bound:
+            raise ConfigError(f"{label} references '{name}' but {dim} = {bound}")
 
 
 @dataclass(frozen=True)
@@ -91,17 +98,20 @@ class GeneratorSpec:
             raise ConfigError(
                 f"contraction weight alpha must lie in (0, 1), got {self.contraction_alpha}"
             )
-        _check_var_domain(self.f, "zuwj", "generator f")
-        _check_var_domain(self.g, "zuwj", "coefficient g")
-        if self.pi is not None:
-            _check_var_domain(self.pi, "zu", "lower modulus pi")
-        if self.rate is not None:
-            # the dominating rate is a deterministic function of time only
-            extra = variables(self.rate) - _RATE_VARS
-            if extra:
-                raise ConfigError(
-                    f"dominating rate f_t must not reference {sorted(extra)}"
-                )
+        for rule in self.variable_rules():
+            check_variables(*rule)
+
+    def variable_rules(self):
+        """(expression, label, plain names, indexed families) of each
+        coefficient present, for check_variables; the dominating rate is a
+        deterministic function of time only."""
+        rules = (
+            (self.f, "generator f", _COEFF_VARS, "zuwj"),
+            (self.g, "coefficient g", _COEFF_VARS, "zuwj"),
+            (self.pi, "lower modulus pi", _COEFF_VARS, "zu"),
+            (self.rate, "dominating rate f_t", _RATE_VARS, ""),
+        )
+        return [rule for rule in rules if rule[0] is not None]
 
 
 @dataclass
@@ -175,40 +185,44 @@ def sample_cloud(
     )
 
 
-@dataclass
-class CheckReport:
+def problem_cloud(problem, size: int, seed: int, radius: float) -> Cloud:
+    """The certificate cloud of a problem: its dimensions, marks and
+    horizon, with y, z, u and w uniform on [-radius, radius]."""
+    return sample_cloud(
+        size, seed, problem.dim_d, problem.marks.m, t_max=problem.grid.T,
+        radius=radius, intensities=problem.marks.intensities,
+    )
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """One premise check: its name, whether it passed, and its worst value
+    (an excess for a cloud check, a minimum for a sign check)."""
+
     name: str
     passed: bool
     worst: float
-    violation_count: int
-    first_violations: list
+
+    def as_dict(self):
+        return {"name": self.name, "passed": bool(self.passed), "worst": self.worst}
 
 
-_SLACK = 1e-9
+#: how far a sampled premise may be violated before its certificate fails
+PREMISE_SLACK = 1e-9
 
 
-def check_linear_growth(spec: GeneratorSpec, cloud: Cloud) -> CheckReport:
-    """Certify |f| <= C*(1 + |y| + |z| + |u|) on the cloud."""
+def check_linear_growth(spec: GeneratorSpec, cloud: Cloud) -> Certificate:
+    """Certify |f| <= C*(1 + |y| + |z| + |u|) on the cloud; worst is the
+    largest ratio |f| / bound."""
     fvals = np.abs(np.asarray(evaluate(spec.f, cloud.context()), dtype=float))
     ay, zn, un = cloud.size_norms()
     bound = spec.growth_C * (1.0 + ay + zn + un)
     fvals = np.broadcast_to(fvals, bound.shape)  # constant f stays per-sample
-    excess = fvals - bound
-    bad = np.nonzero(excess > _SLACK)[0]
     worst = float((fvals / bound).max()) if fvals.size else 0.0
-    return CheckReport(
-        name="linear-growth",
-        passed=bad.size == 0,
-        worst=worst,
-        violation_count=int(bad.size),
-        first_violations=[
-            {"index": int(i), "value": float(fvals[i]), "bound": float(bound[i])}
-            for i in bad[:5]
-        ],
-    )
+    return Certificate("linear-growth", not (fvals - bound > PREMISE_SLACK).any(), worst)
 
 
-def check_g_contraction(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> CheckReport:
+def check_g_contraction(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Certificate:
     """Certify |g(a)-g(b)|^2 <= C*|dy|^2 + alpha*(|dz|^2 + |du|^2) on paired
     samples; both clouds must share t (the condition is per time point)."""
     if cloud_a.t.shape != cloud_b.t.shape or np.any(cloud_a.t != cloud_b.t):
@@ -225,24 +239,21 @@ def check_g_contraction(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> 
         + spec.contraction_alpha * ((dz**2).sum(axis=1) + (lam * du**2).sum(axis=1))
     )
     excess = lhs - rhs
-    bad = np.nonzero(excess > _SLACK)[0]
-    return CheckReport(
-        name="g-contraction",
-        passed=bad.size == 0,
-        worst=float(excess.max()) if excess.size else 0.0,
-        violation_count=int(bad.size),
-        first_violations=[
-            {"index": int(i), "lhs": float(lhs[i]), "rhs": float(rhs[i])} for i in bad[:5]
-        ],
+    return Certificate(
+        "g-contraction",
+        not (excess > PREMISE_SLACK).any(),
+        float(excess.max()) if excess.size else 0.0,
     )
 
 
-def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> CheckReport:
+def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Certificate:
     """Certify the lower-modulus condition on ordered pairs.
 
     Pairs are reordered per sample so the first argument has the larger y;
     then f(a) - f(b) >= pi(t, a-b) is required, together with the growth
-    bound |pi| <= C*(|dy| + |dz| + |du|).
+    bound |pi| <= C*(|dy| + |dz| + |du|).  worst is the largest shortfall
+    of f(a) - f(b) below pi; a growth breach fails the certificate on its
+    own.
     """
     if spec.pi is None:
         raise ConfigError("generator has no lower modulus pi to check")
@@ -277,21 +288,29 @@ def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Ch
     gap = (fa - fb) - pivals
     ady, dzn, dun = size_norms(dy, dz, du, lam)
     growth = spec.growth_C * (ady + dzn + dun)
-    bad_order = np.nonzero(gap < -_SLACK)[0]
-    bad_growth = np.nonzero(np.abs(pivals) > growth + _SLACK)[0]
-    violations = [
-        {"index": int(i), "kind": "minorant", "gap": float(gap[i])} for i in bad_order[:5]
-    ] + [
-        {"index": int(i), "kind": "growth", "pi": float(pivals[i]), "bound": float(growth[i])}
-        for i in bad_growth[:5]
-    ]
-    return CheckReport(
-        name="pi-minorant",
-        passed=bad_order.size == 0 and bad_growth.size == 0,
-        worst=float(-gap.min()) if gap.size else 0.0,
-        violation_count=int(bad_order.size + bad_growth.size),
-        first_violations=violations,
-    )
+    passed = not (gap < -PREMISE_SLACK).any() and not (
+        np.abs(pivals) > growth + PREMISE_SLACK
+    ).any()
+    return Certificate("pi-minorant", passed, float(-gap.min()) if gap.size else 0.0)
+
+
+def check_signed_growth(spec: GeneratorSpec, cloud: Cloud) -> Certificate:
+    """Certify |f| <= f_t + C*(|y| + |z| + |u|) on the cloud; worst is the
+    largest excess."""
+    fvals = np.abs(np.asarray(evaluate(spec.f, cloud.context()), dtype=float))
+    rate = np.asarray(evaluate(spec.rate, EvalContext(t=cloud.t)), dtype=float)
+    ay, zn, un = cloud.size_norms()
+    bound = np.broadcast_to(rate, cloud.t.shape) + spec.growth_C * (ay + zn + un)
+    worst = float((fvals - bound).max())
+    return Certificate("signed-growth", not worst > PREMISE_SLACK, worst)
+
+
+def check_rate_nonnegative(spec: GeneratorSpec, times) -> Certificate:
+    """Certify f_t >= 0 at the given times, to 1e-12 (the rate is evaluated,
+    not sampled); worst is the minimum of f_t."""
+    rate = np.asarray(evaluate(spec.rate, EvalContext(t=times)), dtype=float)
+    low = float(np.broadcast_to(rate, np.shape(times)).min())
+    return Certificate("rate_nonnegative", low >= -1e-12, low)
 
 
 #: the envelope indices of a sequence run whose config or call gives none
@@ -421,12 +440,7 @@ class EnvelopeFunction:
         self.intensities = (
             np.ones(num_marks) if intensities is None else np.asarray(intensities, float)
         )
-        self.axes = _axis_table(self._names, dim_d, num_marks, self.intensities, params)
-        if not self.axes:
-            raise ConfigError(
-                "expression references none of y/z*/u*; an envelope would be the "
-                "function itself"
-            )
+        self.axes = envelope_axes(self._names, dim_d, num_marks, self.intensities, params)
         mesh = np.meshgrid(*(axis.grid for axis in self.axes), indexing="ij")
         self.coords = np.stack([m.ravel() for m in mesh], axis=1)  # (G, n_axes)
         blocks = [
@@ -661,9 +675,10 @@ def _infer_dims(names, dim_d, num_marks):
     return dim_d, num_marks
 
 
-def _axis_table(names, dim_d, num_marks, intensities, params: EnvelopeParams):
+def envelope_axes(names, dim_d, num_marks, intensities, params: EnvelopeParams):
     """The gridded axes, in (y, z1.., u1..) order: the referenced variables,
-    with every component under znorm or unorm."""
+    with every component under znorm or unorm.  Refuses a referenced axis
+    without a box interval, and an expression that references none."""
     specs = [("y", "y", 0, 1.0)] if "y" in names else []
     for c in range(dim_d):
         if "znorm" in names or f"z{c + 1}" in names:
@@ -678,6 +693,11 @@ def _axis_table(names, dim_d, num_marks, intensities, params: EnvelopeParams):
         lo, hi = params.box[name]
         grid = np.linspace(float(lo), float(hi), params.grid_points)
         axes.append(EnvelopeAxis(name, family, index, weight, grid))
+    if not axes:
+        raise ConfigError(
+            "expression references none of y/z*/u*; an envelope would be the "
+            "function itself"
+        )
     return tuple(axes)
 
 

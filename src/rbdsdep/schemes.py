@@ -21,9 +21,10 @@ expectations carried backward over the slices; only E sup Y^2 is
 gathered over paths, within the ``MAX_PATHS`` budget.  The run keeps
 only the tree solutions; a caller that wants paths materialises them
 with ``TreeSolution.to_solution_grid``, within the same budget.
-Premise checks (growth, contraction, modulus) are sampling certificates
-on documented clouds; a failed certificate aborts the run before any
-solve.
+Premise checks are ``generator`` certificates on ``problem_cloud``
+clouds: linear growth for the envelope sequences; signed growth, the sign
+of f_t, the modulus pi and the contraction of g for bracketing.  A failed
+certificate aborts the run with a ConfigError before any solve.
 """
 
 from __future__ import annotations
@@ -39,13 +40,16 @@ from .errors import ConfigError
 from .expr import EvalContext, evaluate
 from .generator import (
     DEFAULT_ENVELOPE_NS,
+    Certificate,
     EnvelopeFunction,
     EnvelopeParams,
     check_envelope_ns,
     check_g_contraction,
     check_linear_growth,
     check_pi_minorant,
-    sample_cloud,
+    check_rate_nonnegative,
+    check_signed_growth,
+    problem_cloud,
     size_norms,
 )
 from .solver import (
@@ -106,32 +110,34 @@ def _successive_diffs(tree_sols):
     return z_diffs, u_diffs
 
 
-def _cert_cloud(problem: ProblemSpec, seed: int):
-    """The documented certificate cloud for one problem and seed."""
-    return sample_cloud(
-        _CERT_CLOUD_SIZE,
-        seed,
-        problem.dim_d,
-        problem.marks.m,
-        t_max=problem.grid.T,
-        radius=_CERT_RADIUS,
-        intensities=problem.marks.intensities,
-    )
+#: the refusal of each certificate a run requires, formatted with its worst
+_REFUSALS = {
+    "linear-growth": "linear growth certificate failed: |f| exceeds "
+    "C(1+|y|+|z|+|u|) on the sample cloud (worst ratio {:.4g})",
+    "signed-growth": "signed growth certificate failed: |f| exceeds "
+    "f_t + C(|y|+|z|+|u|) on the sample cloud (worst excess {:.4g})",
+    "rate_nonnegative": "dominating rate f_t is negative (min {:.4g})",
+    "pi-minorant": "modulus certificate failed: f differences dip below pi on the "
+    "sample pairs (worst {:.4g})",
+    "g-contraction": "contraction certificate failed for g on the sample pairs "
+    "(worst {:.4g})",
+}
 
 
-def _certify_growth(problem: ProblemSpec, seed: int) -> float:
-    report = check_linear_growth(problem.generator, _cert_cloud(problem, seed))
-    if not report.passed:
-        raise ConfigError(
-            "linear growth certificate failed: |f| exceeds "
-            f"C(1+|y|+|z|+|u|) on the sample cloud (worst ratio {report.worst:.4g})"
-        )
-    return report.worst
+def _required(cert: Certificate) -> float:
+    """cert's worst value; a ConfigError naming the premise if it failed."""
+    if not cert.passed:
+        raise ConfigError(_REFUSALS[cert.name].format(cert.worst))
+    return cert.worst
+
+
+def _cloud(problem: ProblemSpec, seed: int):
+    return problem_cloud(problem, _CERT_CLOUD_SIZE, seed, _CERT_RADIUS)
 
 
 def _paired_clouds(problem: ProblemSpec, seed: int):
-    a = _cert_cloud(problem, seed)
-    b = _cert_cloud(problem, seed + 1)
+    a = _cloud(problem, seed)
+    b = _cloud(problem, seed + 1)
     b.t = a.t  # the pair checks condition on a shared time
     return a, b
 
@@ -234,7 +240,8 @@ def _run_envelope(
 ) -> SequenceRun:
     ns = DEFAULT_ENVELOPE_NS if ns is None else ns
     check_envelope_ns(ns, "ns")
-    worst_growth = _certify_growth(problem, _ENVELOPE_CERT_SEED)
+    cloud = _cloud(problem, _ENVELOPE_CERT_SEED)
+    worst_growth = _required(check_linear_growth(problem.generator, cloud))
     eff = _effective_indices(ns, problem.generator.growth_C)
     f_fns = [_envelope_coefficient(problem, env, n, kind) for n in eff]
     tree_sols = [ts.validate() for ts in _solve_many(problem, tree, f_fns, threads)]
@@ -283,31 +290,6 @@ def run_sup_envelope_sequence(
 ) -> SequenceRun:
     """Mirror of the inf sequence: nonincreasing roots from above."""
     return _run_envelope(problem, env, ns, "sup", tree, threads, early_stop_tol)
-
-
-def _certify_signed_growth(problem: ProblemSpec, seed: int) -> float:
-    gen = problem.generator
-    cloud = _cert_cloud(problem, seed)
-    fvals = np.abs(np.asarray(evaluate(gen.f, cloud.context()), dtype=float))
-    rate_vals = np.asarray(
-        evaluate(gen.rate, EvalContext(t=cloud.t)), dtype=float
-    )
-    rate_vals = np.broadcast_to(rate_vals, cloud.t.shape)
-    ay, zn, un = cloud.size_norms()
-    bound = rate_vals + gen.growth_C * (ay + zn + un)
-    worst = float((fvals - bound).max())
-    if worst > 1e-9:
-        raise ConfigError(
-            "signed growth certificate failed: |f| exceeds "
-            f"f_t + C(|y|+|z|+|u|) on the sample cloud (worst excess {worst:.4g})"
-        )
-    rate_grid = np.asarray(
-        evaluate(gen.rate, EvalContext(t=problem.grid.times)), dtype=float
-    )
-    rate_min = float(np.broadcast_to(rate_grid, problem.grid.times.shape).min())
-    if rate_min < -1e-12:
-        raise ConfigError(f"dominating rate f_t is negative (min {rate_min:.4g})")
-    return worst
 
 
 def _anchor_coefficient(problem: ProblemSpec, sign: float) -> CoefficientFn:
@@ -370,23 +352,12 @@ def run_bracketing_sequence(
         raise ConfigError("bracketing needs the dominating rate f_t")
     if ns_count < 1:
         raise ConfigError("ns_count must be >= 1")
-    worst_growth = _certify_signed_growth(problem, _BRACKETING_CERT_SEED)
-    certs = {"signed_growth_excess": worst_growth}
+    cloud = _cloud(problem, _BRACKETING_CERT_SEED)
+    certs = {"signed_growth_excess": _required(check_signed_growth(gen, cloud))}
+    _required(check_rate_nonnegative(gen, problem.grid.times))
     cloud_a, cloud_b = _paired_clouds(problem, _BRACKETING_CERT_SEED + 10)
-    pi_report = check_pi_minorant(gen, cloud_a, cloud_b)
-    if not pi_report.passed:
-        raise ConfigError(
-            "modulus certificate failed: f differences dip below pi on the "
-            f"sample pairs (worst {pi_report.worst:.4g})"
-        )
-    certs["pi_worst"] = pi_report.worst
-    g_report = check_g_contraction(gen, cloud_a, cloud_b)
-    if not g_report.passed:
-        raise ConfigError(
-            "contraction certificate failed for g on the sample pairs "
-            f"(worst {g_report.worst:.4g})"
-        )
-    certs["g_worst"] = g_report.worst
+    certs["pi_worst"] = _required(check_pi_minorant(gen, cloud_a, cloud_b))
+    certs["g_worst"] = _required(check_g_contraction(gen, cloud_a, cloud_b))
 
     lower, upper = (
         solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, sign)).validate()

@@ -50,8 +50,8 @@ from .drivers import (
     check_two_point_law,
 )
 from .errors import ConfigError, SolverError
-from .expr import EvalContext, Num, evaluate, variables
-from .generator import GeneratorSpec, ensure_expr
+from .expr import EvalContext, Num, evaluate
+from .generator import GeneratorSpec, check_variables, ensure_expr
 from .table import CsvTable
 
 #: coefficient callables receive (next_step_index, t_next, y, z, u, w, j)
@@ -70,20 +70,6 @@ def coefficient_from_expr(expr, intensities) -> CoefficientFn:
         )
 
     return fn
-
-
-def _indexed_vars_ok(expr, dim_d, num_marks, label):
-    for name in sorted(variables(expr)):
-        if name[0] in "zw" and name[1:].isdigit() and int(name[1:]) > dim_d:
-            raise ConfigError(f"{label} references '{name}' but d = {dim_d}")
-        if name[0] in "uj" and name[1:].isdigit() and int(name[1:]) > num_marks:
-            raise ConfigError(f"{label} references '{name}' but m = {num_marks}")
-
-
-def _vars_within(expr, allowed, label):
-    extra = variables(expr) - allowed
-    if extra:
-        raise ConfigError(f"{label} must not reference {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -110,19 +96,10 @@ class ProblemSpec:
         object.__setattr__(self, "barrier", ensure_expr(self.barrier))
         object.__setattr__(self, "terminal", ensure_expr(self.terminal))
         d, m = self.dim_d, self.marks.m
-        allowed_w = {f"w{c}" for c in range(1, d + 1)}
-        allowed_j = {f"j{k}" for k in range(1, m + 1)}
-        _vars_within(self.barrier, {"t"} | allowed_w, "barrier")
-        _vars_within(self.terminal, allowed_w | allowed_j, "terminal condition")
-        for expr, label in (
-            (self.generator.f, "generator f"),
-            (self.generator.g, "coefficient g"),
-        ):
-            _indexed_vars_ok(expr, d, m, label)
-        if self.generator.pi is not None:
-            _indexed_vars_ok(self.generator.pi, d, m, "lower modulus pi")
-        if self.generator.rate is not None:
-            _indexed_vars_ok(self.generator.rate, d, m, "dominating rate f_t")
+        check_variables(self.barrier, "barrier", {"t"}, "w", d, m)
+        check_variables(self.terminal, "terminal condition", (), "wj", d, m)
+        for rule in self.generator.variable_rules():
+            check_variables(*rule, d, m)
 
     def coefficient_fns(self):
         lam = self.marks.intensities
@@ -352,7 +329,7 @@ class TreeModel:
         if self.grid.N > self.max_steps:
             raise ConfigError(
                 f"tree depth N = {self.grid.N} exceeds max_steps = {self.max_steps}; "
-                "raise max_steps explicitly or use solve_lsmc"
+                "raise scheme.tree_max_steps or use solve_lsmc"
             )
         check_two_point_law(self.marks, self.grid.dt)
 

@@ -20,7 +20,7 @@ from rbdsdep.drivers import (
     simulate_scenarios,
 )
 from rbdsdep.errors import ConfigError, SolverError
-from rbdsdep.generator import GeneratorSpec
+from rbdsdep.generator import GeneratorSpec, check_rate_nonnegative
 from rbdsdep.schemes import _successive_diffs
 from rbdsdep.solver import ProblemSpec, solve_tree_exact
 
@@ -182,6 +182,16 @@ class TestPositivity:
         assert report.verdict == "premises-not-met"
         failed = {c.name for c in report.premises if not c.passed}
         assert failed == {"split_present"}
+
+    def test_negative_rate_fails_premise(self):
+        # f = pi + h holds, but h = f_t = -1 is negative on every grid time
+        prob = make_problem(f="-abs(z1) - 1", pi="-abs(z1)", rate="-1", terminal="1")
+        sol = solve_tree_exact(prob).to_solution_grid()
+        report = positivity_check(sol, prob)
+        assert report.verdict == "premises-not-met"
+        failed = [c for c in report.premises if not c.passed]
+        assert failed == [check_rate_nonnegative(prob.generator, prob.grid.times)]
+        assert failed[0].name == "rate_nonnegative" and failed[0].worst == -1.0
 
     def test_split_mismatch_detected(self):
         # f != pi + h on the certification cloud

@@ -10,6 +10,7 @@ import yaml
 from rbdsdep.cli import main
 from rbdsdep.config import CONFIG_GRAMMAR, config_from_dict
 from rbdsdep.errors import ConfigError
+from rbdsdep.generator import DEFAULT_ENVELOPE_NS
 
 
 def minimal() -> dict:
@@ -85,6 +86,11 @@ class TestCanonicalForm:
         assert config_from_dict(ALL_KEYS).config_hash == (
             "5c28d91ffca60dfab1b4e3895f9ab6d64dcb0809f8896471305cd28d32a8df1e"
         )
+
+    def test_grammar_states_the_default_envelope_ns(self):
+        assert all(n == int(n) for n in DEFAULT_ENVELOPE_NS)
+        stated = str([int(n) for n in DEFAULT_ENVELOPE_NS])
+        assert f"default {stated})" in " ".join(CONFIG_GRAMMAR.split())
 
     def test_every_recorded_key_is_in_the_grammar(self):
         blocks, name = {}, None
@@ -243,3 +249,50 @@ def test_the_budget_refusal_names_its_key(tmp_path, capsys):
     assert "error[SolverError]: tree budget exceeded: " in err
     assert "lattice nodes > 100000; raise scheme.tree_max_states" in err
     assert "solve_lsmc" not in err
+
+
+def sequence_config(pipeline, f, box) -> dict:
+    return {
+        "pipeline": pipeline,
+        "grid": {"T": 0.5, "N": 2},
+        "problem": {"f": f, "growth_c": 2, "barrier": "-6", "terminal": "0.5*w1"},
+        "envelope": {"box": box, "grid_points": 11},
+    }
+
+
+@pytest.mark.parametrize("pipeline", ["inf_sequence", "sup_sequence"])
+@pytest.mark.parametrize(
+    "f, box, message",
+    [
+        (
+            "sqrt(abs(y)) + abs(z1)",
+            {"y": [-6, 6]},
+            "envelope box is missing an interval for 'z1'",
+        ),
+        (
+            "0.5 + 0.1*w1",
+            {"y": [-6, 6]},
+            "expression references none of y/z*/u*",
+        ),
+    ],
+)
+def test_validate_config_refuses_an_envelope_the_run_would_refuse(
+    pipeline, f, box, message, tmp_path, capsys
+):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(sequence_config(pipeline, f, box)))
+    assert main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]:") and message in err
+    # the box the run needs is accepted
+    box = {"y": [-6, 6], "z1": [-6, 6]}
+    path.write_text(yaml.safe_dump(sequence_config(pipeline, "abs(y) + abs(z1)", box)))
+    assert main(["validate-config", str(path)]) == 0
+
+
+def test_tree_depth_refusal_names_its_key(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(with_section("grid", N=8)))
+    assert main(["validate-config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "tree depth N = 8 exceeds max_steps = 6; raise scheme.tree_max_steps" in err

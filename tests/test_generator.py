@@ -11,6 +11,7 @@ from rbdsdep.errors import ConfigError, EnvelopeError
 from rbdsdep.expr import EvalContext, evaluate, parse_expr, variables
 from rbdsdep.schemes import run_inf_envelope_sequence, run_sup_envelope_sequence
 from rbdsdep.generator import (
+    PREMISE_SLACK,
     Cloud,
     EnvelopeFunction,
     EnvelopeParams,
@@ -18,6 +19,8 @@ from rbdsdep.generator import (
     check_g_contraction,
     check_linear_growth,
     check_pi_minorant,
+    check_rate_nonnegative,
+    check_signed_growth,
     envelope_table,
     inf_convolution,
     sample_cloud,
@@ -81,9 +84,11 @@ class TestLinearGrowth:
         assert not report.passed
         # 9 > 1 + 3 at y = 3; worst ratio 9/4
         assert report.worst == pytest.approx(2.25)
-        assert report.violation_count == 4  # y in {-3, -2, 2, 3}
-        assert report.first_violations[0]["value"] == pytest.approx(9.0)
-        assert report.first_violations[0]["bound"] == pytest.approx(4.0)
+        assert report.name == "linear-growth"
+        # y in {-3, -2, 2, 3} break the bound; the rest alone pass
+        inner = Cloud(t=np.zeros(3), y=np.array([-1.0, 0.0, 1.0]),
+                      z=np.zeros((3, 1)), u=np.zeros((3, 1)))
+        assert check_linear_growth(spec, inner).passed
 
     def test_equality_case_has_worst_ratio_one(self):
         spec = GeneratorSpec(f="1 + abs(y) + znorm + unorm", g="0", growth_C=1.0)
@@ -105,8 +110,8 @@ class TestContraction:
         a, b = paired_clouds(256, 11)
         report = check_g_contraction(spec, a, b)
         assert not report.passed
-        assert report.worst > 0.0
-        assert report.first_violations[0]["lhs"] > report.first_violations[0]["rhs"]
+        # worst is the largest excess of |g(a)-g(b)|^2 over its bound
+        assert report.worst > PREMISE_SLACK
 
     def test_mixed_y_u_coefficient_against_brute_force(self):
         # g = y + 0.3*sqrt(2)*u1 with intensity 2: the cross term needs
@@ -168,8 +173,8 @@ class TestMinorant:
         a, b = paired_clouds(256, 51)
         report = check_pi_minorant(spec, a, b)
         assert not report.passed
-        assert report.worst > 0.0
-        assert report.first_violations[0]["kind"] == "minorant"
+        # worst is the shortfall below pi, so a minorant failure exceeds the slack
+        assert report.worst > PREMISE_SLACK
 
     def test_modulus_growth_bound_enforced(self):
         # minorant inequality is tight but |pi| breaches C(|dy|+|dz|+|du|)
@@ -177,13 +182,45 @@ class TestMinorant:
         a, b = paired_clouds(256, 61)
         report = check_pi_minorant(spec, a, b)
         assert not report.passed
-        assert any(v["kind"] == "growth" for v in report.first_violations)
+        # no shortfall below pi: the growth bound, not the minorant, failed
+        assert report.worst <= PREMISE_SLACK
 
     def test_missing_pi(self):
         spec = GeneratorSpec(f="y", g="0")
         a, b = paired_clouds(8, 71)
         with pytest.raises(ConfigError, match="no lower modulus"):
             check_pi_minorant(spec, a, b)
+
+
+class TestSignedGrowth:
+    def test_bounded_f_passes_with_its_rate(self):
+        spec = GeneratorSpec(f="sign(y) + 0.5*t", g="0", rate="1 + 0.5*t")
+        report = check_signed_growth(spec, sample_cloud(256, 13, 1, 1))
+        assert report.passed and report.name == "signed-growth"
+        assert report.worst <= PREMISE_SLACK
+
+    def test_excess_over_the_rate_fails_with_its_size(self):
+        # |f| = 2 against f_t = 1 at y = z = u = 0: excess exactly 1
+        spec = GeneratorSpec(f="2", g="0", rate="1")
+        cloud = Cloud(t=np.zeros(2), y=np.array([0.0, 3.0]),
+                      z=np.zeros((2, 1)), u=np.zeros((2, 1)))
+        report = check_signed_growth(spec, cloud)
+        assert not report.passed
+        assert report.worst == pytest.approx(1.0)
+
+
+class TestRateNonnegative:
+    def test_worst_is_the_minimum_on_the_times(self):
+        spec = GeneratorSpec(f="0", g="0", rate="t - 0.25")
+        report = check_rate_nonnegative(spec, np.linspace(0.0, 1.0, 5))
+        assert not report.passed and report.name == "rate_nonnegative"
+        assert report.worst == pytest.approx(-0.25)
+        assert check_rate_nonnegative(spec, np.array([0.25, 1.0])).passed
+
+    def test_constant_rate_spans_every_time(self):
+        spec = GeneratorSpec(f="0", g="0", rate="0")
+        report = check_rate_nonnegative(spec, np.linspace(0.0, 1.0, 4))
+        assert report.passed and report.worst == 0.0
 
 
 class TestSizeNorms:
