@@ -16,7 +16,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .drivers import MAX_PATHS, MarkSpace, ScenarioSet
+from .drivers import MarkSpace, ScenarioSet
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, Expr, evaluate, to_string
 from .generator import (
@@ -411,12 +411,13 @@ def integrand_norms(tree: TreeModel, Z, U):
 def tree_norm_report(sol: TreeSolution) -> dict:
     """``norm_report``'s squared norms computed on the tree slices.
 
-    The Z and U norms come from ``integrand_norms`` and E K_T^2 from
-    ``TreeSolution.k_moments``, both carried backward.  E sup Y^2 is a
-    path functional: it is gathered only when its running max runs over
-    at most MAX_PATHS histories (``TreeModel.history_count``); otherwise
-    it is None and "sup_y_sq_skipped" says why.  The norms of a solution
-    that fails ``TreeSolution.validate`` may be non-finite.
+    The Z and U norms come from ``integrand_norms``, E K_T^2 from
+    ``TreeSolution.k_moments`` and E sup Y^2 from
+    ``TreeSolution.sup_y_sq``, all carried backward.  When that pass
+    would hold more than MAX_PATHS values on a slice (one per distinct
+    Y^2 on each node), E sup Y^2 is None and "sup_y_sq_skipped" says why.
+    The norms of a solution that fails ``TreeSolution.validate`` may be
+    non-finite.
     """
     z_norm, u_norm = integrand_norms(sol.tree, sol.Z, sol.U)
     report = {
@@ -425,11 +426,8 @@ def tree_norm_report(sol: TreeSolution) -> dict:
         "u_norm_sq": u_norm,
         "k_t_sq": sol.k_moments[1],
     }
-    paths = sol.tree.history_count()
-    if paths <= MAX_PATHS:
+    try:
         report["sup_y_sq"] = sol.sup_y_sq()
-    else:
-        report["sup_y_sq_skipped"] = (
-            f"E sup Y^2 is a path functional; it gathers {paths} paths (> {MAX_PATHS})"
-        )
+    except SolverError as exc:  # the pass's budget, its only refusal
+        report["sup_y_sq_skipped"] = str(exc)
     return report

@@ -47,8 +47,9 @@ from .errors import ConfigError, SolverError
 
 MODES = ("gaussian", "two-point")
 
-#: Most weighted paths a two-point enumeration or a tree's path view may
-#: hold: 16 MB per float column.
+#: Most weighted paths a two-point enumeration, and so a tree's path view,
+#: may hold: 16 MB per float column; also the most values the E sup Y^2
+#: pass of ``TreeSolution.sup_y_sq`` holds on one slice.
 MAX_PATHS = 2_000_000
 
 

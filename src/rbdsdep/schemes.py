@@ -17,10 +17,10 @@ Three pipelines, one per construction:
 Every solution of a run (each per-n solution, the upper bound V and the
 bracketing anchors) is checked node-wise against the reflection
 invariants on its tree slices, and the report norms are exact
-expectations carried backward over the slices; only E sup Y^2 is
-gathered over paths, within the ``MAX_PATHS`` budget.  The run keeps
-only the tree solutions; a caller that wants paths materialises them
-with ``TreeSolution.to_solution_grid``, within the same budget.
+expectations carried backward over the slices, E sup Y^2 within the
+``MAX_PATHS`` budget of ``TreeSolution.sup_y_sq``.  The run keeps only
+the tree solutions; a caller that wants paths materialises them with
+``TreeSolution.to_solution_grid``, within the same budget.
 Premise checks are ``generator`` certificates on ``problem_cloud``
 clouds: linear growth for the envelope sequences; signed growth, the sign
 of f_t, the modulus pi and the contraction of g for bracketing.  A failed
@@ -119,6 +119,8 @@ _REFUSALS = {
     "rate_nonnegative": "dominating rate f_t is negative (min {:.4g})",
     "pi-minorant": "modulus certificate failed: f differences dip below pi on the "
     "sample pairs (worst {:.4g})",
+    "pi-growth": "modulus growth certificate failed: |pi| exceeds "
+    "growth_c*(|dy|+|dz|+|du|) on the sample pairs (worst excess {:.4g})",
     "g-contraction": "contraction certificate failed for g on the sample pairs "
     "(worst {:.4g})",
 }

@@ -45,9 +45,8 @@ from .drivers import (
     MarkSpace,
     ScenarioSet,
     TimeGrid,
-    _jump_patterns,
-    _sign_patterns,
     check_two_point_law,
+    enumerate_scenarios,
 )
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, Num, evaluate
@@ -284,8 +283,9 @@ class TreeModel:
     (i+1,)*d + (i+1,)*m + (b_columns(i),), plus a component axis for Z and
     U: per W component the count k_c of minus signs in steps 0..i-1 (w_c =
     (i - 2*k_c)*sqrt(dt)), per mark its jump count, then the B axis.  dK
-    has one slice per step i < N.  Full paths, in ``enumerate_scenarios``'
-    order, are gathers of lattice values.
+    has one slice per step i < N.  Full paths are those of
+    ``enumerate_scenarios``, each gathered from its node on every slice
+    (``path_nodes``).
 
     The B axis is one of ``B_AXES``:
 
@@ -305,8 +305,8 @@ class TreeModel:
       ``rbdsdep.lattice.v2``) writes one row per stored node: its
       ``b_column`` is 0 and its ``prob`` the lattice point's.
 
-    Only ``b_columns``, ``_onto_b_columns`` and ``_history_weights``
-    branch on the axis; the rest of the layout reads ``b_columns``.
+    Only ``b_columns`` and ``_onto_b_columns`` branch on the axis; the
+    rest of the layout, ``path_nodes`` included, reads ``b_columns``.
 
     max_steps guards the default desk scale; max_states bounds the stored
     lattice nodes (lattice points times B columns, summed over slices).
@@ -351,15 +351,6 @@ class TreeModel:
 
     def total_states(self) -> int:
         return sum(self.slice_states(i) for i in range(self.grid.N + 1))
-
-    def path_count(self) -> int:
-        """Full paths: every W, jump and B history of N steps."""
-        return 2 ** (self.node_axes * self.grid.N)
-
-    def history_count(self) -> int:
-        """Histories ``TreeSolution.sup_y_sq`` carries its running max on:
-        every full path, or on a collapsed axis every W and jump history."""
-        return self.path_count() // 2**self.grid.N * self.b_columns(0)
 
     def ensure_budget(self):
         total = self.total_states()
@@ -459,59 +450,21 @@ class TreeModel:
         pb = self._points[i][2] / self.b_columns(i)
         return np.broadcast_to(pb, self.slice_shape(i))
 
-    @cached_property
-    def _history_nodes(self):
-        """Per slice i, the flat lattice-point index of each W and jump
-        history of steps 0..i-1, shape (2**(d*i), 2**(m*i)), a history read
-        as per-step digits, step 0 the most significant (the order of
-        ``enumerate_scenarios``).  Only path views, within MAX_PATHS, build it."""
-        d, m = self.dim_d, self.marks.m
-        w_step = (_sign_patterns(d) < 0).astype(np.int64)
-        j_step = _jump_patterns(m).astype(np.int64)
-        w_counts, j_counts, out = np.zeros((1, d), np.int64), np.zeros((1, m), np.int64), []
-        for i in range(self.grid.N + 1):
-            strides = (i + 1) ** np.arange(self.node_axes - 2, -1, -1)
-            out.append((w_counts @ strides[:d])[:, None] + (j_counts @ strides[d:])[None, :])
-            if i < self.grid.N:
-                w_counts = (w_counts[:, None] + w_step).reshape(-1, d)
-                j_counts = (j_counts[:, None] + j_step).reshape(len(j_counts) * len(j_step), m)
-        return out
-
-    def _on_histories(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Slice-i values, with any trailing z/u axis, gathered onto (W
-        history, jump history, stored B columns)."""
-        shape = ((i + 1) ** (self.node_axes - 1), self.b_columns(i))
-        return values.reshape(shape + values.shape[self.node_axes :])[self._history_nodes[i]]
-
-    def on_paths(self, i: int, values: np.ndarray) -> np.ndarray:
-        """Slice-i values, with any trailing z/u axis, copied onto every
-        full path: shape (paths,) + trailing axes.  A collapsed B column
-        is copied onto every future B sign."""
-        nw, nj, lost = 2**self.dim_d, 2**self.marks.m, self.grid.N - i
-        a, b, n, rest = nw**i, nj**i, self.b_columns(i), values.shape[self.node_axes :]
-        cube = (a, nw**lost, b, nj**lost, 2**i, 2**lost)
-        nodes = self._on_histories(i, values).reshape((a, 1, b, 1, 1, n) + rest)
-        return np.broadcast_to(nodes, cube + rest).reshape((math.prod(cube),) + rest)
-
-    def _w_j_weights(self) -> np.ndarray:
-        """Probability of each W and jump history of N steps, on slice N's
-        lattice points: 1/2 per W sign, and lambda_k*dt or 1 - lambda_k*dt
-        per step of mark k."""
-        N, (_, j) = self.grid.N, self.context(self.grid.N)
-        lam_dt = self.marks.intensities * self.grid.dt
-        return (lam_dt**j * (1.0 - lam_dt) ** (N - j)).prod(axis=-1) * 0.5 ** (self.dim_d * N)
-
-    def path_weights(self) -> np.ndarray:
-        """Probability of each full path: that of its W and jump history
-        times 1/2 per B sign."""
-        return self.on_paths(self.grid.N, self._w_j_weights() * 0.5**self.grid.N)
-
-    def _history_weights(self) -> np.ndarray:
-        """Probability of each of the ``history_count`` histories, in the
-        order of ``TreeSolution.sup_y_sq``'s running max."""
-        if self.b_axis == "collapsed":
-            return self._on_histories(self.grid.N, self._w_j_weights()).reshape(-1)
-        return self.path_weights()
+    def path_nodes(self, scen: ScenarioSet) -> list:
+        """Per slice i, the index tuple of each path's node in a two-point
+        ``ScenarioSet`` on this grid: per W axis the count of minus signs
+        of dW in steps 0..i-1, per mark its jump count, then the signs of
+        dB in steps i..N-1 as digits, step i the most significant, + as
+        digit 0, taken modulo ``b_columns(i)``."""
+        P, N = scen.dB.shape
+        steps = np.concatenate((scen.dW < 0, scen.jump_counts > 0), axis=2)
+        counts = np.zeros((P, N + 1, steps.shape[2]), np.int64)
+        np.cumsum(steps, axis=1, out=counts[:, 1:])
+        # the B digits from step i on: suffix sums of the sign bits, step s at 2**(N-1-s)
+        bits = (scen.dB < 0) << np.arange(N - 1, -1, -1)
+        b_digits = np.zeros((P, N + 1), np.int64)
+        b_digits[:, :N] = bits[:, ::-1].cumsum(axis=1)[:, ::-1]
+        return [tuple(counts[:, i].T) + (b_digits[:, i] % self.b_columns(i),) for i in range(N + 1)]
 
 
 @dataclass
@@ -571,36 +524,42 @@ class TreeSolution:
         return float(a.mean()), float(b.mean())
 
     def sup_y_sq(self) -> float:
-        """E[max_i Y_i^2] over the full paths, the one path functional of
-        the sequence reports.  The running max of Y^2 is carried on (W
-        history, jump history, past B signs, stored B columns): each
-        history's max splits into its W and jump children and meets their
-        lattice Y^2.  On a collapsed B axis there are no B signs to carry,
-        so it runs over the W and jump histories alone."""
-        tree, N = self.tree, self.grid.N
-        nw, nj = 2**tree.dim_d, 2**tree.marks.m
-        top = self.Y[0] ** 2
-        for i in range(N):
-            a, b, n = nw**i, nj**i, tree.b_columns(i + 1)
-            kids = tree._on_histories(i + 1, self.Y[i + 1] ** 2).reshape(a, nw, b, nj, 1, n)
-            # an exhaustive step-i B sign moves from the future axis to the past one
-            top = np.maximum(top.reshape(a, 1, b, 1, tree.b_columns(0) // n, n), kids)
-        return float(tree._history_weights() @ top.reshape(-1))
+        """E[max_i Y_i^2] over the full paths, carried backward like the
+        solve.  With c the sorted distinct values of Y^2 on every node, on
+        a trailing axis, q_i = E_i[q_{i+1}] * 1{Y_i^2 <= c} from q_N =
+        1{Y_N^2 <= c} is the conditional probability that Y^2 stays <= c
+        from slice i on, so q_0's slice-0 mean is F(c) = P(max_i Y_i^2 <=
+        c), and E max_i Y_i^2 = c_1 + sum_k (c_k - c_{k-1}) (1 - F(c_{k-1})).
+        Raises SolverError when (distinct values) x (largest slice)
+        exceeds MAX_PATHS."""
+        y_sq = [y**2 for y in self.Y]
+        c = np.unique(np.concatenate([v.ravel() for v in y_sq]))
+        largest = max(v.size for v in y_sq)
+        if c.size * largest > MAX_PATHS:
+            raise SolverError(
+                f"E sup Y^2 carries {c.size} distinct values of Y^2 over slices of up to "
+                f"{largest} nodes: {c.size * largest} values (> {MAX_PATHS})"
+            )
+        q = y_sq[-1][..., None] <= c
+        for i in range(self.grid.N - 1, -1, -1):
+            q = self.tree.step_mean(i, q) * (y_sq[i][..., None] <= c)
+        F = q.reshape(-1, c.size).mean(axis=0)
+        return float(c[0] + np.diff(c) @ (1.0 - F[:-1]))
 
     def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
-        """Materialize every full history as a weighted path, in the path
-        order of ``enumerate_scenarios``."""
+        """Materialize every full history as a weighted path: the paths and
+        weights of ``enumerate_scenarios``, each field gathered from the
+        path's node on every slice (``TreeModel.path_nodes``)."""
         tree = self.tree
-        P = tree.path_count()
-        if P > max_paths:
-            raise SolverError(f"path materialization needs {P} paths (> {max_paths})")
+        scen = enumerate_scenarios(self.grid, tree.dim_d, tree.marks, max_paths)
+        nodes, P = tree.path_nodes(scen), scen.path_count
 
         def gather(slices):
-            return np.stack([tree.on_paths(i, v) for i, v in enumerate(slices)], axis=1)
+            return np.stack([v[n] for v, n in zip(slices, nodes)], axis=1)
 
         K = np.concatenate((np.zeros((P, 1)), np.cumsum(gather(self.dK), axis=1)), axis=1)
         Y, Z, U, S = (gather(v) for v in (self.Y, self.Z, self.U, self.S))
-        return SolutionGrid(self.grid, Y, Z, U, K, S, tree.path_weights(), {"source": "tree"})
+        return SolutionGrid(self.grid, Y, Z, U, K, S, scen.path_weights(), {"source": "tree"})
 
 
 def _raise_at(bad: np.ndarray, what: str, i: int, axes: int):

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from rbdsdep.analysis import norm_report, skorokhod_check
 from rbdsdep.cli import main, run_pipeline
 from rbdsdep.config import PIPELINES, config_from_dict, load_config
 from rbdsdep.errors import ConfigError
+from rbdsdep.schemes import run_bracketing_sequence, run_inf_envelope_sequence
 from rbdsdep.solver import TreeSolution, solution_csv_rows, solve_tree_exact
 
 
@@ -473,10 +475,10 @@ ONE_MARK = {"values": [1.0], "intensities": [0.4]}
 
 
 def sequence_beyond_the_path_budget(pipeline: str) -> dict:
-    """d = 1, one mark, well inside the state budget, but E sup Y^2 would
-    gather 2**24 = 16777216 paths, past MAX_PATHS: at N = 8 with g = 0.1*y
-    (130816 tree states, every full path), and at N = 12 with g = 0 (650
-    tree states on a collapsed B axis, every W and jump history)."""
+    """d = 1, one mark, well inside the state budget, but with more paths
+    than MAX_PATHS: at N = 8 with g = 0.1*y, 2**24 full paths on 2949
+    lattice nodes, and at N = 12 with g = 0, 2**24 W and jump histories on
+    819 nodes of a collapsed B axis."""
     data = {
         "pipeline": pipeline,
         "grid": {"T": 0.5, "N": 8},
@@ -502,13 +504,13 @@ def sequence_beyond_the_path_budget(pipeline: str) -> dict:
 
 
 class TestSequencesBeyondThePathBudget:
-    """Sequence runs check and norm on the tree slices, so a tree with more
-    paths than MAX_PATHS finishes; only E sup Y^2 is skipped, with its
-    reason."""
+    """Sequence runs check and norm on the tree slices, E sup Y^2 included,
+    so a tree with more paths than MAX_PATHS finishes with every norm."""
 
     @pytest.mark.parametrize("pipeline", ["bracketing", "inf_sequence"])
-    def test_run_finishes_and_skips_sup_y(self, tmp_path, capsys, pipeline):
-        path = write_config(tmp_path, sequence_beyond_the_path_budget(pipeline))
+    def test_run_finishes_with_sup_y(self, tmp_path, capsys, pipeline):
+        data = sequence_beyond_the_path_budget(pipeline)
+        path = write_config(tmp_path, data)
         assert main(["validate-config", path]) == 0
         out_dir = tmp_path / "out"
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
@@ -516,9 +518,17 @@ class TestSequencesBeyondThePathBudget:
         assert summary["validators"] and all(summary["validators"].values())
         norms = summary["report"]["norms"]
         assert len(norms) == len(summary["y0_series"]) >= 3
-        for entry in norms:
-            assert entry["sup_y_sq"] is None
-            assert "16777216 paths (> 2000000)" in entry["sup_y_sq_skipped"]
+        cfg = config_from_dict(data)
+        tree = cfg.tree_model()
+        if pipeline == "bracketing":
+            run = run_bracketing_sequence(cfg.problem, ns_count=cfg.bracketing_count, tree=tree)
+        else:
+            run = run_inf_envelope_sequence(cfg.problem, cfg.envelope, ns=cfg.envelope_ns, tree=tree)
+        for entry, sol in zip(norms, run.tree_solutions, strict=True):
+            # max_i E[Y_i^2] <= E[max_i Y_i^2] <= E[sum_i Y_i^2]
+            second = [float((sol.state_probs(i) * y**2).sum()) for i, y in enumerate(sol.Y)]
+            assert max(second) <= entry["sup_y_sq"] <= sum(second)
+            assert "sup_y_sq_skipped" not in entry
             assert entry["z_norm_sq"] > 0.0
         rows = (out_dir / "sequence.csv").read_text().splitlines()
         assert len(rows) == 2 + len(norms)
@@ -573,8 +583,15 @@ class TestTreeSolveOnTheLattice:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert all(summary["validators"].values()) and len(summary["validators"]) == 3
         assert summary["norms"]["sup_y_sq"] is None
-        paths = 2 ** (3 * N)
-        assert f"{paths} paths (> 2000000)" in summary["norms"]["sup_y_sq_skipped"]
+        reason = re.fullmatch(
+            r"E sup Y\^2 carries (\d+) distinct values of Y\^2 over slices of up to "
+            r"(\d+) nodes: (\d+) values \(> 2000000\)",
+            summary["norms"]["sup_y_sq_skipped"],
+        )
+        distinct, largest, values = map(int, reason.groups())
+        tree = config_from_dict(tree_solve(N)).tree_model()
+        assert largest == max(tree.slice_states(i) for i in range(N + 1))
+        assert values == distinct * largest > 2_000_000
         assert "root_se" not in summary
 
     @pytest.mark.parametrize("m", [0, 1, 2])

@@ -181,9 +181,10 @@ class TestMinorant:
         spec = GeneratorSpec(f="5*y", g="0", pi="5*y", growth_C=1.0)
         a, b = paired_clouds(256, 61)
         report = check_pi_minorant(spec, a, b)
-        assert not report.passed
-        # no shortfall below pi: the growth bound, not the minorant, failed
-        assert report.worst <= PREMISE_SLACK
+        # no shortfall below pi: the growth bound, not the minorant, failed,
+        # and the certificate says so with the excess of |pi| over it
+        assert not report.passed and report.name == "pi-growth"
+        assert report.worst > PREMISE_SLACK
 
     def test_missing_pi(self):
         spec = GeneratorSpec(f="y", g="0")

@@ -245,6 +245,14 @@ class TestBracketing:
         with pytest.raises(ConfigError, match="modulus certificate failed"):
             run_bracketing_sequence(prob)
 
+    def test_modulus_growth_breach_is_refused_under_its_own_name(self):
+        # f differences never dip below pi = -2|dz|, but |pi| = 2|dz| breaks
+        # the growth bound growth_c*(|dy|+|dz|+|du|) with growth_c = 1
+        prob = make_problem(f="indicator_pos(y)", pi="-2*abs(z1)", rate="1", terminal="w1", N=2)
+        refusal = r"modulus growth certificate failed: \|pi\| exceeds growth_c"
+        with pytest.raises(ConfigError, match=refusal):
+            run_bracketing_sequence(prob)
+
     def test_contraction_certificate_gates(self):
         prob = make_problem(f="0", g="z1", pi="0", rate="0", terminal="w1")
         with pytest.raises(ConfigError, match="contraction certificate failed for g"):

@@ -330,9 +330,6 @@ class ExponentialTree(TreeModel):
     def slice_shape(self, i):
         return 2 ** (self.dim_d * i), 2 ** (self.marks.m * i), 2 ** (self.grid.N - i)
 
-    def path_count(self):
-        return self.slice_states(self.grid.N) * 2**self.grid.N
-
     @cached_property
     def _steps(self):
         """One step's dW patterns (2**d, d), jump patterns (2**m, m) and
@@ -364,9 +361,10 @@ class ExponentialTree(TreeModel):
 
     def children(self, i, values):
         """Slice-(i+1) values with the step-i W and jump branches split out:
-        shape (2**(d*i), 2**d, 2**(m*i), 2**m, 2**(N-i-1))."""
+        shape (2**(d*i), 2**d, 2**(m*i), 2**m, 2**(N-i-1)) + trailing axes."""
         nw, nj = 2**self.dim_d, 2**self.marks.m
-        return values.reshape(nw**i, nw, nj**i, nj, 2 ** (self.grid.N - i - 1))
+        split = (nw**i, nw, nj**i, nj, 2 ** (self.grid.N - i - 1))
+        return values.reshape(split + values.shape[3:])
 
     def expectation(self, i, y1, z1, u1, f_fn, g_fn):
         t_next, dt = self.grid.times[i + 1], self.grid.dt
@@ -398,19 +396,28 @@ class ExponentialTree(TreeModel):
         return np.broadcast_to(pw * pb * j_prob[None, :, None], self.slice_shape(i))
 
     def step_mean(self, i, values):
-        """E_i of slice-(i+1) values: the mean over each node's W and jump
-        children, the same for both step-i B signs."""
+        """E_i of slice-(i+1) values, with any trailing axes: the mean over
+        each node's W and jump children, the same for both step-i B signs."""
         _, _, pj = self._steps
-        mean = np.einsum("awbjn,j->abn", self.children(i, values), pj) / 2**self.dim_d
+        mean = np.einsum("awbjn...,j->abn...", self.children(i, values), pj) / 2**self.dim_d
         return np.concatenate((mean, mean), axis=2)
 
-    def _on_histories(self, i, values):
-        # a tree node already is a (W history, jump history, B signs) triple
-        return values
+    def path_nodes(self, scen):
+        """A path's node on slice i: its W and jump histories of steps
+        0..i-1 and its B signs of steps i..N-1, each read as digits, step 0
+        (or i) the most significant, + and no jump as digit 0."""
+        N, d, m = self.grid.N, self.dim_d, self.marks.m
+        w = (scen.dW < 0).astype(int) @ 2 ** np.arange(d - 1, -1, -1)
+        j = (scen.jump_counts > 0).astype(int) @ 2 ** np.arange(m - 1, -1, -1)
+        b = (scen.dB < 0).astype(int)
 
-    def path_weights(self):
-        N = self.grid.N
-        return self.on_paths(N, self.state_probs(N)) * 0.5**N
+        def digits(per_step, base):
+            return per_step @ base ** np.arange(per_step.shape[1] - 1, -1, -1)
+
+        return [
+            (digits(w[:, :i], 2**d), digits(j[:, :i], 2**m), digits(b[:, i:], 2))
+            for i in range(N + 1)
+        ]
 
 
 TWO_MARKS = MarkSpace(np.array([1.0, 2.0]), np.array([0.4, 0.7]))
@@ -541,7 +548,6 @@ class TestCollapsedBAxis:
     @pytest.mark.parametrize("d,m", COLLAPSE_CASES)
     def test_reports_agree(self, d, m):
         collapsed, full = solve_on_both_b_axes(oracle_case(d, m, with_g=False))
-        assert collapsed.tree.history_count() * 2**full.grid.N == full.tree.history_count()
         got, want = tree_norm_report(collapsed), tree_norm_report(full)
         assert got.keys() == want.keys() and want["sup_y_sq"] is not None
         for key in want:
@@ -615,28 +621,36 @@ class TestTreeStructure:
             scen = enumerate_scenarios(prob.grid, d, marks)
             lsmc = solve_lsmc(prob, scen, SchemeParams(basis="indicator"))
             assert tree.terminal_k().max() > 0.0
-            for name in ("Y", "Z", "U", "K", "S", "weights"):
+            assert tree.weights.tobytes() == lsmc.weights.tobytes(), (d, marks.m)
+            for name in ("Y", "Z", "U", "K", "S"):
                 np.testing.assert_allclose(
                     getattr(tree, name), getattr(lsmc, name), rtol=0, atol=1e-12,
                     err_msg=f"{name} with d={d}, m={marks.m}",
                 )
 
+    @pytest.mark.parametrize("d,m,with_g", ORACLE_CASES)
+    def test_path_weights_are_the_enumerated_ones(self, d, m, with_g):
+        """Both trees give their paths the weights of enumerate_scenarios,
+        bit for bit: there is one path order and one path law."""
+        prob = oracle_case(d, m, with_g)
+        want = enumerate_scenarios(prob.grid, d, prob.marks).path_weights().tobytes()
+        for sol in solve_both(prob):
+            assert sol.to_solution_grid().weights.tobytes() == want
+
     def test_sup_y_sq_equals_the_path_gather(self):
-        """The running max carried on the histories equals the max over
-        every full path of Y_i^2, spread onto the paths of the exponential
-        tree, weighted by its state probabilities."""
+        """The backward pass equals the weighted max over every full path
+        of Y_i^2, gathered by to_solution_grid, on the lattice and on the
+        exponential tree."""
         no_jumps = dict(f="0.2*y - 0.3*z1 + 0.05*max(y, 0)", terminal="w1 + 0.2")
         for d in (1, 2):
             for marks in (empty_marks(), MARKS):
                 kw = dict(MIXED, dim_d=d, marks=marks, N=3)
                 if marks.m == 0:
                     kw.update(no_jumps)
-                sol, ref = solve_both(make_problem(**kw))
-                tree, N = ref.tree, ref.grid.N
-                top = np.max([tree.on_paths(i, ref.Y[i] ** 2) for i in range(N + 1)], axis=0)
-                weights = tree.on_paths(N, tree.state_probs(N)) * 0.5**N
-                assert sol.sup_y_sq() == pytest.approx(float(weights @ top), rel=1e-12, abs=0)
-                assert ref.sup_y_sq() == float(weights @ top), (d, marks.m)
+                for sol in solve_both(make_problem(**kw)):
+                    paths = sol.to_solution_grid()
+                    want = float(paths.weights @ (paths.Y**2).max(axis=1))
+                    assert sol.sup_y_sq() == pytest.approx(want, rel=1e-12, abs=0), (d, marks.m)
 
     def test_materialization_budget(self):
         sol = solve_tree_exact(make_problem(**MIXED))
