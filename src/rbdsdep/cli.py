@@ -7,6 +7,11 @@ writes are atomic (temp file plus rename) and all report content is
 deterministic for a fixed configuration, independent of --threads; only
 the manifest's timing fields vary between runs.
 
+``run --threads K`` sets the threads of an envelope sequence
+(``inf_sequence``, ``sup_sequence``): each envelope call of its backward
+pass is cut into blocks of queries, and K threads share the blocks.  The
+other pipelines run on one thread.
+
 Exit codes: 0 when every validator in the pipeline passes, 1 when a
 validator fails, 2 on configuration or runtime errors.
 """
@@ -306,7 +311,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a configured pipeline")
     p_run.add_argument("--config", required=True, help="YAML configuration file")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="threads sharing the query blocks of an envelope sequence's envelope calls",
+    )
     p_run.add_argument("--verbose", action="store_true", help="print full reports")
 
     p_val = sub.add_parser("validate-config", help="validate without running")

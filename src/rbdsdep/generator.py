@@ -368,29 +368,57 @@ class EnvelopeAxis:
         return (z if self.family == "z" else u)[:, self.index]
 
 
+#: queries per block of an envelope call, rounded down to whole nodes: the
+#: unit a pool runs, and the bound on one block's temporaries.  At 512 the
+#: (queries x 201) temporaries of a two-axis 201-point grid are 0.8 MB
+#: each; 1,024 ran 1.1-1.5x slower per N = 12 sequence on a 2-core Xeon
+#: with a 2 MB L2 cache
+ENVELOPE_BLOCK_QUERIES = 512
+
+
 class EnvelopeFunction:
     """Callable grid envelope of an expression, usable as a generator.
 
     kind 'inf' builds the inf-convolution (approximation from below), the
     grid minimum of f(x') + n*dist(x, x'); 'sup' the sup-convolution (from
-    above), the grid maximum of f(x') - n*dist(x, x').  Queries outside the
-    declared box raise EnvelopeError; when raise_on_boundary is set, an
-    interior optimum landing on the box edge does too (the box is too
-    small).
+    above), the grid maximum of f(x') - n*dist(x, x').
+
+    Members: ns lists the indices n computed together, one member each;
+    it defaults to params.n alone, and params.n is otherwise unused.  With
+    M > 1 members every query array carries a trailing member axis of
+    length M (y shaped (..., M), z and u (..., M, d) and (..., M, m)), and
+    query k along it uses ns[k].  w and j are per node: the members share
+    them, and the first member's are read.  The grid values of f are
+    built once for all members; each member does the floating-point
+    operations of a one-member envelope of its n, so its values are
+    bitwise that envelope's.
+
+    Query blocks: a call is cut into blocks of ENVELOPE_BLOCK_QUERIES queries,
+    rounded down to whole nodes, which bound the call's temporaries.  With
+    a pool (an executor's ``map``) the blocks run on it.  The grid values
+    of a state-free f and their tables are built in the calling thread
+    before any block runs, and boundary_hits is summed there after the
+    blocks return, so neither values nor counts depend on the pool.
+
+    Refusals: a query outside the declared box raises EnvelopeError, and
+    so, when raise_on_boundary is set, does an interior optimum landing on
+    the box edge (the box is too small).  A call checks the box before it
+    minimises, and each refusal names the lowest member that breaks it,
+    with its n and its first such axis.
 
     dist is a sum of block norms: |dy|, the Euclidean |dz| over the gridded
     z axes and |du|_lambda over the gridded u axes.  The grid optimum is
     therefore taken one block at a time, for every grid point of the blocks
     not yet reduced:
 
-    * the first block, when it has one axis and f reads neither w nor j
-      (so its grid values serve every query), by the lower-envelope trick
-      (Felzenszwalb and Huttenlocher, "Distance Transforms of Sampled
-      Functions", 2012): with s = n (n*sqrt(lambda_k) on a u axis), the
-      prefix minima of f - s*x' and the suffix minima of f + s*x' along
-      the axis, built once per distinct t and read at the grid interval
-      holding the query, give the minimum in O(1) per query and grid
-      point of the other axes;
+    * the first block, when it has one axis and one row of grid values
+      serves every query (f reads neither w nor j, or the call has one
+      node), by the lower-envelope trick (Felzenszwalb and Huttenlocher,
+      "Distance Transforms of Sampled Functions", 2012): with s = n
+      (n*sqrt(lambda_k) on a u axis), the prefix minima of f - s*x' and
+      the suffix minima of f + s*x' along the axis, built per member once
+      per distinct t and read at the grid interval holding the query, give
+      the minimum in O(1) per query and grid point of the other axes;
     * every other block densely, over the block's own grid points.  Its
       rows differ per query, so tables would cost as much as the dense
       pass they replace.
@@ -399,7 +427,7 @@ class EnvelopeFunction:
     grid points a query costs O(G/P), against O(G) for a dense penalty
     matrix.  A Euclidean block (znorm with d > 1, unorm with m > 1)
     reduced first stays at O(G), and so does an f that reads w or j: it
-    has one row of grid values per query, carried as a batch axis through
+    has one row of grid values per node, carried as a batch axis through
     the same code.
 
     The returned value is the dense expression f(x') + n*(|dy| + |dz| +
@@ -417,11 +445,13 @@ class EnvelopeFunction:
         params: EnvelopeParams,
         kind: str = "inf",
         *,
+        ns=None,
         dim_d: Optional[int] = None,
         num_marks: Optional[int] = None,
         intensities=None,
         growth_c: Optional[float] = None,
         raise_on_boundary: bool = False,
+        pool=None,
     ):
         if kind not in ("inf", "sup"):
             raise ConfigError(f"envelope kind must be 'inf' or 'sup', got {kind!r}")
@@ -429,11 +459,18 @@ class EnvelopeFunction:
         self.params = params
         self.kind = kind
         self.raise_on_boundary = raise_on_boundary
+        self.pool = pool
         self.boundary_hits = 0
-        if growth_c is not None and params.n < growth_c:
-            raise ConfigError(
-                f"envelope index n = {params.n} is below the growth constant {growth_c}"
-            )
+        self.ns = np.array([params.n] if ns is None else ns, dtype=float).reshape(-1)
+        if self.ns.size == 0:
+            raise ConfigError("an envelope needs at least one index n")
+        for n in self.ns:
+            if not n >= 1.0:
+                raise ConfigError(f"envelope index n must be >= 1, got {n}")
+            if growth_c is not None and n < growth_c:
+                raise ConfigError(
+                    f"envelope index n = {n} is below the growth constant {growth_c}"
+                )
         self._names = variables(self.f)
         dim_d, num_marks = _infer_dims(self._names, dim_d, num_marks)
         self.dim_d, self.num_marks = dim_d, num_marks
@@ -466,72 +503,89 @@ class EnvelopeFunction:
                 (z if axis.family == "z" else u)[:, axis.index] = col
         return y, z, u
 
-    def _check_domain(self, columns):
+    def _check_domain(self, columns, member):
+        """Refuse a query outside the box (within a relative slack)."""
+        out = []
         for axis, vals in zip(self.axes, columns):
             lo, hi = self.params.box[axis.name]
             eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-            if vals.min() < lo - eps or vals.max() > hi + eps:
-                raise EnvelopeError(
-                    f"envelope query for '{axis.name}' outside the box [{lo}, {hi}]: "
-                    f"range [{vals.min():.6g}, {vals.max():.6g}]"
-                )
+            out.append((vals < lo - eps) | (vals > hi + eps))
+        offender = _first_offender(out, member)
+        if offender is not None:
+            k, a = offender
+            axis, vals = self.axes[a], columns[a][member == k]
+            lo, hi = self.params.box[axis.name]
+            raise EnvelopeError(
+                f"envelope query for '{axis.name}' outside the box [{lo}, {hi}] at "
+                f"n = {self.ns[k]}: range [{vals.min():.6g}, {vals.max():.6g}]"
+            )
 
-    def _note_boundary(self, best, columns):
+    def _note_boundary(self, best, columns, member):
         """Flag optima on the box edge, unless the query itself sits there."""
-        hits = 0
+        bad = []
         for axis, vals, idx in zip(self.axes, columns, best.T):
             grid = axis.grid
             last = grid.size - 1
             at_edge = (idx == 0) | (idx == last)
             step = grid[1] - grid[0]
             nearest = np.clip(np.rint((vals - grid[0]) / step).astype(int), 0, last)
-            bad = at_edge & (nearest != idx)
-            hits += int(bad.sum())
-            if self.raise_on_boundary and bad.any():
-                raise EnvelopeError(
-                    f"envelope optimum on the '{axis.name}' box edge at n = {self.params.n}; "
-                    "enlarge the box and rerun"
-                )
-        self.boundary_hits += hits
+            bad.append(at_edge & (nearest != idx))
+        offender = _first_offender(bad, member) if self.raise_on_boundary else None
+        if offender is not None:
+            k, a = offender
+            raise EnvelopeError(
+                f"envelope optimum on the '{self.axes[a].name}' box edge at "
+                f"n = {self.ns[k]}; enlarge the box and rerun"
+            )
+        self.boundary_hits += int(sum(b.sum() for b in bad))
 
-    def _grid_values(self, t, w_q, j_q):
-        """Signed grid values F, shape (B, P, ..., P), and the first block's
-        lower-envelope tables (None for a Euclidean block).  F is f for
-        'inf' and -f for 'sup', so both kinds minimise F + n*dist; B is 1
-        for a state-free f and the query count for one that reads w or j."""
-        cacheable = w_q is None and j_q is None and np.ndim(t) == 0
+    def _node_rows(self, values, family: str, shape, width: int):
+        """w or j per node, shape (nodes, 1, width), if f reads the family."""
+        if values is None or not any(n[0] == family for n in self._names):
+            return None
+        full = np.broadcast_to(values, shape + (width,))
+        return full.reshape(-1, self.ns.size, width)[:, :1]
+
+    def _grid_values(self, t, w_rows, j_rows):
+        """Signed grid values F, shape (B, P, ..., P): f for 'inf' and -f
+        for 'sup', so both kinds minimise F + n*dist.  B is 1 for a
+        state-free f and the node count for one that reads w or j."""
+        y, z, u = self._scatter(self.coords.T)
+        fvals = evaluate(
+            self.f,
+            EvalContext(t=t, y=y, z=z, u=u, w=w_rows, j=j_rows, intensities=self.intensities),
+        )
+        if self.kind == "sup":
+            fvals = -fvals
+        return fvals.reshape((-1,) + (self.params.grid_points,) * len(self.axes))
+
+    def _shared_grid(self, t, w_rows, j_rows):
+        """F with one row for every query, and the first block's
+        lower-envelope tables, one row per member (None for a Euclidean
+        block); cached per distinct t for a state-free f."""
+        cacheable = w_rows is None and j_rows is None and np.ndim(t) == 0
         if cacheable:
             key = float(t) if "t" in self._names else None
             if self._cache is not None and self._cache[0] == key:
                 return self._cache[1]
-        y, z, u = self._scatter(self.coords.T)
-        fvals = evaluate(
-            self.f,
-            EvalContext(t=t, y=y, z=z, u=u, w=w_q, j=j_q, intensities=self.intensities),
-        )
-        if self.kind == "sup":
-            fvals = -fvals
-        F = fvals.reshape((-1,) + (self.params.grid_points,) * len(self.axes))
+        F = self._grid_values(t, w_rows, j_rows)
         first = self._order[0]
         tables = None
-        if len(first) == 1 and F.shape[0] == 1:
+        if len(first) == 1:
             axis = self.axes[first[0]]
             V = _block_view(F, list(range(len(self.axes))), first)
-            tables = _lower_envelope_tables(V, axis.grid, self._slope(axis))
+            tables = _lower_envelope_tables(V, axis.grid, self.ns * np.sqrt(axis.weight))
         if cacheable:
             self._cache = (key, (F, tables))
         return F, tables
 
-    def _slope(self, axis: EnvelopeAxis) -> float:
-        return self.params.n * np.sqrt(axis.weight)
-
-    def _minimiser(self, F, first_tables, columns):
+    def _minimiser(self, F, first_tables, columns, rows, member):
         """Grid multi-index, shape (Q, n_axes), of the minimum of F + n*dist
-        for each query."""
-        Q = columns[0].shape[0]
+        for each query: on F row rows[q], with its member's n and table."""
+        Q = member.size
         P = self.params.grid_points
-        batch = np.zeros(Q, dtype=np.intp) if F.shape[0] == 1 else np.arange(Q)
-        R, remaining, picks = F, list(range(len(self.axes))), []
+        n = self.ns[member]
+        batch, R, remaining, picks = rows, F, list(range(len(self.axes))), []
         for step, block in enumerate(self._order):
             V = _block_view(R, remaining, block)
             if step == 0 and first_tables is not None:
@@ -539,37 +593,44 @@ class EnvelopeFunction:
                 # off-box queries (within the domain slack) see the same
                 # minimiser from the nearest box end
                 x = np.clip(columns[block[0]], axis.grid[0], axis.grid[-1])
-                R, arg = _lower_envelope_lookup(
-                    first_tables, batch, x, axis.grid, self._slope(axis)
+                R, arg_at = _lower_envelope_lookup(
+                    first_tables, member, x, axis.grid, n * np.sqrt(axis.weight)
                 )
             else:
-                total = V[batch] + self._block_penalty(block, columns)[:, :, None]
+                total = V[batch] + self._block_penalty(block, columns, n)[:, :, None]
                 arg = np.argmin(total, axis=1)
                 R = np.take_along_axis(total, arg[:, None, :], axis=1)[:, 0, :]
+                arg_at = _row_picker(arg)
             remaining = [a for a in remaining if a not in block]
-            picks.append((block, remaining, arg))
+            picks.append((block, remaining, arg_at))
             R = R.reshape((Q,) + (P,) * len(remaining))
-            batch = np.arange(Q)
+            batch = slice(None)  # one row of R per query from here on
         best = np.empty((Q, len(self.axes)), dtype=np.intp)
-        for block, rest, arg in reversed(picks):
+        for block, rest, arg_at in reversed(picks):
             flat = np.zeros(Q, dtype=np.intp)
             for a in rest:
                 flat = flat * P + best[:, a]
-            chosen = arg[np.arange(Q), flat]
+            chosen = arg_at(flat)
             best[:, block] = np.stack(np.unravel_index(chosen, (P,) * len(block)), axis=1)
         return best
 
-    def _block_penalty(self, block, columns):
+    def _block_penalty(self, block, columns, n):
         """n * |x - x'| in the block's norm against each of the block's grid
-        points, shape (Q, P**len(block)) in C order."""
+        points, shape (Q, P**len(block)) in C order, n per query."""
         mesh = np.meshgrid(*(self.axes[col].grid for col in block), indexing="ij")
-        sq = 0.0
+        sq = None
         for col, points in zip(block, mesh):
+            # weight * diff**2 summed over the axes, in place: each term is
+            # >= +0, so leaving out the leading 0.0 + changes no bit
             diff = columns[col][:, None] - points.ravel()[None, :]
-            sq = sq + self.axes[col].weight * diff**2
-        return self.params.n * np.sqrt(sq)
+            diff *= diff
+            diff *= self.axes[col].weight
+            sq = diff if sq is None else np.add(sq, diff, out=sq)
+        np.sqrt(sq, out=sq)
+        sq *= n[:, None]
+        return sq
 
-    def _value_at(self, F, best, columns):
+    def _value_at(self, F, best, columns, rows, n):
         """f(x') + n*(|dy| + |dz| + |du|) at the chosen grid points (minus
         for 'sup'), in the dense expression's order of operations."""
         Q = best.shape[0]
@@ -583,16 +644,18 @@ class EnvelopeFunction:
                 dy = np.abs(diff)
             else:
                 sq[axis.family] += axis.weight * diff**2
-        rows = 0 if F.shape[0] == 1 else np.arange(Q)
-        penalty = self.params.n * (dy + np.sqrt(sq["z"]) + np.sqrt(sq["u"]))
+        penalty = n * (dy + np.sqrt(sq["z"]) + np.sqrt(sq["u"]))
         chosen = F.reshape(F.shape[0], -1)[rows, flat]
         # -F is f bitwise, signed zeros included; -(F + penalty) is not
         return chosen + penalty if self.kind == "inf" else -chosen - penalty
 
     def __call__(self, t, y, z=None, u=None, w=None, j=None):
+        """The envelope at the queries, shaped like y; each query's value
+        comes from ``_value_at``."""
         y = np.asarray(y, dtype=float)
-        shape = y.shape
-        Q = int(y.size)
+        shape, Q, M = y.shape, int(y.size), self.ns.size
+        if M > 1 and shape[-1:] != (M,):
+            raise ValueError(f"queries of {M} members need a trailing axis of {M}, got {shape}")
         yq = y.reshape(Q)
         zq = (
             np.zeros((Q, self.dim_d))
@@ -605,20 +668,44 @@ class EnvelopeFunction:
             else np.broadcast_to(u, shape + (self.num_marks,)).reshape(Q, self.num_marks)
         )
         columns = [axis.column(yq, zq, uq) for axis in self.axes]
-        self._check_domain(columns)
-        if any(n[0] == "w" for n in self._names) and w is not None:
-            w_q = np.broadcast_to(w, shape + (self.dim_d,)).reshape(Q, 1, self.dim_d)
-        else:
-            w_q = None
-        if any(n[0] == "j" for n in self._names) and j is not None:
-            j_q = np.broadcast_to(j, shape + (self.num_marks,)).reshape(Q, 1, self.num_marks)
-        else:
-            j_q = None
-        F, first_tables = self._grid_values(t, w_q, j_q)
-        best = self._minimiser(F, first_tables, columns)
-        values = self._value_at(F, best, columns)
-        self._note_boundary(best, columns)
+        member = np.arange(Q) % M
+        self._check_domain(columns, member)
+        state = (
+            self._node_rows(w, "w", shape, self.dim_d),
+            self._node_rows(j, "j", shape, self.num_marks),
+        )
+        shared = None  # one row of grid values for a state-free f or one node
+        if Q == M or all(s is None for s in state):
+            shared = self._shared_grid(t, *state)
+        size = max(1, ENVELOPE_BLOCK_QUERIES // M) * M
+
+        def query_block(start):
+            q = slice(start, start + size)
+            cols, mem = [c[q] for c in columns], member[q]
+            if shared is None:
+                nodes = slice(start // M, (start + size) // M)
+                F = self._grid_values(t, *(s if s is None else s[nodes] for s in state))
+                tables, rows = None, np.arange(mem.size) // M
+            else:
+                (F, tables), rows = shared, np.zeros(mem.size, dtype=np.intp)
+            best = self._minimiser(F, tables, cols, rows, mem)
+            return best, self._value_at(F, best, cols, rows, self.ns[mem])
+
+        starts = range(0, Q, size)
+        run = map if self.pool is None or len(starts) < 2 else self.pool.map
+        best, values = (np.concatenate(part) for part in zip(*run(query_block, starts)))
+        self._note_boundary(best, columns, member)
         return values.reshape(shape)
+
+
+def _first_offender(bad, member):
+    """(member, axis) of the lowest member with a True in bad, one boolean
+    array per axis, at its first such axis; None when bad is all False."""
+    hit = np.any(bad, axis=0)
+    if not hit.any():
+        return None
+    k = member[hit].min()
+    return k, next(a for a, b in enumerate(bad) if (b & (member == k)).any())
 
 
 def _block_view(R, remaining, block):
@@ -631,34 +718,48 @@ def _block_view(R, remaining, block):
 
 def _lower_envelope_tables(V, grid, s):
     """Prefix minima of V - s*x' and suffix minima of V + s*x' along axis 1
-    of V (B, P, R), each with the first index attaining it."""
+    of V (1, P, R), each with the first index attaining it: one table row
+    per slope in s (B,)."""
     idx = np.arange(grid.size)[:, None]
-    down = V - s * grid[:, None]
-    up = V + s * grid[:, None]
+    sx = s[:, None, None] * grid[:, None]
+    down = V - sx
+    up = V + sx
     pre = np.minimum.accumulate(down, axis=1)
-    fresh = np.ones(V.shape, dtype=bool)
+    fresh = np.ones(down.shape, dtype=bool)
     fresh[:, 1:] = down[:, 1:] < pre[:, :-1]
     pre_idx = np.maximum.accumulate(np.where(fresh, idx, 0), axis=1)
     suf = np.minimum.accumulate(up[:, ::-1], axis=1)[:, ::-1]
-    own = np.ones(V.shape, dtype=bool)
+    own = np.ones(down.shape, dtype=bool)
     own[:, :-1] = up[:, :-1] <= suf[:, 1:]
     suf_idx = np.minimum.accumulate(np.where(own, idx, idx[-1])[:, ::-1], axis=1)[:, ::-1]
     return pre, pre_idx, suf, suf_idx
 
 
 def _lower_envelope_lookup(tables, batch, x, grid, s):
-    """min over x' of V[b, x', r] + s*|x - x'| and its first argmin, shape
-    (Q, R), for queries x inside [grid[0], grid[-1]] on table rows batch."""
+    """min over x' of V[b, x', r] + s*|x - x'|, shape (Q, R), for queries x
+    inside [grid[0], grid[-1]] on table rows batch with slopes s per query,
+    and a function that gives its first argmin at one r per query (only
+    the chosen r is ever read, so the (Q, R) argmin is not built)."""
     pre, pre_idx, suf, suf_idx = tables
     k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
     sx = (s * x)[:, None]
-    below = sx + pre[batch, k]
-    above = suf[batch, k + 1] - sx
+    below = pre[batch, k]
+    below += sx
+    above = suf[batch, k + 1]
+    above -= sx
     take_below = below <= above
-    return (
-        np.where(take_below, below, above),
-        np.where(take_below, pre_idx[batch, k], suf_idx[batch, k + 1]),
-    )
+    np.copyto(above, below, where=take_below)
+
+    def argmin_at(r):
+        q = np.arange(x.size)
+        return np.where(take_below[q, r], pre_idx[batch, k, r], suf_idx[batch, k + 1, r])
+
+    return above, argmin_at
+
+
+def _row_picker(arg):
+    """The function giving arg[q, r] at one r per query q."""
+    return lambda r: arg[np.arange(arg.shape[0]), r]
 
 
 def _infer_dims(names, dim_d, num_marks):

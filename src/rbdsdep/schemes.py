@@ -14,6 +14,14 @@ Three pipelines, one per construction:
 * sup-envelope sequence: the mirror construction from above, decreasing
   toward the maximal solution.
 
+An envelope sequence solves every index n in one backward pass: the tree
+slices carry a trailing member axis, one per n, and one
+``EnvelopeFunction`` evaluates f_n for all of them at each step.  The
+threads of a run split each envelope call into query blocks (see
+``EnvelopeFunction``); the pool lives for one sequence call.  The pass is
+then split into one tree solution per n, each bitwise the solve of that n
+alone.
+
 Every solution of a run (each per-n solution, the upper bound V and the
 bracketing anchors) is checked node-wise against the reflection
 invariants on its tree slices, and the report norms are exact
@@ -29,8 +37,9 @@ certificate aborts the run with a ConfigError before any solve.
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -90,13 +99,6 @@ class SequenceRun:
     upper_anchor_tree: Optional[TreeSolution] = None
 
 
-def _solve_many(problem, tree, f_fns, threads):
-    if threads <= 1 or len(f_fns) <= 1:
-        return [solve_tree_exact(problem, tree, f_fn=fn) for fn in f_fns]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda fn: solve_tree_exact(problem, tree, fn), f_fns))
-
-
 def _successive_diffs(tree_sols):
     """sum_i E|Z_i' - Z_i|^2 dt and sum_i E|U_i' - U_i|^2_lambda dt for
     each successive pair of solutions on one tree."""
@@ -154,17 +156,20 @@ def _rate_at(problem: ProblemSpec):
 
 
 def _envelope_coefficient(
-    problem: ProblemSpec, env: EnvelopeParams, n: float, kind: str
+    problem: ProblemSpec, env: EnvelopeParams, ns, kind: str, pool
 ) -> CoefficientFn:
+    """f_n for every n in ns at once, on slices with a member axis."""
     envelope = EnvelopeFunction(
         problem.generator.f,
-        replace(env, n=n),
+        env,
         kind,
+        ns=ns,
         dim_d=problem.dim_d,
         num_marks=problem.marks.m,
         intensities=problem.marks.intensities,
         growth_c=problem.generator.growth_C,
         raise_on_boundary=True,
+        pool=pool,
     )
 
     def fn(i_next, t, y, z, u, w, j):
@@ -245,8 +250,11 @@ def _run_envelope(
     cloud = _cloud(problem, _ENVELOPE_CERT_SEED)
     worst_growth = _required(check_linear_growth(problem.generator, cloud))
     eff = _effective_indices(ns, problem.generator.growth_C)
-    f_fns = [_envelope_coefficient(problem, env, n, kind) for n in eff]
-    tree_sols = [ts.validate() for ts in _solve_many(problem, tree, f_fns, threads)]
+    pool = ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext()
+    with pool as executor:
+        f_fn = _envelope_coefficient(problem, env, eff, kind, executor)
+        batched = solve_tree_exact(problem, tree, f_fn=f_fn, members=len(eff))
+    tree_sols = [ts.validate() for ts in batched.member_solutions()]
     cut = _truncate_at_tol([ts.root_value() for ts in tree_sols], early_stop_tol)
     truncated = cut < len(eff)
     eff, tree_sols = eff[:cut], tree_sols[:cut]

@@ -425,11 +425,11 @@ class TreeModel:
 
     def expectation(self, i: int, y1, z1, u1, f_fn, g_fn) -> np.ndarray:
         """E_i[Y_{i+1} + f*dt + g*dB_i] on slice i, with f and g evaluated
-        on the slice-(i+1) values (y1, z1, u1)."""
+        on the slice-(i+1) values (y1, z1, u1), which may carry a trailing
+        member axis (see ``solve_tree_exact``)."""
         t_next, dt = self.grid.times[i + 1], self.grid.dt
-        f1, g1 = _coefficient_values(
-            (f_fn, g_fn), i + 1, t_next, y1, z1, u1, *self.context(i + 1)
-        )
+        ctx = _context(self, i + 1, y1.ndim > self.node_axes)
+        f1, g1 = _coefficient_values((f_fn, g_fn), i + 1, t_next, y1, z1, u1, *ctx)
         return self._onto_b_columns(self._step_mean(y1 + f1 * dt), g1)
 
     def integrands(self, i: int, y1) -> tuple:
@@ -546,6 +546,22 @@ class TreeSolution:
         F = q.reshape(-1, c.size).mean(axis=0)
         return float(c[0] + np.diff(c) @ (1.0 - F[:-1]))
 
+    def member_solutions(self) -> List["TreeSolution"]:
+        """The solutions of a solve with members (see ``solve_tree_exact``),
+        one per member, each of contiguous arrays in a one-member solve's
+        layout, so every reduction over them sums in that solve's order."""
+
+        def part(slices, k, axis):
+            return [np.take(v, k, axis=axis) for v in slices]  # new C-order arrays
+
+        return [
+            TreeSolution(
+                self.problem, self.tree, part(self.Y, k, -1), part(self.Z, k, -2),
+                part(self.U, k, -2), part(self.dK, k, -1), part(self.S, k, -1),
+            )
+            for k in range(self.Y[0].shape[-1])
+        ]
+
     def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
         """Materialize every full history as a weighted path: the paths and
         weights of ``enumerate_scenarios``, each field gathered from the
@@ -574,6 +590,13 @@ def _raise_at(bad: np.ndarray, what: str, i: int, axes: int):
 def _node_margin(a: TreeSolution, b: TreeSolution) -> float:
     """Node-wise min of (b.Y - a.Y) over every slice and time."""
     return min(float((yb - ya).min()) for ya, yb in zip(a.Y, b.Y))
+
+
+def _context(tree: TreeModel, i: int, members: bool):
+    """tree's (w, j) on slice i, broadcastable against slices with a
+    member axis when members is set."""
+    ctx = tree.context(i)
+    return tuple(c[..., None, :] for c in ctx) if members else ctx
 
 
 def _coefficients(problem: ProblemSpec, f_fn, g_fn):
@@ -621,6 +644,7 @@ def solve_tree_exact(
     tree: Optional[TreeModel] = None,
     f_fn: Optional[CoefficientFn] = None,
     g_fn: Optional[CoefficientFn] = None,
+    members: Optional[int] = None,
 ) -> TreeSolution:
     """Exact dynamic programming over every two-point branch.
 
@@ -628,6 +652,13 @@ def solve_tree_exact(
     axis of ``b_axis_for``.  f_fn and g_fn default to the problem's parsed
     coefficients; schemes pass wrapped callables (envelopes, frozen
     iterates, growth bounds) with the same signature.
+
+    members, if given, solves that many problems in one backward pass:
+    every slice gets a trailing member axis of that length (before the
+    component axis of Z and U), and f_fn reads each member's own values
+    along it; g, the barrier and the terminal condition are shared.  Each
+    member does the floating-point operations of its own solve, and
+    ``TreeSolution.member_solutions`` splits the result.
     """
     if tree is None:
         tree = TreeModel(problem.grid, problem.dim_d, problem.marks, b_axis=b_axis_for(problem))
@@ -646,15 +677,17 @@ def solve_tree_exact(
     Y, Z, U, S = ([None] * (N + 1) for _ in range(4))
     dK = [None] * N
 
-    w_ctx, j_ctx = tree.context(N)
-    Y[N], S[N] = _terminal_values(problem, w_ctx, j_ctx, tree.slice_shape(N))
+    batched = members is not None
+    w_ctx, j_ctx = _context(tree, N, batched)
+    shape = tree.slice_shape(N) + ((members,) if batched else ())
+    Y[N], S[N] = _terminal_values(problem, w_ctx, j_ctx, shape)
     Z[N] = np.zeros(Y[N].shape + (tree.dim_d,))
     U[N] = np.zeros(Y[N].shape + (tree.marks.m,))
 
     for i in range(N - 1, -1, -1):
         y_tilde = tree.expectation(i, Y[i + 1], Z[i + 1], U[i + 1], f_fn, g_fn)
         Z[i], U[i] = tree.integrands(i, Y[i + 1])
-        w_ctx, _ = tree.context(i)
+        w_ctx, _ = _context(tree, i, batched)
         S[i] = _barrier_values(problem, tree.grid.times[i], w_ctx, y_tilde.shape)
         Y[i], dK[i] = reflect_step(y_tilde, S[i])
 

@@ -1,6 +1,10 @@
 """Structural checks and Lipschitz envelopes."""
 
+import contextlib
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from rbdsdep.errors import ConfigError, EnvelopeError
 from rbdsdep.expr import EvalContext, evaluate, parse_expr, variables
 from rbdsdep.schemes import run_inf_envelope_sequence, run_sup_envelope_sequence
 from rbdsdep.generator import (
+    ENVELOPE_BLOCK_QUERIES,
     PREMISE_SLACK,
     Cloud,
     EnvelopeFunction,
@@ -413,6 +418,87 @@ class TestEnvelopeGuards:
         assert env.boundary_hits == 0
 
 
+class TestEnvelopeMembers:
+    """Several indices n in one envelope, on a trailing member axis of the
+    queries, cut into blocks that may run on a pool."""
+
+    NS = [1.0, 2.0, 4.0, 8.0]
+    PARAMS = EnvelopeParams(n=1.0, box={"y": (-1.0, 1.0)}, grid_points=41)
+    # f drops by 1 at the box end y = 1 only, so an optimum lands on that
+    # edge exactly when n * (1 - y) < 1
+    F = "-indicator_pos(y - 0.97)"
+
+    def queries(self, hits):
+        """1000 nodes x 4 members, several blocks: every query at y = -0.5
+        (no member reaches the edge) except the given (node, member) ones."""
+        y = np.full((1000, len(self.NS)), -0.5)
+        for (node, member), value in hits.items():
+            y[node, member] = value
+        assert y.size >= 3 * ENVELOPE_BLOCK_QUERIES
+        return y
+
+    def run(self, y, threads, raise_on_boundary=False):
+        """One call, on a pool of `threads` threads when threads > 1, under
+        a tight switch interval so that the blocks interleave."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+                env = EnvelopeFunction(
+                    self.F, self.PARAMS, "inf", ns=self.NS,
+                    raise_on_boundary=raise_on_boundary, pool=pool,
+                )
+                return env, env(0.0, y)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_members_equal_one_member_envelopes(self, threads):
+        # edge optima in the first and the last block, members n = 1, 2, 4
+        y = self.queries({(0, 0): 0.2, (0, 1): 0.7, (999, 1): 0.7, (999, 2): 0.9})
+        env, got = self.run(y, threads)
+        hits = 0
+        for k, n in enumerate(self.NS):
+            single = EnvelopeFunction(self.F, replace(self.PARAMS, n=n), "inf")
+            assert got[:, k].tobytes() == single(0.0, y[:, k]).tobytes()
+            hits += single.boundary_hits
+        assert env.boundary_hits == hits == 4
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "hits,refusal",
+        [
+            # members n = 2 and 4 reach the edge in the last block; n = 1 does not
+            (
+                {(999, 1): 0.7, (999, 2): 0.9},
+                r"^envelope optimum on the 'y' box edge at n = 2\.0; enlarge the box and rerun$",
+            ),
+            (
+                {(999, 1): 1.5, (999, 3): -2.0},
+                r"^envelope query for 'y' outside the box \[-1\.0, 1\.0\] at n = 2\.0: "
+                r"range \[-0\.5, 1\.5\]$",
+            ),
+        ],
+        ids=["box_edge", "outside_box"],
+    )
+    def test_refusal_names_the_lowest_member(self, hits, refusal, threads):
+        with pytest.raises(EnvelopeError, match=refusal):
+            self.run(self.queries(hits), threads, raise_on_boundary=True)
+
+    def test_indices_checked(self):
+        with pytest.raises(ConfigError, match="at least one index"):
+            EnvelopeFunction(self.F, self.PARAMS, "inf", ns=[])
+        with pytest.raises(ConfigError, match="n must be >= 1, got 0.5"):
+            EnvelopeFunction(self.F, self.PARAMS, "inf", ns=[2.0, 0.5])
+        with pytest.raises(ConfigError, match="n = 2.0 is below the growth constant 3"):
+            EnvelopeFunction(self.F, self.PARAMS, "inf", ns=[4.0, 2.0], growth_c=3)
+
+    def test_members_need_a_trailing_member_axis(self):
+        env = EnvelopeFunction(self.F, self.PARAMS, "inf", ns=self.NS)
+        with pytest.raises(ValueError, match="trailing axis of 4"):
+            env(0.0, np.zeros((4, 3)))
+
+
 class TestEnvelopeTable:
     def test_header_and_row_count(self):
         params = EnvelopeParams(n=2.0, box={"y": (-1.0, 1.0)}, grid_points=11)
@@ -426,8 +512,8 @@ class TestEnvelopeTable:
 def dense_envelope(env, t, y, z=None, u=None, w=None, j=None):
     """Reference envelope: the penalty n*(|dy| + |dz| + |du|) against every
     grid point as one dense (Q, G) matrix, then the first-index argmin
-    (argmax for 'sup') over the C-ordered grid.  Returns the values and the
-    boundary hits."""
+    (argmax for 'sup') over the C-ordered grid, each query with its
+    member's n.  Returns the values and the boundary hits."""
     y = np.asarray(y, dtype=float)
     shape, Q = y.shape, y.size
     d, m = env.dim_d, env.num_marks
@@ -462,7 +548,8 @@ def dense_envelope(env, t, y, z=None, u=None, w=None, j=None):
     fvals = evaluate(
         env.f, EvalContext(t=t, y=gy, z=gz, u=gu, w=w_q, j=j_q, intensities=env.intensities)
     )
-    penalty = env.params.n * (dy + np.sqrt(dz_sq) + np.sqrt(du_sq))
+    n = np.broadcast_to(env.ns, shape).reshape(Q, 1)
+    penalty = n * (dy + np.sqrt(dz_sq) + np.sqrt(du_sq))
     if env.kind == "inf":
         total = fvals + penalty
         best = np.argmin(total, axis=-1)

@@ -1,13 +1,22 @@
 """Approximation pipelines: envelope sequences, bracketing iteration,
 companion upper bound."""
 
+import contextlib
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rbdsdep import schemes
 from rbdsdep.drivers import MarkSpace, build_time_grid, empty_marks
-from rbdsdep.errors import ConfigError, SolverError
-from rbdsdep.generator import EnvelopeParams, GeneratorSpec
+from rbdsdep.errors import ConfigError, EnvelopeError, SolverError
+from rbdsdep.generator import (
+    ENVELOPE_BLOCK_QUERIES,
+    EnvelopeFunction,
+    EnvelopeParams,
+    GeneratorSpec,
+)
 from rbdsdep.schemes import (
     run_bracketing_sequence,
     run_inf_envelope_sequence,
@@ -15,7 +24,7 @@ from rbdsdep.schemes import (
     sequence_csv_rows,
     solve_upper_bound_tree,
 )
-from rbdsdep.solver import ProblemSpec, solve_tree_exact
+from rbdsdep.solver import ProblemSpec, TreeModel, b_axis_for, solve_tree_exact
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))
 ENV = EnvelopeParams(n=1.0, box={"y": (-5.0, 5.0)}, grid_points=201)
@@ -90,12 +99,18 @@ class TestInfEnvelopeSequence:
         assert run.index_set == [1.0, 2.0]
         assert len(run.y0_series) == 2
 
-    def test_thread_count_does_not_change_results(self):
+    @pytest.mark.parametrize("g,N", [("0", 3), ("0.1*y", 10)], ids=["one_block", "blocks"])
+    def test_thread_count_does_not_change_results(self, g, N):
         prob = make_problem(
-            f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS
+            f="min(abs(y), 2)", g=g, terminal="w1", T=0.5, N=N, marks=MARKS
         )
-        seq = run_inf_envelope_sequence(prob, ENV, ns=[1, 2, 4], threads=1)
-        par = run_inf_envelope_sequence(prob, ENV, ns=[1, 2, 4], threads=3)
+        tree = TreeModel(prob.grid, 1, MARKS, max_steps=N, b_axis=b_axis_for(prob))
+        ns = [1, 2, 4]
+        if N == 10:  # the exhaustive B axis: the largest slice spans 3+ blocks
+            largest = max(map(tree.slice_states, range(N + 1)))
+            assert largest * len(ns) >= 3 * ENVELOPE_BLOCK_QUERIES
+        seq = run_inf_envelope_sequence(prob, ENV, ns=ns, tree=tree, threads=1)
+        par = run_inf_envelope_sequence(prob, ENV, ns=ns, tree=tree, threads=3)
         assert par.y0_series == seq.y0_series
         assert par.report == seq.report
         par_trees = par.tree_solutions + [par.upper_tree]
@@ -104,6 +119,33 @@ class TestInfEnvelopeSequence:
             for name in ("Y", "Z", "U", "dK"):
                 for sa, sb in zip(getattr(a, name), getattr(b, name), strict=True):
                     assert sa.shape == sb.shape and sa.tobytes() == sb.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "f,terminal,refusal",
+        [
+            # f drops by 1 at the box end y = 1 only; from Y_N = 0.6 that
+            # drop pays for the penalty n * 0.4 at n = 1 and 2, not 4 or 8
+            (
+                "-indicator_pos(y - 0.97)",
+                "0.6",
+                r"^envelope optimum on the 'y' box edge at n = 1\.0; enlarge the box and rerun$",
+            ),
+            # Y_N = w1 leaves the box for every n
+            (
+                "min(abs(y), 2)",
+                "w1",
+                r"^envelope query for 'y' outside the box \[-1\.0, 1\.0\] at n = 1\.0: "
+                r"range \[-1\.73205, 1\.73205\]$",
+            ),
+        ],
+        ids=["box_edge", "outside_box"],
+    )
+    def test_refusal_names_the_lowest_member(self, f, terminal, refusal, threads):
+        prob = make_problem(f=f, g="0.1*y", terminal=terminal, T=0.5, N=6)
+        env = EnvelopeParams(n=1.0, box={"y": (-1.0, 1.0)}, grid_points=41)
+        with pytest.raises(EnvelopeError, match=refusal):
+            run_inf_envelope_sequence(prob, env, ns=[1, 2, 4, 8], threads=threads)
 
     @pytest.mark.parametrize("runner", [run_inf_envelope_sequence, run_sup_envelope_sequence])
     def test_empty_or_decreasing_ns_refused(self, runner):
@@ -117,6 +159,54 @@ class TestInfEnvelopeSequence:
         prob = make_problem(f="5*y", terminal="w1", T=0.5, N=3)
         with pytest.raises(ConfigError, match="linear growth certificate failed"):
             run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
+
+
+def _envelope_fn(envelope):
+    def fn(i_next, t, y, z, u, w, j):
+        return envelope(t, y, z=z, u=u, w=w, j=j)
+
+    return fn
+
+
+#: (f, kind, d, marks, gridded axes, grid points, N): a state-free f (the
+#: first-block tables), an f reading w and one reading j (grid rows per
+#: node, shared by its members), a Euclidean z block, and the sup kind;
+#: at N = 10 the largest slice spans several blocks
+MEMBER_CASES = [
+    ("sqrt(abs(y)) + abs(z1)", "inf", 1, None, ("y", "z1"), 61, 10),
+    ("0.5*sqrt(abs(y - w1)) + abs(z1)", "inf", 1, None, ("y", "z1"), 61, 10),
+    ("sqrt(abs(y)) + abs(u1) + 0.1*j1", "inf", 1, MARKS, ("y", "u1"), 41, 6),
+    ("sqrt(abs(y)) + 0.5*znorm", "inf", 2, None, ("y", "z1", "z2"), 15, 5),
+    ("sqrt(abs(y)) + abs(z1)", "sup", 1, None, ("y", "z1"), 61, 10),
+]
+
+
+class TestMemberBatch:
+    """One backward pass over every member of an envelope sequence equals
+    one solve per member, driven by a one-member envelope, bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "f,kind,d,marks,axes,points,N", MEMBER_CASES, ids=[f"{c[0]}-{c[1]}" for c in MEMBER_CASES]
+    )
+    def test_members_equal_single_solves(self, f, kind, d, marks, axes, points, N, threads):
+        grid = build_time_grid(0.5, N)
+        marks = marks or empty_marks()
+        gen = GeneratorSpec(f=f, g="0.1*y", growth_C=2.0)
+        prob = ProblemSpec(grid, d, marks, gen, "-6", "0.5*w1")
+        tree = TreeModel(grid, d, marks, max_steps=N)
+        params = EnvelopeParams(n=1.0, box={a: (-6.0, 6.0) for a in axes}, grid_points=points)
+        kw = dict(dim_d=d, num_marks=marks.m, intensities=marks.intensities, raise_on_boundary=True)
+        ns = [2.0, 4.0, 8.0]
+        with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+            env = EnvelopeFunction(f, params, kind, ns=ns, pool=pool, **kw)
+            batched = solve_tree_exact(prob, tree, f_fn=_envelope_fn(env), members=len(ns))
+        for n, got in zip(ns, batched.member_solutions(), strict=True):
+            single = EnvelopeFunction(f, replace(params, n=n), kind, **kw)
+            want = solve_tree_exact(prob, tree, f_fn=_envelope_fn(single))
+            for name in ("Y", "Z", "U", "dK", "S"):
+                for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestSupEnvelopeSequence:
@@ -329,7 +419,7 @@ class TestNodeChecksGateTheRun:
 
     def test_upper_bound_v_aborts(self, monkeypatch):
         prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
-        _corrupt_solve(monkeypatch, 2)  # solves n = 1 and 2, then V
+        _corrupt_solve(monkeypatch, 1)  # solves n = 1 and 2 in one pass, then V
         with pytest.raises(SolverError, match=r"negative dK"):
             run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
 

@@ -367,14 +367,16 @@ class ExponentialTree(TreeModel):
         return values.reshape(split + values.shape[3:])
 
     def expectation(self, i, y1, z1, u1, f_fn, g_fn):
+        """As ``TreeModel.expectation``, a trailing member axis included."""
         t_next, dt = self.grid.times[i + 1], self.grid.dt
-        f1, g1 = _coefficient_values(
-            (f_fn, g_fn), i + 1, t_next, y1, z1, u1, *self.context(i + 1)
-        )
+        ctx = self.context(i + 1)
+        if y1.ndim > self.node_axes:
+            ctx = tuple(c[..., None, :] for c in ctx)
+        f1, g1 = _coefficient_values((f_fn, g_fn), i + 1, t_next, y1, z1, u1, *ctx)
         _, _, pj = self._steps
         nw = 2**self.dim_d
-        EA = np.einsum("awbjn,j->abn", self.children(i, y1 + f1 * dt), pj) / nw
-        Eg = np.einsum("awbjn,j->abn", self.children(i, g1), pj) / nw
+        EA = np.einsum("awbjn...,j->abn...", self.children(i, y1 + f1 * dt), pj) / nw
+        Eg = np.einsum("awbjn...,j->abn...", self.children(i, g1), pj) / nw
         g_db = np.sqrt(dt) * Eg
         return np.concatenate((EA + g_db, EA - g_db), axis=2)
 
@@ -382,9 +384,9 @@ class ExponentialTree(TreeModel):
         w_step, j_step, pj = self._steps
         dt, nw = self.grid.dt, 2**self.dim_d
         Yr = self.children(i, y1)
-        Zc = np.einsum("awbjn,wc,j->abnc", Yr, w_step, pj) / (nw * dt)
+        Zc = np.einsum("awbjn...,wc,j->abn...c", Yr, w_step, pj) / (nw * dt)
         ju_weights = pj[:, None] * (j_step - self.marks.intensities * dt)
-        Uc = np.einsum("awbjn,jk->abnk", Yr, ju_weights) / nw
+        Uc = np.einsum("awbjn...,jk->abn...k", Yr, ju_weights) / nw
         if self.marks.m:
             Uc = Uc / jump_variances(self.marks, dt, "two-point")
         return np.concatenate((Zc, Zc), axis=2), np.concatenate((Uc, Uc), axis=2)
