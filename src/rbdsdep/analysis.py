@@ -395,31 +395,19 @@ def norm_report(sol: SolutionGrid, marks: MarkSpace) -> dict:
     return {"sup_y_sq": sup_y2, "z_norm_sq": z_norm, "u_norm_sq": u_norm, "k_t_sq": k_t2}
 
 
-def integrand_norms(tree: TreeModel, Z, U):
-    """(sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt) over the slices i < N
-    of slice-indexed integrands, carried backward like the solve: the sum
-    from slice i on is |Z_i|^2 plus E_i of the sum from slice i+1 on, and
-    the norms are its slice-0 means times dt."""
-    lam, dt = tree.marks.intensities, tree.grid.dt
-    z_sum = u_sum = np.zeros(tree.slice_shape(tree.grid.N))
-    for i in range(tree.grid.N - 1, -1, -1):
-        z_sum = (Z[i] ** 2).sum(axis=-1) + tree.step_mean(i, z_sum)
-        u_sum = (lam * U[i] ** 2).sum(axis=-1) + tree.step_mean(i, u_sum)
-    return float(z_sum.mean()) * dt, float(u_sum.mean()) * dt
-
-
 def tree_norm_report(sol: TreeSolution) -> dict:
     """``norm_report``'s squared norms computed on the tree slices.
 
-    The Z and U norms come from ``integrand_norms``, E K_T^2 from
+    The Z and U norms come from ``TreeSolution.zu_norms``, E K_T^2 from
     ``TreeSolution.k_moments`` and E sup Y^2 from
     ``TreeSolution.sup_y_sq``, all carried backward.  When that pass
-    would hold more than MAX_PATHS values on a slice (one per distinct
-    Y^2 on each node), E sup Y^2 is None and "sup_y_sq_skipped" says why.
+    would take more than ``SUP_Y_SQ_WORK`` node steps (one per distinct
+    Y^2 and stored node), E sup Y^2 is None and "sup_y_sq_skipped" says
+    why.
     The norms of a solution that fails ``TreeSolution.validate`` may be
     non-finite.
     """
-    z_norm, u_norm = integrand_norms(sol.tree, sol.Z, sol.U)
+    z_norm, u_norm = sol.zu_norms
     report = {
         "sup_y_sq": None,
         "z_norm_sq": z_norm,

@@ -48,8 +48,8 @@ from .errors import ConfigError, SolverError
 MODES = ("gaussian", "two-point")
 
 #: Most weighted paths a two-point enumeration, and so a tree's path view,
-#: may hold: 16 MB per float column; also the most values the E sup Y^2
-#: pass of ``TreeSolution.sup_y_sq`` holds on one slice.
+#: may hold: 16 MB per float column; also about the most values the E sup
+#: Y^2 pass of ``TreeSolution.sup_y_sq`` holds on one slice at a time.
 MAX_PATHS = 2_000_000
 
 

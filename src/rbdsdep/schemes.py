@@ -14,21 +14,26 @@ Three pipelines, one per construction:
 * sup-envelope sequence: the mirror construction from above, decreasing
   toward the maximal solution.
 
-An envelope sequence solves every index n in one backward pass: the tree
-slices carry a trailing member axis, one per n, and one
-``EnvelopeFunction`` evaluates f_n for all of them at each step.  The
-threads of a run split each envelope call into query blocks (see
-``EnvelopeFunction``); the pool lives for one sequence call.  The pass is
-then split into one tree solution per n, each bitwise the solve of that n
-alone.
+Each run solves its solutions in one backward pass: the tree slices
+carry a trailing member axis, one entry per solution.  An envelope
+sequence has one member per index n, and one ``EnvelopeFunction``
+evaluates f_n for all of them at each step; the threads of a run split
+each envelope call into query blocks (see ``EnvelopeFunction``), and the
+pool lives for one sequence call.  A bracketing run has the lower anchor,
+the iterates and the upper anchor as members, and iterate k reads
+iterate k-1's values of the step before, which the pass has already
+made.  Either way each solution is bitwise its own separate solve.
 
-Every solution of a run (each per-n solution, the upper bound V and the
-bracketing anchors) is checked node-wise against the reflection
-invariants on its tree slices, and the report norms are exact
-expectations carried backward over the slices, E sup Y^2 within the
-``MAX_PATHS`` budget of ``TreeSolution.sup_y_sq``.  The run keeps only
-the tree solutions; a caller that wants paths materialises them with
-``TreeSolution.to_solution_grid``, within the same budget.
+The per-solution work runs on the pass before it is split
+(``_checked_split``): the node-wise check of the reflection invariants,
+the K moments, the Z/U norms and the Z/U distances between successive
+solutions, each with the member axis and each bitwise the number of the
+solution on its own.  E sup Y^2 (``TreeSolution.sup_y_sq``, within its
+work budget) is taken per solution, whose thresholds are its own.  The
+upper bound V of an inf sequence is a separate solve and checked on its
+own.  The run keeps only the tree solutions; a caller that wants paths
+materialises them with ``TreeSolution.to_solution_grid``, within the
+``MAX_PATHS`` budget.
 Premise checks are ``generator`` certificates on ``problem_cloud``
 clouds: linear growth for the envelope sequences; signed growth, the sign
 of f_t, the modulus pi and the contraction of g for bracketing.  A failed
@@ -44,8 +49,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .analysis import integrand_norms, tree_norm_report
-from .errors import ConfigError
+from .analysis import tree_norm_report
+from .errors import ConfigError, SolverError
 from .expr import EvalContext, evaluate
 from .generator import (
     DEFAULT_ENVELOPE_NS,
@@ -67,6 +72,7 @@ from .solver import (
     TreeModel,
     TreeSolution,
     _node_margin,
+    integrand_norms,
     solve_tree_exact,
 )
 from .table import CsvTable
@@ -99,17 +105,30 @@ class SequenceRun:
     upper_anchor_tree: Optional[TreeSolution] = None
 
 
-def _successive_diffs(tree_sols):
-    """sum_i E|Z_i' - Z_i|^2 dt and sum_i E|U_i' - U_i|^2_lambda dt for
-    each successive pair of solutions on one tree."""
-    z_diffs, u_diffs = [], []
-    for a, b in zip(tree_sols, tree_sols[1:]):
-        dz = [zb - za for za, zb in zip(a.Z, b.Z)]
-        du = [ub - ua for ua, ub in zip(a.U, b.U)]
-        z_diff, u_diff = integrand_norms(a.tree, dz, du)
-        z_diffs.append(z_diff)
-        u_diffs.append(u_diff)
-    return z_diffs, u_diffs
+def _successive_diffs(tree: TreeModel, Z, U):
+    """(z_diffs, u_diffs): sum_i E|Z_i' - Z_i|^2 dt and sum_i E|U_i' -
+    U_i|^2_lambda dt for each successive pair of members of slices with a
+    member axis (before the component axis), in one backward pass."""
+    if Z[0].shape[-2] < 2:
+        return [], []
+    dz = [z[..., 1:, :] - z[..., :-1, :] for z in Z]
+    du = [u[..., 1:, :] - u[..., :-1, :] for u in U]
+    return integrand_norms(tree, dz, du)
+
+
+def _checked_split(batched: TreeSolution, labels, order=None):
+    """The member solutions of a pass and the (z_diffs, u_diffs) of its
+    successive members, all from the batched slices.
+
+    Every member is checked node-wise once (``node_failures``); a failure
+    raises SolverError naming its solution, labels[k], the first failing
+    one in order (member order by default).  Each member solution carries
+    its K moments and Z/U norms from the pass."""
+    failures = batched.node_failures()
+    for k in range(len(labels)) if order is None else order:
+        if failures[k] is not None:
+            raise SolverError(f"{failures[k]} of {labels[k]}")
+    return batched.member_solutions(), _successive_diffs(batched.tree, batched.Z, batched.U)
 
 
 #: the refusal of each certificate a run requires, formatted with its worst
@@ -213,17 +232,18 @@ def solve_upper_bound_tree(
     return solve_tree_exact(problem, tree, f_fn=upper_bound_coefficient(problem))
 
 
-def _chain_run(mode, index_set, solutions, report, descending=False, **companions):
+def _chain_run(mode, index_set, solutions, diffs, report, descending=False, **companions):
     """Complete report with the ordering evidence, norms and successive
-    Z/U distances of solutions, and return their run.  The chain is the
-    lower anchor, if any, then the solutions: each successive pair gives
-    one node margin (from the later one when descending), the later one's
-    CSV row margin (0.0 for a first row without a predecessor)."""
+    Z/U distances (diffs, from ``_checked_split``) of solutions, and
+    return their run.  The chain is the lower anchor, if any, then the
+    solutions: each successive pair gives one node margin (from the later
+    one when descending), the later one's CSV row margin (0.0 for a first
+    row without a predecessor)."""
     anchor = companions.get("lower_anchor_tree")
     chain = solutions if anchor is None else [anchor] + solutions
     pairs = zip(chain[1:], chain) if descending else zip(chain, chain[1:])
     pair_margins = [_node_margin(a, b) for a, b in pairs]
-    z_diffs, u_diffs = _successive_diffs(solutions)
+    z_diffs, u_diffs = diffs
     report.update(
         pair_margins=pair_margins,
         monotone_ok=all(mg >= -MARGIN_TOL for mg in pair_margins),
@@ -253,22 +273,25 @@ def _run_envelope(
     pool = ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext()
     with pool as executor:
         f_fn = _envelope_coefficient(problem, env, eff, kind, executor)
-        batched = solve_tree_exact(problem, tree, f_fn=f_fn, members=len(eff))
-    tree_sols = [ts.validate() for ts in batched.member_solutions()]
+        tree_sols, diffs = _checked_split(
+            solve_tree_exact(problem, tree, f_fn=f_fn, members=len(eff)),
+            [f"index n = {n:g}" for n in eff],
+        )
     cut = _truncate_at_tol([ts.root_value() for ts in tree_sols], early_stop_tol)
     truncated = cut < len(eff)
     eff, tree_sols = eff[:cut], tree_sols[:cut]
+    diffs = tuple(d[: cut - 1] for d in diffs)
     report = {
         "index_set": eff,
         "truncated": truncated,
         "growth_worst_ratio": worst_growth,
     }
     if kind == "sup":
-        return _chain_run("sup_envelope", eff, tree_sols, report, descending=True)
+        return _chain_run("sup_envelope", eff, tree_sols, diffs, report, descending=True)
     v_tree = solve_upper_bound_tree(problem, tree).validate()
     report["v_root"] = v_tree.root_value()
     report["v_node_margin"] = min(_node_margin(ts, v_tree) for ts in tree_sols)
-    return _chain_run("inf_envelope", eff, tree_sols, report, upper_tree=v_tree)
+    return _chain_run("inf_envelope", eff, tree_sols, diffs, report, upper_tree=v_tree)
 
 
 def run_inf_envelope_sequence(
@@ -302,42 +325,36 @@ def run_sup_envelope_sequence(
     return _run_envelope(problem, env, ns, "sup", tree, threads, early_stop_tol)
 
 
-def _anchor_coefficient(problem: ProblemSpec, sign: float) -> CoefficientFn:
-    """Bracketing anchor generator sign * (C(|y|+|z|+|u|_lambda) + f_t)."""
-    C = problem.generator.growth_C
-    lam = problem.marks.intensities
+def _bracketing_coefficient(problem: ProblemSpec, count: int) -> CoefficientFn:
+    """The generators of a bracketing pass with count + 2 members.
+
+    Member 0 is the lower anchor, -(C(|y|+|z|+|u|_lambda) + f_t); member
+    count + 1 the upper anchor, its mirror.  Member k in between is
+    iterate k: f at member k-1's values (an exogenous source; for k = 1
+    the lower anchor's), plus pi at the increment of member k's values
+    over them.  Each member gets the values of its own chained solve.
+    """
+    gen = problem.generator
+    C, lam = gen.growth_C, problem.marks.intensities
     rate_at = _rate_at(problem)
 
     def fn(i_next, t, y, z, u, w, j):
-        ay, zn, un = size_norms(y, z, u, lam)
-        return sign * (C * (ay + zn + un) + rate_at(t))
-
-    return fn
-
-
-def _frozen_source_coefficient(
-    problem: ProblemSpec, prev: TreeSolution
-) -> CoefficientFn:
-    """Generator of one bracketing iterate.
-
-    f is evaluated at the previous iterate's node values (an exogenous
-    source), pi at the increment of the current child values over them.
-    """
-    gen = problem.generator
-    lam = problem.marks.intensities
-
-    def fn(i_next, t, y, z, u, w, j):
-        py = prev.Y[i_next]
-        pz = prev.Z[i_next]
-        pu = prev.U[i_next]
-        base = evaluate(
-            gen.f, EvalContext(t=t, y=py, z=pz, u=pu, w=w, j=j, intensities=lam)
-        )
+        out = np.empty(y.shape)
+        ends = [0, -1]
+        ay, zn, un = size_norms(y[..., ends], z[..., ends, :], u[..., ends, :], lam)
+        bound = C * (ay + zn + un) + rate_at(t)
+        out[..., 0], out[..., -1] = -bound[..., 0], bound[..., 1]
+        py, pz, pu = y[..., :-2], z[..., :-2, :], u[..., :-2, :]
+        base = evaluate(gen.f, EvalContext(t=t, y=py, z=pz, u=pu, w=w, j=j, intensities=lam))
         inc = evaluate(
             gen.pi,
-            EvalContext(t=t, y=y - py, z=z - pz, u=u - pu, intensities=lam),
+            EvalContext(
+                t=t, y=y[..., 1:-1] - py, z=z[..., 1:-1, :] - pz, u=u[..., 1:-1, :] - pu,
+                intensities=lam,
+            ),
         )
-        return np.asarray(base, dtype=float) + np.asarray(inc, dtype=float)
+        out[..., 1:-1] = np.asarray(base, dtype=float) + np.asarray(inc, dtype=float)
+        return out
 
     return fn
 
@@ -347,13 +364,21 @@ def run_bracketing_sequence(
     ns_count: int = 5,
     tree: Optional[TreeModel] = None,
 ) -> SequenceRun:
-    """Anchor solves plus the frozen-source iteration.
+    """Anchor solves plus the frozen-source iteration, in one backward
+    pass.
 
     The lower anchor uses -(C(|y|+|z|+|u|) + f_t), the upper its mirror;
     iterate n solves with f at iterate n-1's node values plus pi of the
-    increment.  The node-wise sandwich lower <= iterate n <= iterate n+1
-    <= upper is recorded with its worst node; a violation beyond
-    MARGIN_TOL marks the report failed rather than raising.
+    increment (iterate 0 is the lower anchor).  All ns_count + 2 solves
+    are the members of one ``solve_tree_exact`` pass (see
+    ``_bracketing_coefficient``): at step i, iterate n reads iterate
+    n-1's slice-(i+1) values, which the pass has already made, so each
+    solution is bitwise its own chained solve.  Every member is checked
+    node-wise on the pass; a failure names its solution, the first in
+    the chained order (lower anchor, upper anchor, iterates).  The
+    node-wise sandwich lower <= iterate n <= iterate n+1 <= upper is
+    recorded with its worst node; a violation beyond MARGIN_TOL marks
+    the report failed rather than raising.
     """
     gen = problem.generator
     if gen.pi is None:
@@ -369,20 +394,14 @@ def run_bracketing_sequence(
     certs["pi_worst"] = _required(check_pi_minorant(gen, cloud_a, cloud_b))
     certs["g_worst"] = _required(check_g_contraction(gen, cloud_a, cloud_b))
 
-    lower, upper = (
-        solve_tree_exact(problem, tree, f_fn=_anchor_coefficient(problem, sign)).validate()
-        for sign in (-1.0, 1.0)
+    f_fn = _bracketing_coefficient(problem, ns_count)
+    iterate_labels = [f"iterate {n}" for n in range(1, ns_count + 1)]
+    members, diffs = _checked_split(
+        solve_tree_exact(problem, tree, f_fn=f_fn, members=ns_count + 2),
+        ["the lower anchor", *iterate_labels, "the upper anchor"],
+        order=[0, ns_count + 1, *range(1, ns_count + 1)],
     )
-
-    iterates: List[TreeSolution] = []
-    prev = lower
-    for _ in range(ns_count):
-        cur = solve_tree_exact(
-            problem, tree, f_fn=_frozen_source_coefficient(problem, prev)
-        ).validate()
-        iterates.append(cur)
-        prev = cur
-
+    lower, iterates, upper = members[0], members[1:-1], members[-1]
     upper_margins = [_node_margin(x, upper) for x in [lower] + iterates]
     report = {
         "index_set": list(range(1, ns_count + 1)),
@@ -395,6 +414,7 @@ def run_bracketing_sequence(
         "bracketing",
         [float(n) for n in range(1, ns_count + 1)],
         iterates,
+        tuple(d[1:ns_count] for d in diffs),  # the pairs of iterates
         report,
         lower_anchor_tree=lower,
         upper_anchor_tree=upper,

@@ -36,7 +36,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -58,6 +58,11 @@ CoefficientFn = Callable[..., np.ndarray]
 
 #: how far Y may sit below the barrier S before validate() rejects it
 _BARRIER_TOL = 1e-12
+
+#: most node steps, (distinct values of Y^2) x (stored nodes), that
+#: ``TreeSolution.sup_y_sq`` makes before it refuses: about 1 s at the
+#: 6-17 ns per step measured on a shared 2-core Xeon VM (numpy 2.4)
+SUP_Y_SQ_WORK = 100_000_000
 
 
 def coefficient_from_expr(expr, intensities) -> CoefficientFn:
@@ -490,38 +495,76 @@ class TreeSolution:
     def root_value(self) -> float:
         return float(self.Y[0].mean())
 
+    @property
+    def members(self) -> Optional[int]:
+        """The member count of a solve with members (the trailing axis of
+        every slice, see ``solve_tree_exact``); None for one problem."""
+        return self.Y[0].shape[-1] if self.Y[0].ndim > self.tree.node_axes else None
+
+    def node_failures(self) -> list:
+        """The first node check of ``validate`` that fails, per member (one
+        entry without members), as "what at (slice, node) (i, n)" with n a
+        flat index of the member's own slice; None where every check holds.
+
+        The checks run once over the batched slices, in ``validate``'s
+        order: Y, Z, U and dK finite, dK >= 0, Y >= S - _BARRIER_TOL and
+        (Y - S) * dK == 0 bitwise."""
+        count = self.members or 1
+        axes = self.tree.node_axes + (self.members is not None)
+        found = [None] * count
+
+        def check(what, i, bad):
+            if bad.ndim > axes:  # any z/u component
+                bad = bad.any(axis=tuple(range(axes, bad.ndim)))
+            rows = bad.reshape(-1, count)
+            for k in np.flatnonzero(rows.any(axis=0)):
+                if found[k] is None:
+                    found[k] = f"{what} at (slice, node) ({i}, {int(rows[:, k].argmax())})"
+
+        for name, slices in (("Y", self.Y), ("Z", self.Z), ("U", self.U), ("dK", self.dK)):
+            for i, arr in enumerate(slices):
+                check(f"non-finite {name}", i, ~np.isfinite(arr))
+        for i, dk in enumerate(self.dK):
+            check("negative dK", i, dk < 0.0)
+        for i, (y, s) in enumerate(zip(self.Y, self.S)):
+            check("Y below the barrier", i, y < s - _BARRIER_TOL)
+        for i, (y, s, dk) in enumerate(zip(self.Y, self.S, self.dK)):
+            check("reflection is not complementary", i, (y - s) * dk != 0.0)
+        return found
+
     def validate(self):
         """Raise SolverError if a reflection invariant fails on a node.
 
-        The node-wise form of ``SolutionGrid.validate``: Y, Z, U and dK
-        finite, dK >= 0, Y >= S - _BARRIER_TOL and (Y - S) * dK == 0
-        bitwise.  Errors name the (slice, node), node a flat slice index.
-        """
-        axes = self.tree.node_axes
-        for name, slices in (("Y", self.Y), ("Z", self.Z), ("U", self.U), ("dK", self.dK)):
-            for i, arr in enumerate(slices):
-                _raise_at(~np.isfinite(arr), f"non-finite {name}", i, axes)
-        for i, dk in enumerate(self.dK):
-            _raise_at(dk < 0.0, "negative dK", i, axes)
-        for i, (y, s) in enumerate(zip(self.Y, self.S)):
-            _raise_at(y < s - _BARRIER_TOL, "Y below the barrier", i, axes)
-        for i, (y, s, dk) in enumerate(zip(self.Y, self.S, self.dK)):
-            _raise_at((y - s) * dk != 0.0, "reflection is not complementary", i, axes)
+        The node-wise form of ``SolutionGrid.validate`` (see
+        ``node_failures``).  Errors name the (slice, node), node a flat
+        slice index.  With members, the error is that of the first
+        failing member, and it ends with "of member k"."""
+        for k, failure in enumerate(self.node_failures()):
+            if failure is not None:
+                raise SolverError(failure if self.members is None else f"{failure} of member {k}")
         return self
 
     @cached_property
-    def k_moments(self) -> Tuple[float, float]:
+    def k_moments(self) -> tuple:
         """(E[K_T], E[K_T^2]), carried backward like the solve: with A_i =
         E_i[K_T - K_i] and B_i = E_i[(K_T - K_i)^2], A_i = dK_i +
         E_i[A_{i+1}] and B_i = dK_i^2 + 2*dK_i*E_i[A_{i+1}] + E_i[B_{i+1}];
         the moments are the slice-0 means.  One backward pass per
-        solution, on first use: the reports read both moments."""
+        solution, on first use: the reports read both moments.  With
+        members, one pass for all of them, and each moment a list with
+        one entry per member (see ``_slice0_means``)."""
         tree = self.tree
-        a = b = np.zeros(tree.slice_shape(self.grid.N))
+        a = b = np.zeros(self.Y[-1].shape)
         for i in range(self.grid.N - 1, -1, -1):
             dk, ea = self.dK[i], tree.step_mean(i, a)
             a, b = dk + ea, dk * dk + 2.0 * dk * ea + tree.step_mean(i, b)
-        return float(a.mean()), float(b.mean())
+        return _slice0_means(a, self.members), _slice0_means(b, self.members)
+
+    @cached_property
+    def zu_norms(self) -> tuple:
+        """(sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt), see
+        ``integrand_norms``; with members, a list per norm."""
+        return integrand_norms(self.tree, self.Z, self.U)
 
     def sup_y_sq(self) -> float:
         """E[max_i Y_i^2] over the full paths, carried backward like the
@@ -530,37 +573,55 @@ class TreeSolution:
         1{Y_N^2 <= c} is the conditional probability that Y^2 stays <= c
         from slice i on, so q_0's slice-0 mean is F(c) = P(max_i Y_i^2 <=
         c), and E max_i Y_i^2 = c_1 + sum_k (c_k - c_{k-1}) (1 - F(c_{k-1})).
-        Raises SolverError when (distinct values) x (largest slice)
-        exceeds MAX_PATHS."""
+
+        The thresholds are carried in blocks of about MAX_PATHS //
+        (largest slice), and of at least two, so a slice holds about
+        MAX_PATHS values at a time.  F is a per-threshold column mean, and
+        a block of two or more columns sums each column in the order of
+        the whole, so blocking does not change F.  The pass makes one
+        step per node and threshold: it raises SolverError when (distinct
+        values) x (stored nodes) exceeds ``SUP_Y_SQ_WORK``."""
         y_sq = [y**2 for y in self.Y]
-        c = np.unique(np.concatenate([v.ravel() for v in y_sq]))
-        largest = max(v.size for v in y_sq)
-        if c.size * largest > MAX_PATHS:
+        c = np.sort(np.concatenate([v.ravel() for v in y_sq]))
+        c = c[np.concatenate(([True], c[1:] != c[:-1]))]  # np.unique, without importing numpy.ma
+        nodes = sum(v.size for v in y_sq)
+        if c.size * nodes > SUP_Y_SQ_WORK:
             raise SolverError(
-                f"E sup Y^2 carries {c.size} distinct values of Y^2 over slices of up to "
-                f"{largest} nodes: {c.size * largest} values (> {MAX_PATHS})"
+                f"E sup Y^2 carries {c.size} distinct values of Y^2 over {nodes} stored "
+                f"nodes: {c.size * nodes} node steps (> {SUP_Y_SQ_WORK})"
             )
+        largest = max(v.size for v in y_sq)
+        blocks = max(1, min(-(-c.size * largest // MAX_PATHS), c.size // 2))
+        F = np.concatenate([self._stays_below(y_sq, part) for part in np.array_split(c, blocks)])
+        return float(c[0] + np.diff(c) @ (1.0 - F[:-1]))
+
+    def _stays_below(self, y_sq, c) -> np.ndarray:
+        """F(c) = P(max_i Y_i^2 <= c) for each threshold in c (see
+        ``sup_y_sq``), given y_sq, the slices of Y^2."""
         q = y_sq[-1][..., None] <= c
         for i in range(self.grid.N - 1, -1, -1):
             q = self.tree.step_mean(i, q) * (y_sq[i][..., None] <= c)
-        F = q.reshape(-1, c.size).mean(axis=0)
-        return float(c[0] + np.diff(c) @ (1.0 - F[:-1]))
+        return q.reshape(-1, c.size).mean(axis=0)
 
     def member_solutions(self) -> List["TreeSolution"]:
         """The solutions of a solve with members (see ``solve_tree_exact``),
         one per member, each of contiguous arrays in a one-member solve's
-        layout, so every reduction over them sums in that solve's order."""
+        layout, so every reduction over them sums in that solve's order.
+        Each carries its K moments and Z/U norms from one backward pass
+        over all the members, bitwise its own."""
 
-        def part(slices, k, axis):
-            return [np.take(v, k, axis=axis) for v in slices]  # new C-order arrays
+        def rows(slices, axis):  # member k's slice is row k, C-ordered
+            return [np.ascontiguousarray(np.moveaxis(v, axis, 0)) for v in slices]
 
-        return [
-            TreeSolution(
-                self.problem, self.tree, part(self.Y, k, -1), part(self.Z, k, -2),
-                part(self.U, k, -2), part(self.dK, k, -1), part(self.S, k, -1),
-            )
-            for k in range(self.Y[0].shape[-1])
-        ]
+        fields = [rows(self.Y, -1), rows(self.Z, -2), rows(self.U, -2)]
+        fields += [rows(self.dK, -1), rows(self.S, -1)]
+        (k_mean, k_sq), (z_norm, u_norm) = self.k_moments, self.zu_norms
+        out = []
+        for k in range(self.members):
+            sol = TreeSolution(self.problem, self.tree, *([v[k] for v in f] for f in fields))
+            sol.k_moments, sol.zu_norms = (k_mean[k], k_sq[k]), (z_norm[k], u_norm[k])
+            out.append(sol)
+        return out
 
     def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
         """Materialize every full history as a weighted path: the paths and
@@ -578,13 +639,33 @@ class TreeSolution:
         return SolutionGrid(self.grid, Y, Z, U, K, S, scen.path_weights(), {"source": "tree"})
 
 
-def _raise_at(bad: np.ndarray, what: str, i: int, axes: int):
-    """Raise SolverError naming the first slice-i node where bad holds (on
-    any z/u component past the first ``axes`` node axes)."""
-    if bad.ndim > axes:
-        bad = bad.any(axis=tuple(range(axes, bad.ndim)))
-    if bad.any():
-        raise SolverError(f"{what} at (slice, node) ({i}, {int(np.flatnonzero(bad)[0])})")
+def _slice0_means(values: np.ndarray, members: Optional[int]):
+    """The slice-0 mean of node values: a float, or with members a list
+    of one float per member (the trailing axis), each reduced over the
+    member's own contiguous row, so bitwise its one-member mean."""
+    if members is None:
+        return float(values.mean())
+    rows = np.ascontiguousarray(np.moveaxis(values, -1, 0)).reshape(members, -1)
+    return rows.mean(axis=1).tolist()
+
+
+def integrand_norms(tree: TreeModel, Z, U):
+    """(sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt) over the slices i < N
+    of slice-indexed integrands, carried backward like the solve: the sum
+    from slice i on is |Z_i|^2 plus E_i of the sum from slice i+1 on, and
+    the norms are its slice-0 means times dt.  Integrands with a member
+    axis (before the component axis) give one list per norm, an entry
+    per member (see ``_slice0_means``)."""
+    lam, dt = tree.marks.intensities, tree.grid.dt
+    members = Z[0].shape[-2] if Z[0].ndim > tree.node_axes + 1 else None
+    z_sum = u_sum = np.zeros(Z[-1].shape[:-1])
+    for i in range(tree.grid.N - 1, -1, -1):
+        z_sum = (Z[i] ** 2).sum(axis=-1) + tree.step_mean(i, z_sum)
+        u_sum = (lam * U[i] ** 2).sum(axis=-1) + tree.step_mean(i, u_sum)
+    z_norm, u_norm = _slice0_means(z_sum, members), _slice0_means(u_sum, members)
+    if members is None:
+        return z_norm * dt, u_norm * dt
+    return [v * dt for v in z_norm], [v * dt for v in u_norm]
 
 
 def _node_margin(a: TreeSolution, b: TreeSolution) -> float:
@@ -655,9 +736,13 @@ def solve_tree_exact(
 
     members, if given, solves that many problems in one backward pass:
     every slice gets a trailing member axis of that length (before the
-    component axis of Z and U), and f_fn reads each member's own values
-    along it; g, the barrier and the terminal condition are shared.  Each
-    member does the floating-point operations of its own solve, and
+    component axis of Z and U); g, the barrier and the terminal condition
+    are shared.  At step i, f_fn receives every member's slice-(i+1)
+    values and returns each member's f along the axis; it may read any
+    member's values, not only its own, and that is how a bracketing pass
+    freezes iterate k's source at iterate k-1 (see ``schemes``).  When
+    member k's f reads only values a separate solve would have had, it
+    does the floating-point operations of that solve, and
     ``TreeSolution.member_solutions`` splits the result.
     """
     if tree is None:

@@ -372,7 +372,11 @@ class TestSliceFormsAgainstPaths:
         lam = prob.marks.intensities
         dz = ((b.Z[:, :-1] - a.Z[:, :-1]) ** 2).sum(axis=(1, 2)) * dt
         du = (lam * (b.U[:, :-1] - a.U[:, :-1]) ** 2).sum(axis=(1, 2)) * dt
-        z_diffs, u_diffs = _successive_diffs(sols)
+        # the two solutions as the members of one pass's slices
+        Z, U = (
+            [np.stack(pair, axis=-2) for pair in zip(*(getattr(s, f) for s in sols))] for f in "ZU"
+        )
+        z_diffs, u_diffs = _successive_diffs(sols[0].tree, Z, U)
         assert z_diffs[0] > 0.0 and (u_diffs[0] > 0.0) == (m > 0)
         np.testing.assert_allclose(z_diffs, [a.weights @ dz], rtol=1e-12, atol=0)
         np.testing.assert_allclose(u_diffs, [a.weights @ du], rtol=1e-12, atol=0)

@@ -11,11 +11,14 @@ import pytest
 from rbdsdep import schemes
 from rbdsdep.drivers import MarkSpace, build_time_grid, empty_marks
 from rbdsdep.errors import ConfigError, EnvelopeError, SolverError
+from rbdsdep.analysis import tree_norm_report
+from rbdsdep.expr import EvalContext, evaluate
 from rbdsdep.generator import (
     ENVELOPE_BLOCK_QUERIES,
     EnvelopeFunction,
     EnvelopeParams,
     GeneratorSpec,
+    size_norms,
 )
 from rbdsdep.schemes import (
     run_bracketing_sequence,
@@ -24,7 +27,14 @@ from rbdsdep.schemes import (
     sequence_csv_rows,
     solve_upper_bound_tree,
 )
-from rbdsdep.solver import ProblemSpec, TreeModel, b_axis_for, solve_tree_exact
+from rbdsdep.solver import (
+    ProblemSpec,
+    TreeModel,
+    TreeSolution,
+    b_axis_for,
+    integrand_norms,
+    solve_tree_exact,
+)
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))
 ENV = EnvelopeParams(n=1.0, box={"y": (-5.0, 5.0)}, grid_points=201)
@@ -349,6 +359,128 @@ class TestBracketing:
             run_bracketing_sequence(prob)
 
 
+def _chained_bracketing(prob, tree, count):
+    """The bracketing solutions as one solve each, chained: the anchors at
+    -+(C(|y|+|z|+|u|_lambda) + f_t), then iterate n with f frozen at
+    iterate n-1's node values (iterate 0: the lower anchor) plus pi of the
+    increment.  Returns [lower, iterate 1..count, upper]."""
+    gen, lam = prob.generator, prob.marks.intensities
+
+    def anchor(sign):
+        def fn(i_next, t, y, z, u, w, j):
+            ay, zn, un = size_norms(y, z, u, lam)
+            rate = float(np.asarray(evaluate(gen.rate, EvalContext(t=float(t)))))
+            return sign * (gen.growth_C * (ay + zn + un) + rate)
+
+        return fn
+
+    def frozen(prev):
+        def fn(i_next, t, y, z, u, w, j):
+            py, pz, pu = prev.Y[i_next], prev.Z[i_next], prev.U[i_next]
+            base = evaluate(gen.f, EvalContext(t=t, y=py, z=pz, u=pu, w=w, j=j, intensities=lam))
+            inc = evaluate(
+                gen.pi, EvalContext(t=t, y=y - py, z=z - pz, u=u - pu, intensities=lam)
+            )
+            return np.asarray(base, dtype=float) + np.asarray(inc, dtype=float)
+
+        return fn
+
+    chain = [solve_tree_exact(prob, tree, f_fn=anchor(-1.0))]
+    for _ in range(count):
+        chain.append(solve_tree_exact(prob, tree, f_fn=frozen(chain[-1])))
+    return chain + [solve_tree_exact(prob, tree, f_fn=anchor(1.0))]
+
+
+def _bracketing_case(name):
+    """The problems of ``TestBracketingPass``."""
+    if name == "two_w_axes_and_a_mark":
+        gen = GeneratorSpec(f="indicator_pos(y) + 0.1*z2", g="0", pi="0.1*z2", rate="1")
+        grid = build_time_grid(0.5, 3)
+        return ProblemSpec(grid, 2, MARKS, gen, "w1 + 2*(0.3 - t)", "w1 + 0.5*w2 + 0.2*j1 + 0.7")
+    if name == "benchmark":  # the bracketing workload's problem: no barrier binds
+        return make_problem(**dict(BRACKETING, T=0.5, N=6, marks=MARKS))
+    binding = dict(
+        BRACKETING, barrier="w1 + 4*(0.25 - t)", terminal="w1 + 0.2 + 0.2*j1", marks=MARKS
+    )
+    kw = {
+        "exhaustive_b_axis": dict(binding, g="0.1*y"),
+        "f_reads_w_and_j": dict(
+            binding, f="indicator_pos(y) + 0.05*w1 + 0.05*j1",
+            pi="-3*(abs(y) + znorm + unorm)", growth_C=3.0,
+        ),
+    }[name]
+    return make_problem(**kw)
+
+
+def _fresh(sol):
+    """sol's slices in a new solution, whose K moments and norms are its own."""
+    return TreeSolution(sol.problem, sol.tree, sol.Y, sol.Z, sol.U, sol.dK, sol.S)
+
+
+def _same_slices(a, b):
+    for name in ("Y", "Z", "U", "dK", "S"):
+        for sa, sb in zip(getattr(a, name), getattr(b, name), strict=True):
+            assert sa.shape == sb.shape and sa.tobytes() == sb.tobytes(), name
+
+
+class TestBracketingPass:
+    """A bracketing run is one backward pass over the anchors and the
+    iterates; each solution is bitwise its own chained solve, and the
+    norms and distances taken on the pass are bitwise those of each
+    solution on its own."""
+
+    @pytest.mark.parametrize(
+        "case,count",
+        [
+            ("benchmark", 5),
+            ("benchmark", 1),
+            ("benchmark", 8),
+            ("exhaustive_b_axis", 3),
+            ("two_w_axes_and_a_mark", 3),
+            ("f_reads_w_and_j", 3),
+        ],
+    )
+    def test_members_equal_the_chained_solves(self, case, count):
+        prob = _bracketing_case(case)
+        tree = TreeModel(prob.grid, prob.dim_d, prob.marks, max_steps=6, b_axis=b_axis_for(prob))
+        assert tree.b_axis == ("exhaustive" if case == "exhaustive_b_axis" else "collapsed")
+        run = run_bracketing_sequence(prob, ns_count=count, tree=tree)
+        got = [run.lower_anchor_tree, *run.tree_solutions, run.upper_anchor_tree]
+        want = _chained_bracketing(prob, tree, count)
+        assert len(got) == len(want) == count + 2
+        for a, b in zip(got, want):
+            _same_slices(a, b)
+        assert run.y0_series == [ts.root_value() for ts in want[1:-1]]
+        reflected = max(float(dk.max()) for sol in want for dk in sol.dK)
+        assert (reflected > 0.0) == (case != "benchmark")
+
+    @pytest.mark.parametrize("pipeline", ["bracketing", "inf", "sup"])
+    def test_pass_norms_equal_the_per_solution_ones(self, pipeline):
+        if pipeline == "bracketing":
+            run = run_bracketing_sequence(_bracketing_case("exhaustive_b_axis"), ns_count=4)
+        else:
+            prob = make_problem(
+                f="min(abs(y), 2)", g="0.1*y", terminal="w1 + 0.2*j1", T=0.5, N=3, marks=MARKS
+            )
+            runner = run_inf_envelope_sequence if pipeline == "inf" else run_sup_envelope_sequence
+            run = runner(prob, ENV, ns=[1, 2, 4, 8])
+        sols = run.tree_solutions
+        assert len(sols) >= 3
+        for got, sol in zip(run.report["norms"], sols, strict=True):
+            assert got == tree_norm_report(_fresh(sol))
+            assert sol.k_moments == _fresh(sol).k_moments
+        tree = sols[0].tree
+        diffs = [
+            integrand_norms(
+                tree, [zb - za for za, zb in zip(a.Z, b.Z)], [ub - ua for ua, ub in zip(a.U, b.U)]
+            )
+            for a, b in zip(sols, sols[1:])
+        ]
+        assert run.report["z_diffs"] == [z for z, _ in diffs]
+        assert run.report["u_diffs"] == [u for _, u in diffs]
+        assert max(run.report["z_diffs"]) > 0.0 and max(run.report["u_diffs"]) > 0.0
+
+
 class TestSequenceCsv:
     def test_envelope_rows(self):
         prob = make_problem(
@@ -390,16 +522,17 @@ BRACKETING = dict(
 )
 
 
-def _corrupt_solve(monkeypatch, call):
+def _corrupt_solve(monkeypatch, call, member=None):
     """Make the call-th tree solve of a pipeline (0-based) return a
-    solution with one negative dK; other solves are untouched."""
+    solution with one negative dK, at slice 1, node 1 (of the given
+    member of a solve with members); other solves are untouched."""
     calls = []
     real = schemes.solve_tree_exact
 
     def solve(*args, **kwargs):
         sol = real(*args, **kwargs)
         if len(calls) == call:
-            sol.dK[1].flat[1] = -1e-300
+            (sol.dK[1] if member is None else sol.dK[1][..., member]).flat[1] = -1e-300
         calls.append(sol)
         return sol
 
@@ -408,14 +541,48 @@ def _corrupt_solve(monkeypatch, call):
 
 
 class TestNodeChecksGateTheRun:
-    """Each tree solution of a run is validated on its slices when solved,
-    the companions included; no path view is built."""
+    """Every tree solution of a run is validated on its slices, the
+    companions included, and a failure names the solution; no path view
+    is built."""
 
-    @pytest.mark.parametrize("call", [0, 1, 2], ids=["lower_anchor", "upper_anchor", "iterate"])
-    def test_bracketing_aborts(self, monkeypatch, call):
-        _corrupt_solve(monkeypatch, call)
-        with pytest.raises(SolverError, match=r"negative dK at \(slice, node\) \(1, 1\)"):
+    @pytest.mark.parametrize(
+        "member,name", [(0, "the lower anchor"), (3, "the upper anchor"), (2, "iterate 2")],
+    )
+    def test_bracketing_aborts(self, monkeypatch, member, name):
+        # ns_count = 2: one pass of the lower anchor, iterates 1 and 2, the upper anchor
+        _corrupt_solve(monkeypatch, 0, member)
+        refusal = rf"negative dK at \(slice, node\) \(1, 1\) of {name}$"
+        with pytest.raises(SolverError, match=refusal):
             run_bracketing_sequence(make_problem(**BRACKETING), ns_count=2)
+
+    @pytest.mark.parametrize(
+        "members,name",
+        [([3, 1], "the upper anchor"), ([2, 1], "iterate 1"), ([2, 0], "the lower anchor")],
+    )
+    def test_bracketing_reports_the_first_solution_in_chained_order(
+        self, monkeypatch, members, name
+    ):
+        """The chained solves ran the lower anchor, the upper anchor, then
+        the iterates: the first of the failing solutions in that order is
+        the one reported."""
+
+        def solve(*args, **kwargs):
+            sol = solve_tree_exact(*args, **kwargs)
+            for k in members:
+                sol.dK[2][..., k].flat[0] = np.nan
+            return sol
+
+        monkeypatch.setattr(schemes, "solve_tree_exact", solve)
+        refusal = rf"non-finite dK at \(slice, node\) \(2, 0\) of {name}$"
+        with pytest.raises(SolverError, match=refusal):
+            run_bracketing_sequence(make_problem(**BRACKETING), ns_count=2)
+
+    def test_envelope_member_aborts_naming_its_index(self, monkeypatch):
+        prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
+        _corrupt_solve(monkeypatch, 0, 1)
+        refusal = r"negative dK at \(slice, node\) \(1, 1\) of index n = 2$"
+        with pytest.raises(SolverError, match=refusal):
+            run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
 
     def test_upper_bound_v_aborts(self, monkeypatch):
         prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
@@ -426,4 +593,4 @@ class TestNodeChecksGateTheRun:
     def test_uncorrupted_run_passes(self, monkeypatch):
         calls = _corrupt_solve(monkeypatch, 99)
         run_bracketing_sequence(make_problem(**BRACKETING), ns_count=2)
-        assert len(calls) == 4
+        assert len(calls) == 1 and calls[0].members == 4

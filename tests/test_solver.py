@@ -25,6 +25,7 @@ from rbdsdep.drivers import (
 )
 from rbdsdep.errors import ConfigError, SolverError
 from rbdsdep.generator import EnvelopeParams, GeneratorSpec
+from rbdsdep import solver
 from rbdsdep.schemes import run_bracketing_sequence, run_inf_envelope_sequence
 from rbdsdep.solver import (
     ProblemSpec,
@@ -784,6 +785,75 @@ class TestTreeSolutionValidate:
             SolverError, match=rf"not complementary at \(slice, node\) \(1, {node}\)"
         ):
             sol.validate()
+
+
+    def test_members_are_checked_in_one_pass(self):
+        """A solve with members names each member's first failing node in
+        its own one-member layout, as the member's split solution does."""
+        ks = np.array([0.2, 0.5, 0.8])
+
+        def f_fn(i_next, t, y, z, u, w, j):
+            return ks * y - 0.3 * z[..., 0]
+
+        sol = solve_tree_exact(make_problem(**MIXED), f_fn=f_fn, members=3)
+        assert sol.members == 3 and sol.node_failures() == [None] * 3
+        sol.Z[2][..., 1, :].reshape(-1, 1)[5, 0] = np.nan
+        sol.dK[1][..., 2].flat[3] = -1e-300
+        sol.dK[1][..., 1].flat[0] = -1e-300  # a later check than Z's finiteness
+        want = [None, "non-finite Z at (slice, node) (2, 5)", "negative dK at (slice, node) (1, 3)"]
+        assert sol.node_failures() == want
+        assert [m.node_failures()[0] for m in sol.member_solutions()] == want
+        refusal = r"non-finite Z at \(slice, node\) \(2, 5\) of member 1$"
+        with pytest.raises(SolverError, match=refusal):
+            sol.validate()
+
+
+def found_shape(d, m, N):
+    """A collapsed-axis problem with unequal coefficients whose Y^2 takes
+    about as many distinct values as its tree has nodes."""
+    w = " + ".join(f"{c}*w{k + 1}" for k, c in enumerate([1.0, 0.7, 0.45][:d]))
+    j = "".join(f" + {c}*j{k + 1}" for k, c in enumerate([0.2, 0.33][:m]))
+    marks = (empty_marks(), MARKS, TWO_MARKS)[m]
+    prob = make_problem(f="0.2*y - 0.3*z1", terminal=w + j, T=0.5, N=N, dim_d=d, marks=marks)
+    return solve_tree_exact(prob, TreeModel(prob.grid, d, prob.marks, b_axis="collapsed"))
+
+
+class TestSupYSqBudget:
+    """E sup Y^2 carries its thresholds in blocks within MAX_PATHS values
+    per slice, and refuses only past SUP_Y_SQ_WORK node steps."""
+
+    @pytest.mark.parametrize("d,m,with_g", [(1, 1, True), (2, 1, False), (1, 2, True)])
+    @pytest.mark.parametrize("widths", [2, 3, 7])
+    def test_blocks_do_not_change_the_value(self, monkeypatch, d, m, with_g, widths):
+        sol = solve_tree_exact(oracle_case(d, m, with_g, N=4))
+        whole = sol.sup_y_sq()
+        largest = max(y.size for y in sol.Y)
+        monkeypatch.setattr(solver, "MAX_PATHS", widths * largest)
+        assert sol.sup_y_sq() == whole
+
+    @pytest.mark.parametrize("d,m,N", [(2, 2, 5), (3, 1, 5)])
+    def test_shapes_past_one_slice_budget_are_carried(self, d, m, N):
+        sol = found_shape(d, m, N)
+        y_sq = [y**2 for y in sol.Y]
+        distinct = np.unique(np.concatenate([v.ravel() for v in y_sq])).size
+        assert distinct * max(v.size for v in y_sq) > solver.MAX_PATHS
+        # max_i E[Y_i^2] <= E[max_i Y_i^2] <= E[sum_i Y_i^2]
+        second = [float((sol.state_probs(i) * v).sum()) for i, v in enumerate(y_sq)]
+        assert max(second) < sol.sup_y_sq() < sum(second)
+
+    def test_refuses_past_the_work_budget(self, monkeypatch):
+        sol = solve_tree_exact(oracle_case(1, 1, True))
+        nodes = sol.tree.total_states()
+        distinct = np.unique(np.concatenate([(y**2).ravel() for y in sol.Y])).size
+        monkeypatch.setattr(solver, "SUP_Y_SQ_WORK", distinct * nodes - 1)
+        refusal = (
+            rf"E sup Y\^2 carries {distinct} distinct values of Y\^2 over {nodes} stored "
+            rf"nodes: {distinct * nodes} node steps \(> {distinct * nodes - 1}\)"
+        )
+        with pytest.raises(SolverError, match=refusal):
+            sol.sup_y_sq()
+        monkeypatch.setattr(solver, "SUP_Y_SQ_WORK", distinct * nodes)
+        assert sol.sup_y_sq() > 0.0
 
 
 class TestLsmcGuards:
