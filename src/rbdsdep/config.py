@@ -235,8 +235,7 @@ class ExperimentConfig:
     problem2: Optional[ProblemSpec]
     scheme: SchemeParams
     solver_kind: str
-    tree_max_steps: int
-    tree_max_states: int
+    tree: Optional[TreeModel]
     envelope: Optional[EnvelopeParams]
     envelope_ns: list
     bracketing_count: int
@@ -249,15 +248,10 @@ class ExperimentConfig:
     canonical: dict = field(repr=False, default_factory=dict)
     config_hash: str = ""
 
-    def tree_model(self) -> TreeModel:
-        return TreeModel(
-            self.grid,
-            self.dim_d,
-            self.marks,
-            max_steps=self.tree_max_steps,
-            max_states=self.tree_max_states,
-            b_axis=b_axis_for(self.problem),
-        )
+    def tree_model(self) -> Optional[TreeModel]:
+        """The pipeline's one lattice, shared by its runs; None when the
+        pipeline builds no tree."""
+        return self.tree
 
 
 def _read_marks(s: _Section) -> MarkSpace:
@@ -402,13 +396,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         check_two_point_law(marks, grid.dt)
     if uses_scenarios and mode == "gaussian":
         check_gaussian_law(marks, grid.dt)
+    tree = None
+    if uses_tree:
+        tree = TreeModel(grid, dim_d, marks, tree_max_steps, tree_max_states, b_axis_for(problem))
+        tree.ensure_budget()
 
     canonical = top.record
     config_hash = hashlib.sha256(
         json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         pipeline=pipeline,
         grid=grid,
         dim_d=dim_d,
@@ -417,8 +415,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         problem2=problem2,
         scheme=scheme,
         solver_kind=solver_kind,
-        tree_max_steps=tree_max_steps,
-        tree_max_states=tree_max_states,
+        tree=tree,
         envelope=envelope,
         envelope_ns=envelope_ns,
         bracketing_count=bracketing_count,
@@ -431,9 +428,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         canonical=canonical,
         config_hash=config_hash,
     )
-    if uses_tree:
-        cfg.tree_model().ensure_budget()
-    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -307,6 +307,21 @@ def _eval(expr: Expr, ctx: EvalContext):
     return _eval_call(expr, ctx)
 
 
+def _znorm(z):
+    return np.sqrt((z * z).sum(axis=-1))
+
+
+def _unorm(u, intensities):
+    return np.sqrt((intensities * u * u).sum(axis=-1))
+
+
+def size_norms(y, z, u, intensities):
+    """(|y|, znorm, unorm) with z and u vectors along the last axis:
+    |z|_2 and |u|_lambda = sqrt(sum_k lambda_k u_k^2), as the grammar
+    defines them."""
+    return np.abs(y), _znorm(z), _unorm(u, intensities)
+
+
 def _eval_var(name: str, ctx: EvalContext):
     if name == "t":
         if ctx.t is None:
@@ -319,14 +334,11 @@ def _eval_var(name: str, ctx: EvalContext):
     if name == "znorm":
         if ctx.z is None:
             raise EvalError("variable 'znorm' is not available in this context")
-        z = np.asarray(ctx.z, dtype=float)
-        return np.sqrt((z * z).sum(axis=-1))
+        return _znorm(np.asarray(ctx.z, dtype=float))
     if name == "unorm":
         if ctx.u is None or ctx.intensities is None:
             raise EvalError("variable 'unorm' needs u and the mark intensities")
-        u = np.asarray(ctx.u, dtype=float)
-        lam = np.asarray(ctx.intensities, dtype=float)
-        return np.sqrt((lam * u * u).sum(axis=-1))
+        return _unorm(np.asarray(ctx.u, dtype=float), np.asarray(ctx.intensities, dtype=float))
     index = int(name[1:]) - 1
     if name[0] == "z":
         return _component(ctx.z, name, "z", index)

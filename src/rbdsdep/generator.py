@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError
-from .expr import EvalContext, Expr, evaluate, parse_expr, to_string, variables
+from .expr import EvalContext, Expr, evaluate, parse_expr, size_norms, to_string, variables
 from .table import CsvTable
 
 
@@ -151,18 +151,6 @@ class Cloud:
             intensities=self.intensities,
         )
 
-    def size_norms(self):
-        """(|y|, |z|_2, |u|_lambda) per sample."""
-        return size_norms(self.y, self.z, self.u, self.intensities)
-
-
-def size_norms(y, z, u, intensities):
-    """(|y|, |z|_2, |u|_lambda) with z and u vectors along the last axis;
-    |u|_lambda = sqrt(sum_k lambda_k u_k^2)."""
-    zn = np.sqrt((z * z).sum(axis=-1))
-    un = np.sqrt((intensities * u * u).sum(axis=-1))
-    return np.abs(y), zn, un
-
 
 def sample_cloud(
     size: int,
@@ -215,7 +203,7 @@ def check_linear_growth(spec: GeneratorSpec, cloud: Cloud) -> Certificate:
     """Certify |f| <= C*(1 + |y| + |z| + |u|) on the cloud; worst is the
     largest ratio |f| / bound."""
     fvals = np.abs(np.asarray(evaluate(spec.f, cloud.context()), dtype=float))
-    ay, zn, un = cloud.size_norms()
+    ay, zn, un = size_norms(cloud.y, cloud.z, cloud.u, cloud.intensities)
     bound = spec.growth_C * (1.0 + ay + zn + un)
     fvals = np.broadcast_to(fvals, bound.shape)  # constant f stays per-sample
     worst = float((fvals / bound).max()) if fvals.size else 0.0
@@ -299,7 +287,7 @@ def check_signed_growth(spec: GeneratorSpec, cloud: Cloud) -> Certificate:
     largest excess."""
     fvals = np.abs(np.asarray(evaluate(spec.f, cloud.context()), dtype=float))
     rate = np.asarray(evaluate(spec.rate, EvalContext(t=cloud.t)), dtype=float)
-    ay, zn, un = cloud.size_norms()
+    ay, zn, un = size_norms(cloud.y, cloud.z, cloud.u, cloud.intensities)
     bound = np.broadcast_to(rate, cloud.t.shape) + spec.growth_C * (ay + zn + un)
     worst = float((fvals - bound).max())
     return Certificate("signed-growth", not worst > PREMISE_SLACK, worst)

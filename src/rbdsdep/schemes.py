@@ -51,7 +51,7 @@ import numpy as np
 
 from .analysis import tree_norm_report
 from .errors import ConfigError, SolverError
-from .expr import EvalContext, evaluate
+from .expr import EvalContext, evaluate, size_norms
 from .generator import (
     DEFAULT_ENVELOPE_NS,
     Certificate,
@@ -64,7 +64,6 @@ from .generator import (
     check_rate_nonnegative,
     check_signed_growth,
     problem_cloud,
-    size_norms,
 )
 from .solver import (
     CoefficientFn,

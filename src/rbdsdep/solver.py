@@ -313,10 +313,16 @@ class TreeModel:
     Only ``b_columns`` and ``_onto_b_columns`` branch on the axis; the
     rest of the layout, ``path_nodes`` included, reads ``b_columns``.
 
+    ``_points`` keeps each slice per axis, as its law is a product of
+    per-axis binomials: w over the W axes, j over the mark axes and one
+    probability vector per axis, which ``state_probs`` multiplies only
+    when asked.  It and the one-step probabilities are built on first
+    use, after ``ensure_budget``, and kept for the tree's lifetime (a
+    config's one tree is shared by its runs).
+
     max_steps guards the default desk scale; max_states bounds the stored
     lattice nodes (lattice points times B columns, summed over slices).
-    The step probabilities are built on first use, after
-    ``ensure_budget``; ``==`` and the hash read the six fields only.
+    ``==`` and the hash read the six fields only.
     """
 
     grid: TimeGrid
@@ -375,17 +381,20 @@ class TreeModel:
 
     @cached_property
     def _points(self):
-        """Per slice i: w and j broadcastable against the slice, and the
-        probability of reaching each lattice point, per axis comb(i, k)
-        p**k (1-p)**(i-k).  Builds are bitwise equal."""
-        d, p, out = self.dim_d, self._axis_probs, []
+        """Per slice i: w, shaped (i+1,)*d + (1,)*(m+1) + (d,); j, shaped
+        (1,)*d + (i+1,)*m + (1, m); and per lattice axis the law of its
+        count, shaped along that axis, by the two-point recurrence (stay
+        with 1-p, move up with p).  Builds are bitwise equal."""
+        d, m, p, out = self.dim_d, self.marks.m, self._axis_probs, []
+        laws = [np.ones(1)] * (d + m)
         for i in range(self.grid.N + 1):
-            k = np.arange(i + 1.0)
-            # the lattice coordinates on a trailing axis, after a B axis of 1
-            c = np.stack(np.meshgrid(*[k] * (self.node_axes - 1), indexing="ij"), -1)[..., None, :]
-            comb = np.array([math.comb(i, n) for n in range(i + 1)], float)[c.astype(int)]
-            probs = (comb * p**c * (1.0 - p) ** (i - c)).prod(axis=-1)
-            out.append(((i - 2.0 * c[..., :d]) * np.sqrt(self.grid.dt), c[..., d:], probs))
+            n = i + 1
+            cw, cj = (np.moveaxis(np.indices((n,) * k, float), 0, -1) for k in (d, m))
+            w = (i - 2.0 * cw.reshape((n,) * d + (1,) * (m + 1) + (d,))) * np.sqrt(self.grid.dt)
+            j = cj.reshape((1,) * d + (n,) * m + (1, m))
+            shaped = [v.reshape((1,) * a + (n,) + (1,) * (d + m - a)) for a, v in enumerate(laws)]
+            out.append((w, j, shaped))
+            laws = [np.append(v * (1.0 - q), 0.0) + np.append(0.0, v * q) for v, q in zip(laws, p)]
         return out
 
     def context(self, i: int):
@@ -451,9 +460,10 @@ class TreeModel:
     def state_probs(self, i: int) -> np.ndarray:
         """Exact probability of each slice-i node, as a read-only
         broadcast; sums to one.  A collapsed B column carries its lattice
-        point's whole probability."""
-        pb = self._points[i][2] / self.b_columns(i)
-        return np.broadcast_to(pb, self.slice_shape(i))
+        point's whole probability.  The per-axis laws are multiplied in
+        axis order."""
+        probs = math.prod(self._points[i][2]) / self.b_columns(i)
+        return np.broadcast_to(probs, self.slice_shape(i))
 
     def path_nodes(self, scen: ScenarioSet) -> list:
         """Per slice i, the index tuple of each path's node in a two-point
@@ -487,10 +497,6 @@ class TreeSolution:
     @property
     def grid(self) -> TimeGrid:
         return self.problem.grid
-
-    def state_probs(self, i: int) -> np.ndarray:
-        """Exact probability of each slice-i node; sums to one."""
-        return self.tree.state_probs(i)
 
     def root_value(self) -> float:
         return float(self.Y[0].mean())

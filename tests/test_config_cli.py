@@ -18,7 +18,13 @@ from rbdsdep.cli import main, run_pipeline
 from rbdsdep.config import PIPELINES, config_from_dict, load_config
 from rbdsdep.errors import ConfigError
 from rbdsdep.schemes import run_bracketing_sequence, run_inf_envelope_sequence
-from rbdsdep.solver import SUP_Y_SQ_WORK, TreeSolution, solution_csv_rows, solve_tree_exact
+from rbdsdep.solver import (
+    SUP_Y_SQ_WORK,
+    TreeModel,
+    TreeSolution,
+    solution_csv_rows,
+    solve_tree_exact,
+)
 
 
 def minimal() -> dict:
@@ -50,7 +56,7 @@ class TestConfigDefaults:
         assert cfg.solver_kind == "tree"
         assert cfg.scheme.basis == "poly"
         assert cfg.scheme.degree == 2
-        assert cfg.tree_max_steps == 6
+        assert cfg.tree_model().max_steps == 6
         assert cfg.bracketing_count == 5
         assert cfg.out_dir == "out"
         assert cfg.formats == ["csv", "json"]
@@ -58,6 +64,32 @@ class TestConfigDefaults:
         assert cfg.problem.generator.contraction_alpha == 0.5
         assert cfg.envelope is None
         assert cfg.ito is None
+
+    def test_one_tree_per_config(self, tmp_path, monkeypatch):
+        """A tree pipeline's config holds one tree, checked at load and
+        built on first use, and its runs share the built lattice; a
+        pipeline that builds no tree has none."""
+        builds = []
+        real = TreeModel.__dict__["_points"].func
+
+        def counted(tree):
+            builds.append(tree)
+            return real(tree)
+
+        points = functools.cached_property(counted)
+        points.__set_name__(TreeModel, "_points")
+        monkeypatch.setattr(TreeModel, "_points", points)
+        cfg = config_from_dict(minimal())
+        assert cfg.tree_model() is cfg.tree_model()
+        assert builds == []
+        for run in ("first", "second"):
+            ok, _, _ = run_pipeline(cfg, out_dir=str(tmp_path / run))
+            assert ok
+        assert len(builds) == 1 and builds[0] is cfg.tree_model()
+        lsmc = merged(scheme={"solver": "lsmc"})
+        ito = merged(pipeline="ito_check", ito={"eta": "1", "expected_terminal_sq": 1.0})
+        for data in (lsmc, ito):
+            assert config_from_dict(data).tree_model() is None
 
     def test_pipeline_names(self):
         assert PIPELINES == (
@@ -526,7 +558,7 @@ class TestSequencesBeyondThePathBudget:
             run = run_inf_envelope_sequence(cfg.problem, cfg.envelope, ns=cfg.envelope_ns, tree=tree)
         for entry, sol in zip(norms, run.tree_solutions, strict=True):
             # max_i E[Y_i^2] <= E[max_i Y_i^2] <= E[sum_i Y_i^2]
-            second = [float((sol.state_probs(i) * y**2).sum()) for i, y in enumerate(sol.Y)]
+            second = [float((sol.tree.state_probs(i) * y**2).sum()) for i, y in enumerate(sol.Y)]
             assert max(second) <= entry["sup_y_sq"] <= sum(second)
             assert "sup_y_sq_skipped" not in entry
             assert entry["z_norm_sq"] > 0.0
@@ -534,7 +566,7 @@ class TestSequencesBeyondThePathBudget:
         assert len(rows) == 2 + len(norms)
 
 
-def tree_solve(N: int, d: int = 1, m: int = 1, formats=("json",)) -> dict:
+def tree_solve(N: int, d: int = 1, m: int = 1, formats=("json",), g="0.1*y") -> dict:
     """A tree solve on d W axes and m marks whose barrier binds."""
     w = " + ".join(f"w{c}" for c in range(1, d + 1))
     j = "".join(f" + 0.2*j{k}" for k in range(1, m + 1))
@@ -545,7 +577,7 @@ def tree_solve(N: int, d: int = 1, m: int = 1, formats=("json",)) -> dict:
         "marks": {"values": [1.0, -0.5][:m], "intensities": [0.4, 0.3][:m]},
         "problem": {
             "f": f"0.2*y - 0.3*z1{u}",
-            "g": "0.1*y",
+            "g": g,
             "barrier": f"{w} - 0.1*(0.5 - t)",
             "terminal": f"{w}{j}",
         },
@@ -571,12 +603,23 @@ class TestTreeSolveOnTheLattice:
     """A tree solve checks, norms and writes its lattice slices; no path
     is built."""
 
-    @pytest.mark.parametrize("N", [10, 16])
-    def test_deep_tree_solve_passes(self, tmp_path, capsys, N):
+    @pytest.mark.parametrize(
+        "N, m, g",
+        [
+            pytest.param(10, 1, "0.1*y", id="10"),
+            pytest.param(16, 1, "0.1*y", id="16"),
+            pytest.param(1030, 0, "0", id="1030"),
+        ],
+    )
+    def test_deep_tree_solve_passes(self, tmp_path, capsys, N, m, g):
         """N = 10 carries E sup Y^2 within the work budget (about 1.1e4
         distinct values of Y^2 on 12,117 stored nodes); N = 16 (about
-        0.8M nodes) is past it and reports why."""
-        path = write_config(tmp_path, tree_solve(N))
+        0.8M nodes) is past it and reports why.  N = 1030 without marks
+        and with g = 0 (531,996 nodes) is past the N at which comb(N, k)
+        no longer fits a float, and past the k at which 0.5**k is
+        subnormal."""
+        data = tree_solve(N, m=m, g=g)
+        path = write_config(tmp_path, data)
         assert main(["validate-config", path]) == 0
         out_dir = tmp_path / "out"
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
@@ -585,12 +628,14 @@ class TestTreeSolveOnTheLattice:
             assert f"PASS {name}" in lines
         summary = json.loads((out_dir / "summary.json").read_text())
         assert all(summary["validators"].values()) and len(summary["validators"]) == 3
-        cfg = config_from_dict(tree_solve(N))
+        assert np.isfinite(summary["root_value"])
+        cfg = config_from_dict(data)
         tree = cfg.tree_model()
+        assert tree.state_probs(N).sum() == pytest.approx(1.0, abs=1e-12)
         if N == 10:
             sol = solve_tree_exact(cfg.problem, tree)
             # max_i E[Y_i^2] <= E[max_i Y_i^2] <= E[sum_i Y_i^2]
-            second = [float((sol.state_probs(i) * y**2).sum()) for i, y in enumerate(sol.Y)]
+            second = [float((sol.tree.state_probs(i) * y**2).sum()) for i, y in enumerate(sol.Y)]
             assert max(second) <= summary["norms"]["sup_y_sq"] <= sum(second)
             assert "sup_y_sq_skipped" not in summary["norms"]
         else:

@@ -1,5 +1,6 @@
 """Exact tree solver, Monte Carlo solver and their shared plumbing."""
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -28,6 +29,7 @@ from rbdsdep.generator import EnvelopeParams, GeneratorSpec
 from rbdsdep import solver
 from rbdsdep.schemes import run_bracketing_sequence, run_inf_envelope_sequence
 from rbdsdep.solver import (
+    B_AXES,
     ProblemSpec,
     SchemeParams,
     TreeModel,
@@ -577,11 +579,43 @@ class TestCollapsedBAxis:
             TreeModel(build_time_grid(1.0, 2), 1, MARKS, b_axis="sampled")
 
 
+def dense_points(tree, i):
+    """Slice i's w, j and lattice-point probabilities on one meshgrid of
+    every lattice axis, each probability the product over the axes of
+    comb(i, k) p**k (1-p)**(i-k): the reference for the per-axis layout."""
+    d = tree.dim_d
+    p = np.concatenate((np.full(d, 0.5), tree.marks.intensities * tree.grid.dt))
+    k = np.arange(i + 1.0)
+    c = np.stack(np.meshgrid(*[k] * (tree.node_axes - 1), indexing="ij"), -1)[..., None, :]
+    comb = np.array([math.comb(i, n) for n in range(i + 1)], float)[c.astype(int)]
+    probs = (comb * p**c * (1.0 - p) ** (i - c)).prod(axis=-1)
+    return (i - 2.0 * c[..., :d]) * np.sqrt(tree.grid.dt), c[..., d:], probs
+
+
 class TestTreeStructure:
     def test_state_probs_sum_to_one(self):
         sol = solve_tree_exact(make_problem(**MIXED))
         for i in range(4):
-            assert sol.state_probs(i).sum() == pytest.approx(1.0, abs=1e-12)
+            assert sol.tree.state_probs(i).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("b_axis", B_AXES)
+    @pytest.mark.parametrize("d,m", COLLAPSE_CASES)
+    def test_per_axis_layout_equals_the_dense_one(self, d, m, b_axis):
+        """w spans the W axes, j the mark axes, and a node's probability is
+        the product of per-axis laws: bitwise the dense w and j after
+        broadcasting, and the dense probabilities to 1e-15."""
+        marks = (empty_marks(), MARKS, TWO_MARKS)[m]
+        for N in range(1, 7):
+            tree = TreeModel(build_time_grid(0.5, N), d, marks, b_axis=b_axis)
+            for i in range(N + 1):
+                w_dense, j_dense, probs = dense_points(tree, i)
+                w, j = tree.context(i)
+                assert w.shape == (i + 1,) * d + (1,) * (m + 1) + (d,)
+                assert j.shape == (1,) * d + (i + 1,) * m + (1, m)
+                assert np.broadcast_to(w, w_dense.shape).tobytes() == w_dense.tobytes()
+                assert np.broadcast_to(j, j_dense.shape).tobytes() == j_dense.tobytes()
+                want = np.broadcast_to(probs / tree.b_columns(i), tree.slice_shape(i))
+                np.testing.assert_allclose(tree.state_probs(i), want, rtol=1e-15, atol=0)
 
     def test_balance_residual_vanishes(self):
         sol = solve_tree_exact(make_problem(**MIXED))
@@ -838,7 +872,7 @@ class TestSupYSqBudget:
         distinct = np.unique(np.concatenate([v.ravel() for v in y_sq])).size
         assert distinct * max(v.size for v in y_sq) > solver.MAX_PATHS
         # max_i E[Y_i^2] <= E[max_i Y_i^2] <= E[sum_i Y_i^2]
-        second = [float((sol.state_probs(i) * v).sum()) for i, v in enumerate(y_sq)]
+        second = [float((sol.tree.state_probs(i) * v).sum()) for i, v in enumerate(y_sq)]
         assert max(second) < sol.sup_y_sq() < sum(second)
 
     def test_refuses_past_the_work_budget(self, monkeypatch):
