@@ -79,6 +79,14 @@ def _verdict(premises, holds: bool) -> str:
     return "pass" if holds else "fail"
 
 
+def _require_finite(label: str, **fields):
+    """Refuse a solution with a non-finite value in one of its fields, each
+    a list of arrays: no certificate cloud can be sized to cover it."""
+    for name, arrays in fields.items():
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise SolverError(f"{label} has a non-finite {name}; no certificate cloud covers it")
+
+
 def _solution_radius(sols) -> float:
     r = 1.0
     for sol in sols:
@@ -97,7 +105,8 @@ def compare_solutions(
 
     The coefficient g must be structurally identical (the ordering statement
     fixes g); grid, dimensions and marks must match.  The f ordering is
-    certified on a sampled cloud sized to cover both solutions' ranges.
+    certified on a sampled cloud sized to cover both solutions' ranges; a
+    solution with a non-finite Y, Z or U raises SolverError naming it.
     """
     if p1.grid != p2.grid:
         raise ConfigError("compared problems must share the time grid")
@@ -110,6 +119,8 @@ def compare_solutions(
 
     sol1 = solve_tree_exact(p1, tree)
     sol2 = solve_tree_exact(p2, tree)
+    for k, sol in enumerate((sol1, sol2), 1):
+        _require_finite(f"the solution of problem {k}", Y=sol.Y, Z=sol.Z, U=sol.U)
 
     premises = []
     # terminal ordering is exact on the enumerated terminal states
@@ -122,7 +133,7 @@ def compare_solutions(
         Certificate("barrier_ordered", s_worst <= PREMISE_SLACK, s_worst)
     )
     radius = _solution_radius((sol1, sol2)) * 1.5
-    ctx = problem_cloud(p1, *_COMPARE_CLOUD, radius).context()
+    ctx = problem_cloud(p1, *_COMPARE_CLOUD, radius)
     f_worst = float(
         (np.asarray(evaluate(p1.generator.f, ctx)) - evaluate(p2.generator.f, ctx)).max()
     )
@@ -173,8 +184,9 @@ def positivity_check(
     Premises certified: the modulus pi and the rate h are present, f agrees
     with pi + h on a sampled cloud, h >= 0 on the grid times, and the
     terminal values are nonnegative.  Only then is min Y >= -_POSITIVITY_TOL
-    asserted.
+    asserted.  A solution with a non-finite Y, Z or U raises SolverError.
     """
+    _require_finite("the solution", Y=[sol.Y], Z=[sol.Z], U=[sol.U])
     premises = []
     gen = problem.generator
     have_split = gen.pi is not None and gen.rate is not None
@@ -183,7 +195,7 @@ def positivity_check(
     )
     if have_split:
         radius = max(1.0, float(np.abs(sol.Y).max()), float(np.abs(sol.Z).max(initial=0.0)))
-        ctx = problem_cloud(problem, *_POSITIVITY_CLOUD, radius * 1.5).context()
+        ctx = problem_cloud(problem, *_POSITIVITY_CLOUD, radius * 1.5)
         split = np.asarray(evaluate(gen.pi, ctx)) + np.asarray(evaluate(gen.rate, ctx))
         gap = float(np.abs(np.asarray(evaluate(gen.f, ctx)) - split).max())
         premises.append(Certificate("generator_is_pi_plus_h", gap <= PREMISE_SLACK, gap))

@@ -9,8 +9,9 @@ the manifest's timing fields vary between runs.
 
 ``run --threads K`` sets the threads of an envelope sequence
 (``inf_sequence``, ``sup_sequence``): each envelope call of its backward
-pass is cut into blocks of queries, and K threads share the blocks.  The
-other pipelines run on one thread.
+pass is cut into blocks of queries, and K threads, at most the CPUs
+available to the process, share the blocks.  The other pipelines run on
+one thread.
 
 Exit codes: 0 when every validator in the pipeline passes, 1 when a
 validator fails, 2 on configuration or runtime errors.
@@ -315,7 +316,8 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=1,
-        help="threads sharing the query blocks of an envelope sequence's envelope calls",
+        help="threads sharing the query blocks of an envelope sequence's envelope calls, "
+        "at most the CPUs available",
     )
     p_run.add_argument("--verbose", action="store_true", help="print full reports")
 

@@ -36,12 +36,12 @@ sits at the query point with zero penalty, so skipping the axis is exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, EnvelopeError
+from .errors import ConfigError, EnvelopeError, SolverError
 from .expr import EvalContext, Expr, evaluate, parse_expr, size_norms, to_string, variables
 from .table import CsvTable
 
@@ -114,44 +114,6 @@ class GeneratorSpec:
         return [rule for rule in rules if rule[0] is not None]
 
 
-@dataclass
-class Cloud:
-    """Plain sample cloud for the structural checks.
-
-    t and y have shape (n,); z has shape (n, d); u has shape (n, m); w and j
-    are optional and default to zeros.  intensities (shape (m,)) feed the
-    weighted u-norm.
-    """
-
-    t: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    w: Optional[np.ndarray] = None
-    j: Optional[np.ndarray] = None
-    intensities: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        n = self.t.shape[0]
-        if self.w is None:
-            self.w = np.zeros((n, self.z.shape[1]))
-        if self.j is None:
-            self.j = np.zeros((n, self.u.shape[1]))
-        if self.intensities is None:
-            self.intensities = np.ones(self.u.shape[1])
-        self.intensities = np.asarray(self.intensities, dtype=float)
-
-    def context(self) -> EvalContext:
-        return EvalContext(
-            t=self.t, y=self.y, z=self.z, u=self.u, w=self.w, j=self.j,
-            intensities=self.intensities,
-        )
-
-
 def sample_cloud(
     size: int,
     seed: int,
@@ -160,22 +122,29 @@ def sample_cloud(
     t_max: float = 1.0,
     radius: float = 5.0,
     intensities=None,
-) -> Cloud:
+) -> EvalContext:
+    """A sample cloud for the structural checks: t shaped (size,) on [0,
+    t_max], y (size,), z and w (size, d) and u (size, m) on [-radius,
+    radius], j (size, m) in {0..3}, and the intensities (shape (m,),
+    default ones) that weight the u-norm."""
     rng = np.random.default_rng(seed)
-    return Cloud(
+    return EvalContext(
         t=rng.uniform(0.0, t_max, size),
         y=rng.uniform(-radius, radius, size),
         z=rng.uniform(-radius, radius, (size, dim_d)),
         u=rng.uniform(-radius, radius, (size, num_marks)),
         w=rng.uniform(-radius, radius, (size, dim_d)),
         j=rng.integers(0, 4, (size, num_marks)).astype(float),
-        intensities=intensities,
+        intensities=np.ones(num_marks) if intensities is None else np.asarray(intensities, float),
     )
 
 
-def problem_cloud(problem, size: int, seed: int, radius: float) -> Cloud:
+def problem_cloud(problem, size: int, seed: int, radius: float) -> EvalContext:
     """The certificate cloud of a problem: its dimensions, marks and
-    horizon, with y, z, u and w uniform on [-radius, radius]."""
+    horizon, with y, z, u and w uniform on [-radius, radius].  Refuses a
+    radius whose interval is too wide to sample (SolverError)."""
+    if not np.isfinite(2.0 * radius):
+        raise SolverError(f"a certificate cloud of radius {radius:.3g} is too wide to sample")
     return sample_cloud(
         size, seed, problem.dim_d, problem.marks.m, t_max=problem.grid.T,
         radius=radius, intensities=problem.marks.intensities,
@@ -199,10 +168,10 @@ class Certificate:
 PREMISE_SLACK = 1e-9
 
 
-def check_linear_growth(spec: GeneratorSpec, cloud: Cloud) -> Certificate:
+def check_linear_growth(spec: GeneratorSpec, cloud: EvalContext) -> Certificate:
     """Certify |f| <= C*(1 + |y| + |z| + |u|) on the cloud; worst is the
     largest ratio |f| / bound."""
-    fvals = np.abs(np.asarray(evaluate(spec.f, cloud.context()), dtype=float))
+    fvals = np.abs(np.asarray(evaluate(spec.f, cloud), dtype=float))
     ay, zn, un = size_norms(cloud.y, cloud.z, cloud.u, cloud.intensities)
     bound = spec.growth_C * (1.0 + ay + zn + un)
     fvals = np.broadcast_to(fvals, bound.shape)  # constant f stays per-sample
@@ -210,13 +179,15 @@ def check_linear_growth(spec: GeneratorSpec, cloud: Cloud) -> Certificate:
     return Certificate("linear-growth", not (fvals - bound > PREMISE_SLACK).any(), worst)
 
 
-def check_g_contraction(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Certificate:
+def check_g_contraction(
+    spec: GeneratorSpec, cloud_a: EvalContext, cloud_b: EvalContext
+) -> Certificate:
     """Certify |g(a)-g(b)|^2 <= C*|dy|^2 + alpha*(|dz|^2 + |du|^2) on paired
     samples; both clouds must share t (the condition is per time point)."""
     if cloud_a.t.shape != cloud_b.t.shape or np.any(cloud_a.t != cloud_b.t):
         raise ConfigError("contraction check needs paired clouds with equal t")
-    ga = np.broadcast_to(np.asarray(evaluate(spec.g, cloud_a.context()), dtype=float), cloud_a.y.shape)
-    gb = np.broadcast_to(np.asarray(evaluate(spec.g, cloud_b.context()), dtype=float), cloud_b.y.shape)
+    ga = np.broadcast_to(np.asarray(evaluate(spec.g, cloud_a), dtype=float), cloud_a.y.shape)
+    gb = np.broadcast_to(np.asarray(evaluate(spec.g, cloud_b), dtype=float), cloud_b.y.shape)
     dy = cloud_a.y - cloud_b.y
     dz = cloud_a.z - cloud_b.z
     du = cloud_a.u - cloud_b.u
@@ -234,7 +205,9 @@ def check_g_contraction(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> 
     )
 
 
-def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Certificate:
+def check_pi_minorant(
+    spec: GeneratorSpec, cloud_a: EvalContext, cloud_b: EvalContext
+) -> Certificate:
     """Certify the lower-modulus condition on ordered pairs.
 
     Pairs are reordered per sample so the first argument has the larger y;
@@ -247,31 +220,19 @@ def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Ce
         raise ConfigError("generator has no lower modulus pi to check")
     if cloud_a.t.shape != cloud_b.t.shape or np.any(cloud_a.t != cloud_b.t):
         raise ConfigError("minorant check needs paired clouds with equal t")
-    swap = cloud_b.y > cloud_a.y
-    ya = np.where(swap, cloud_b.y, cloud_a.y)
-    yb = np.where(swap, cloud_a.y, cloud_b.y)
-    za = np.where(swap[:, None], cloud_b.z, cloud_a.z)
-    zb = np.where(swap[:, None], cloud_a.z, cloud_b.z)
-    ua = np.where(swap[:, None], cloud_b.u, cloud_a.u)
-    ub = np.where(swap[:, None], cloud_a.u, cloud_b.u)
-    wa = np.where(swap[:, None], cloud_b.w, cloud_a.w)
-    wb = np.where(swap[:, None], cloud_a.w, cloud_b.w)
-    ja = np.where(swap[:, None], cloud_b.j, cloud_a.j)
-    jb = np.where(swap[:, None], cloud_a.j, cloud_b.j)
-    lam = cloud_a.intensities
-    t = cloud_a.t
-    fa = evaluate(
-        spec.f, EvalContext(t=t, y=ya, z=za, u=ua, w=wa, j=ja, intensities=lam)
-    )
-    fb = evaluate(
-        spec.f, EvalContext(t=t, y=yb, z=zb, u=ub, w=wb, j=jb, intensities=lam)
-    )
-    fa = np.broadcast_to(np.asarray(fa, dtype=float), t.shape)
-    fb = np.broadcast_to(np.asarray(fb, dtype=float), t.shape)
-    dy, dz, du = ya - yb, za - zb, ua - ub
-    pivals = evaluate(
-        spec.pi, EvalContext(t=t, y=dy, z=dz, u=du, intensities=lam)
-    )
+    swap, hi, lo = cloud_b.y > cloud_a.y, {}, {}
+    for name in ("y", "z", "u", "w", "j"):
+        a, b = getattr(cloud_a, name), getattr(cloud_b, name)
+        if a is not None:
+            flip = swap.reshape(swap.shape + (1,) * (np.ndim(a) - 1))
+            hi[name], lo[name] = np.where(flip, b, a), np.where(flip, a, b)
+    # both sides keep cloud_a's t and intensities
+    ctx_hi, ctx_lo = replace(cloud_a, **hi), replace(cloud_a, **lo)
+    lam, t = cloud_a.intensities, cloud_a.t
+    fa = np.broadcast_to(np.asarray(evaluate(spec.f, ctx_hi), dtype=float), t.shape)
+    fb = np.broadcast_to(np.asarray(evaluate(spec.f, ctx_lo), dtype=float), t.shape)
+    dy, dz, du = hi["y"] - lo["y"], hi["z"] - lo["z"], hi["u"] - lo["u"]
+    pivals = evaluate(spec.pi, EvalContext(t=t, y=dy, z=dz, u=du, intensities=lam))
     pivals = np.broadcast_to(np.asarray(pivals, dtype=float), t.shape)
     gap = (fa - fb) - pivals
     ady, dzn, dun = size_norms(dy, dz, du, lam)
@@ -282,10 +243,10 @@ def check_pi_minorant(spec: GeneratorSpec, cloud_a: Cloud, cloud_b: Cloud) -> Ce
     return Certificate("pi-minorant", passed, float(-gap.min()) if gap.size else 0.0)
 
 
-def check_signed_growth(spec: GeneratorSpec, cloud: Cloud) -> Certificate:
+def check_signed_growth(spec: GeneratorSpec, cloud: EvalContext) -> Certificate:
     """Certify |f| <= f_t + C*(|y| + |z| + |u|) on the cloud; worst is the
     largest excess."""
-    fvals = np.abs(np.asarray(evaluate(spec.f, cloud.context()), dtype=float))
+    fvals = np.abs(np.asarray(evaluate(spec.f, cloud), dtype=float))
     rate = np.asarray(evaluate(spec.rate, EvalContext(t=cloud.t)), dtype=float)
     ay, zn, un = size_norms(cloud.y, cloud.z, cloud.u, cloud.intensities)
     bound = np.broadcast_to(rate, cloud.t.shape) + spec.growth_C * (ay + zn + un)

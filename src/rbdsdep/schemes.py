@@ -15,14 +15,17 @@ Three pipelines, one per construction:
   toward the maximal solution.
 
 Each run solves its solutions in one backward pass: the tree slices
-carry a trailing member axis, one entry per solution.  An envelope
-sequence has one member per index n, and one ``EnvelopeFunction``
-evaluates f_n for all of them at each step; the threads of a run split
-each envelope call into query blocks (see ``EnvelopeFunction``), and the
-pool lives for one sequence call.  A bracketing run has the lower anchor,
-the iterates and the upper anchor as members, and iterate k reads
-iterate k-1's values of the step before, which the pass has already
-made.  Either way each solution is bitwise its own separate solve.
+carry a trailing member axis, one entry per solution.  Every generator
+here is a ``solver.CoefficientFn``, called as f(t, y, z, u, w, j), and
+g is always the problem's.  An envelope sequence has one member per
+index n, and its ``EnvelopeFunction`` is the pass's f, evaluating f_n
+for all of them at each step; the threads of a run, at most the CPUs
+available to the process, split each envelope call into query blocks
+(see ``EnvelopeFunction``), and the pool lives for one sequence call.
+A bracketing run has the lower anchor, the iterates and the upper
+anchor as members, and iterate k reads iterate k-1's values of the
+step before, which the pass has already made.  Either way each
+solution is bitwise its own separate solve.
 
 The per-solution work runs on the pass before it is split
 (``_checked_split``): the node-wise check of the reflection invariants,
@@ -43,6 +46,7 @@ certificate aborts the run with a ConfigError before any solve.
 from __future__ import annotations
 
 import contextlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
@@ -173,27 +177,12 @@ def _rate_at(problem: ProblemSpec):
     return value
 
 
-def _envelope_coefficient(
-    problem: ProblemSpec, env: EnvelopeParams, ns, kind: str, pool
-) -> CoefficientFn:
-    """f_n for every n in ns at once, on slices with a member axis."""
-    envelope = EnvelopeFunction(
-        problem.generator.f,
-        env,
-        kind,
-        ns=ns,
-        dim_d=problem.dim_d,
-        num_marks=problem.marks.m,
-        intensities=problem.marks.intensities,
-        growth_c=problem.generator.growth_C,
-        raise_on_boundary=True,
-        pool=pool,
-    )
-
-    def fn(i_next, t, y, z, u, w, j):
-        return envelope(t, y, z=z, u=u, w=w, j=j)
-
-    return fn
+def _available_cpus() -> int:
+    """The CPUs this process may run on: more threads than that gain
+    nothing and each holds its own block temporaries."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _effective_indices(ns, growth_c):
@@ -218,7 +207,7 @@ def upper_bound_coefficient(problem: ProblemSpec) -> CoefficientFn:
     C = problem.generator.growth_C
     lam = problem.marks.intensities
 
-    def fn(i_next, t, y, z, u, w, j):
+    def fn(t, y, z, u, w, j):
         ay, zn, un = size_norms(y, z, u, lam)
         return C * (1.0 + ay + zn + un)
 
@@ -269,11 +258,16 @@ def _run_envelope(
     cloud = _cloud(problem, _ENVELOPE_CERT_SEED)
     worst_growth = _required(check_linear_growth(problem.generator, cloud))
     eff = _effective_indices(ns, problem.generator.growth_C)
-    pool = ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext()
+    workers = min(threads, _available_cpus())
+    pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool as executor:
-        f_fn = _envelope_coefficient(problem, env, eff, kind, executor)
+        envelope = EnvelopeFunction(
+            problem.generator.f, env, kind, ns=eff, dim_d=problem.dim_d,
+            num_marks=problem.marks.m, intensities=problem.marks.intensities,
+            growth_c=problem.generator.growth_C, raise_on_boundary=True, pool=executor,
+        )
         tree_sols, diffs = _checked_split(
-            solve_tree_exact(problem, tree, f_fn=f_fn, members=len(eff)),
+            solve_tree_exact(problem, tree, f_fn=envelope, members=len(eff)),
             [f"index n = {n:g}" for n in eff],
         )
     cut = _truncate_at_tol([ts.root_value() for ts in tree_sols], early_stop_tol)
@@ -337,7 +331,7 @@ def _bracketing_coefficient(problem: ProblemSpec, count: int) -> CoefficientFn:
     C, lam = gen.growth_C, problem.marks.intensities
     rate_at = _rate_at(problem)
 
-    def fn(i_next, t, y, z, u, w, j):
+    def fn(t, y, z, u, w, j):
         out = np.empty(y.shape)
         ends = [0, -1]
         ay, zn, un = size_norms(y[..., ends], z[..., ends, :], u[..., ends, :], lam)

@@ -24,7 +24,7 @@ on a slice; the exact solve reflects it, and ``tree_balance_residual``
 reruns the same step on the stored slices to check Y_i - dK_i against it.
 
 ``solve_lsmc`` replaces E_i by cross-sectional least squares on scenario
-paths; it shares the coefficient defaults and the terminal/barrier
+paths; it shares the coefficient evaluation and the terminal/barrier
 evaluation, with its ill-posedness check, with the tree.  Run on an
 exhaustively enumerated two-point set with the saturated indicator basis
 it reproduces the tree bit-for-bit up to float summation order.
@@ -53,7 +53,8 @@ from .expr import EvalContext, Num, evaluate
 from .generator import GeneratorSpec, check_variables, ensure_expr
 from .table import CsvTable
 
-#: coefficient callables receive (next_step_index, t_next, y, z, u, w, j)
+#: a generator: called as f(t, y, z, u, w, j) on a slice's values, the
+#: signature of ``EnvelopeFunction``; it receives no step index
 CoefficientFn = Callable[..., np.ndarray]
 
 #: how far Y may sit below the barrier S before validate() rejects it
@@ -68,7 +69,7 @@ SUP_Y_SQ_WORK = 100_000_000
 def coefficient_from_expr(expr, intensities) -> CoefficientFn:
     expr = ensure_expr(expr)
 
-    def fn(i_next, t, y, z, u, w, j):
+    def fn(t, y, z, u, w, j):
         return evaluate(
             expr, EvalContext(t=t, y=y, z=z, u=u, w=w, j=j, intensities=intensities)
         )
@@ -443,7 +444,7 @@ class TreeModel:
         member axis (see ``solve_tree_exact``)."""
         t_next, dt = self.grid.times[i + 1], self.grid.dt
         ctx = _context(self, i + 1, y1.ndim > self.node_axes)
-        f1, g1 = _coefficient_values((f_fn, g_fn), i + 1, t_next, y1, z1, u1, *ctx)
+        f1, g1 = _coefficient_values((f_fn, g_fn), t_next, y1, z1, u1, *ctx)
         return self._onto_b_columns(self._step_mean(y1 + f1 * dt), g1)
 
     def integrands(self, i: int, y1) -> tuple:
@@ -686,19 +687,10 @@ def _context(tree: TreeModel, i: int, members: bool):
     return tuple(c[..., None, :] for c in ctx) if members else ctx
 
 
-def _coefficients(problem: ProblemSpec, f_fn, g_fn):
-    """(f_fn, g_fn) with each missing callable taken from the problem."""
-    default_f, default_g = problem.coefficient_fns()
-    return f_fn or default_f, g_fn or default_g
-
-
-def _coefficient_values(fns, i_next, t, y, z, u, w, j):
-    """Each coefficient at the time-t_{i_next} values, broadcast to y's
-    shape: the explicit scheme's f and g, shared by both solvers."""
-    return [
-        np.broadcast_to(np.asarray(fn(i_next, t, y, z, u, w, j), float), y.shape)
-        for fn in fns
-    ]
+def _coefficient_values(fns, t, y, z, u, w, j):
+    """Each coefficient at the time-t values, broadcast to y's shape: the
+    explicit scheme's f and g, shared by both solvers."""
+    return [np.broadcast_to(np.asarray(fn(t, y, z, u, w, j), float), y.shape) for fn in fns]
 
 
 def _barrier_values(problem: ProblemSpec, t, w, shape) -> np.ndarray:
@@ -730,15 +722,15 @@ def solve_tree_exact(
     problem: ProblemSpec,
     tree: Optional[TreeModel] = None,
     f_fn: Optional[CoefficientFn] = None,
-    g_fn: Optional[CoefficientFn] = None,
     members: Optional[int] = None,
 ) -> TreeSolution:
     """Exact dynamic programming over every two-point branch.
 
     tree defaults to the problem's own with the default budget and the B
-    axis of ``b_axis_for``.  f_fn and g_fn default to the problem's parsed
-    coefficients; schemes pass wrapped callables (envelopes, frozen
-    iterates, growth bounds) with the same signature.
+    axis of ``b_axis_for``.  f_fn, a ``CoefficientFn``, defaults to the
+    problem's parsed f; the schemes pass their own generators (an
+    ``EnvelopeFunction``, the bracketing members, the growth bound).  g is
+    always the problem's.
 
     members, if given, solves that many problems in one backward pass:
     every slice gets a trailing member axis of that length (before the
@@ -762,7 +754,8 @@ def solve_tree_exact(
             f"tree mark intensities {tree.marks.intensities.tolist()} differ from "
             f"the problem's {problem.marks.intensities.tolist()}"
         )
-    f_fn, g_fn = _coefficients(problem, f_fn, g_fn)
+    default_f, g_fn = problem.coefficient_fns()
+    f_fn = default_f if f_fn is None else f_fn
 
     N = tree.grid.N
     Y, Z, U, S = ([None] * (N + 1) for _ in range(4))
@@ -785,12 +778,9 @@ def solve_tree_exact(
     return TreeSolution(problem, tree, Y, Z, U, dK, S)
 
 
-def tree_balance_residual(
-    sol: TreeSolution,
-    f_fn: Optional[CoefficientFn] = None,
-    g_fn: Optional[CoefficientFn] = None,
-) -> float:
-    """Max over nodes of |Y_i - dK_i - E_i[Y_{i+1} + f*dt + g*dB_i]|.
+def tree_balance_residual(sol: TreeSolution) -> float:
+    """Max over nodes of |Y_i - dK_i - E_i[Y_{i+1} + f*dt + g*dB_i]|, with
+    the problem's own f and g.
 
     The martingale terms Z*dW and U*(count - lambda*dt) have exact
     conditional mean zero, so this is the full discrete balance in
@@ -801,12 +791,10 @@ def tree_balance_residual(
     both sides share.  The tests check that against an independent
     indicator regression and against the exponential tree.
     """
-    f_fn, g_fn = _coefficients(sol.problem, f_fn, g_fn)
+    f_fn, g_fn = sol.problem.coefficient_fns()
     worst = 0.0
     for i in range(sol.tree.grid.N - 1, -1, -1):
-        cont = sol.tree.expectation(
-            i, sol.Y[i + 1], sol.Z[i + 1], sol.U[i + 1], f_fn, g_fn
-        )
+        cont = sol.tree.expectation(i, sol.Y[i + 1], sol.Z[i + 1], sol.U[i + 1], f_fn, g_fn)
         worst = max(worst, float(np.abs(sol.Y[i] - sol.dK[i] - cont).max()))
     return worst
 
@@ -917,16 +905,15 @@ def solve_lsmc(
     problem: ProblemSpec,
     scenarios: ScenarioSet,
     scheme: SchemeParams = SchemeParams(),
-    f_fn: Optional[CoefficientFn] = None,
-    g_fn: Optional[CoefficientFn] = None,
 ) -> SolutionGrid:
-    """Backward least-squares Monte Carlo on scenario paths."""
+    """Backward least-squares Monte Carlo on scenario paths, with the
+    problem's own f and g."""
     grid = problem.grid
     if scenarios.grid.N != grid.N or scenarios.grid.T != grid.T:
         raise SolverError("scenario grid differs from the problem grid")
     if scenarios.dim_d != problem.dim_d or scenarios.num_marks != problem.marks.m:
         raise SolverError("scenario dimensions differ from the problem's")
-    f_fn, g_fn = _coefficients(problem, f_fn, g_fn)
+    f_fn, g_fn = problem.coefficient_fns()
 
     N, dt = grid.N, grid.dt
     d, m = problem.dim_d, problem.marks.m
@@ -959,7 +946,7 @@ def solve_lsmc(
     dk_cols = np.empty((P, N))
     for i in range(N - 1, -1, -1):
         f1, g1 = _coefficient_values(
-            (f_fn, g_fn), i + 1, grid.times[i + 1], Y[:, i + 1], Z[:, i + 1],
+            (f_fn, g_fn), grid.times[i + 1], Y[:, i + 1], Z[:, i + 1],
             U[:, i + 1], W[:, i + 1, :], J[:, i + 1, :],
         )
         target_y = Y[:, i + 1] + f1 * dt + g1 * scenarios.dB[:, i]

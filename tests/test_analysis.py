@@ -201,6 +201,17 @@ class TestPositivity:
         failed = {c.name for c in report.premises if not c.passed}
         assert "generator_is_pi_plus_h" in failed
 
+    @pytest.mark.parametrize("name", ["Y", "Z", "U"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_solution_is_refused(self, name, bad):
+        # no certificate cloud covers it: an inf radius would overflow the
+        # sampler, and max() would pass over a NaN
+        prob = make_problem(pi="0", rate="0", marks=MARKS)
+        sol = solve_tree_exact(prob).to_solution_grid()
+        getattr(sol, name)[0, 0] = bad
+        with pytest.raises(SolverError, match=f"the solution has a non-finite {name}"):
+            positivity_check(sol, prob)
+
     def test_report_serializes(self):
         prob = make_problem(pi="0", rate="0")
         sol = solve_tree_exact(prob).to_solution_grid()

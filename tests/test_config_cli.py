@@ -424,6 +424,34 @@ class TestCli:
         assert main(["run", "--config", path, "--threads", "0"]) == 2
         assert "error[RbdsdepError]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem,problem2,refusal",
+        [
+            ({"f": "exp(y)", "terminal": "w1 + 2"}, {"f": "exp(y) + 0.05"},
+             "the solution of problem 1 has a non-finite Y"),
+            ({"f": "0", "terminal": "1e308"}, {"f": "0.0"},
+             "a certificate cloud of radius 1.5e[+]308 is too wide to sample"),
+        ],
+        ids=["overflow", "huge"],
+    )
+    def test_a_comparison_beyond_float_range_exits_2(
+        self, tmp_path, capsys, problem, problem2, refusal
+    ):
+        """A comparison whose solutions no certificate cloud can cover is
+        refused by name, not with the sampler's OverflowError; the config
+        itself is valid."""
+        data = {
+            "pipeline": "compare",
+            "grid": {"T": 1.0, "N": 3},
+            "problem": {"barrier": "-1", **problem},
+            "problem2": problem2,
+        }
+        path = write_config(tmp_path, data)
+        assert main(["validate-config", path]) == 0
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert re.search(f"error\\[SolverError\\]: {refusal}", capsys.readouterr().err)
+
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("rbdsdep")
         assert exe is not None, "console entry point missing"
@@ -446,6 +474,13 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("valid: pipeline=")
+
+    def test_every_exported_name_resolves(self):
+        assert len(set(rbdsdep.__all__)) == len(rbdsdep.__all__)
+        missing = [name for name in rbdsdep.__all__ if not hasattr(rbdsdep, name)]
+        assert missing == []
+        # certificate clouds are EvalContexts: the Cloud type is gone
+        assert "Cloud" not in rbdsdep.__all__ and not hasattr(rbdsdep, "Cloud")
 
 
 class TestRunPipelineApi:

@@ -17,7 +17,6 @@ from rbdsdep.schemes import run_inf_envelope_sequence, run_sup_envelope_sequence
 from rbdsdep.generator import (
     ENVELOPE_BLOCK_QUERIES,
     PREMISE_SLACK,
-    Cloud,
     EnvelopeFunction,
     EnvelopeParams,
     GeneratorSpec,
@@ -79,11 +78,12 @@ class TestLinearGrowth:
 
     def test_quadratic_violates_at_the_box_edge(self):
         spec = GeneratorSpec(f="y*y", g="0", growth_C=1.0)
-        cloud = Cloud(
+        cloud = EvalContext(
             t=np.zeros(7),
             y=np.linspace(-3.0, 3.0, 7),
             z=np.zeros((7, 1)),
             u=np.zeros((7, 1)),
+            intensities=np.ones(1),
         )
         report = check_linear_growth(spec, cloud)
         assert not report.passed
@@ -91,8 +91,8 @@ class TestLinearGrowth:
         assert report.worst == pytest.approx(2.25)
         assert report.name == "linear-growth"
         # y in {-3, -2, 2, 3} break the bound; the rest alone pass
-        inner = Cloud(t=np.zeros(3), y=np.array([-1.0, 0.0, 1.0]),
-                      z=np.zeros((3, 1)), u=np.zeros((3, 1)))
+        inner = EvalContext(t=np.zeros(3), y=np.array([-1.0, 0.0, 1.0]),
+                            z=np.zeros((3, 1)), u=np.zeros((3, 1)), intensities=np.ones(1))
         assert check_linear_growth(spec, inner).passed
 
     def test_equality_case_has_worst_ratio_one(self):
@@ -208,8 +208,8 @@ class TestSignedGrowth:
     def test_excess_over_the_rate_fails_with_its_size(self):
         # |f| = 2 against f_t = 1 at y = z = u = 0: excess exactly 1
         spec = GeneratorSpec(f="2", g="0", rate="1")
-        cloud = Cloud(t=np.zeros(2), y=np.array([0.0, 3.0]),
-                      z=np.zeros((2, 1)), u=np.zeros((2, 1)))
+        cloud = EvalContext(t=np.zeros(2), y=np.array([0.0, 3.0]),
+                            z=np.zeros((2, 1)), u=np.zeros((2, 1)), intensities=np.ones(1))
         report = check_signed_growth(spec, cloud)
         assert not report.passed
         assert report.worst == pytest.approx(1.0)

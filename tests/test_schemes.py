@@ -130,6 +130,27 @@ class TestInfEnvelopeSequence:
                 for sa, sb in zip(getattr(a, name), getattr(b, name), strict=True):
                     assert sa.shape == sb.shape and sa.tobytes() == sb.tobytes()
 
+    def test_the_pool_is_capped_at_the_available_cpus(self, monkeypatch):
+        """--threads beyond the CPUs starts no more workers than there are
+        CPUs.  The tree is shallow, so every envelope call is one block and
+        no worker starts at all."""
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(schemes, "ThreadPoolExecutor", Recording)
+        prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
+        tree = TreeModel(prob.grid, 1, MARKS, max_steps=3, b_axis=b_axis_for(prob))
+        assert tree.slice_states(3) * 3 < ENVELOPE_BLOCK_QUERIES
+        wide = run_inf_envelope_sequence(prob, ENV, ns=[1, 2, 4], tree=tree, threads=10**6)
+        cpus = schemes._available_cpus()
+        assert sizes == ([cpus] if cpus > 1 else [])
+        one = run_inf_envelope_sequence(prob, ENV, ns=[1, 2, 4], tree=tree, threads=1)
+        assert wide.report == one.report
+
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize(
         "f,terminal,refusal",
@@ -171,13 +192,6 @@ class TestInfEnvelopeSequence:
             run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
 
 
-def _envelope_fn(envelope):
-    def fn(i_next, t, y, z, u, w, j):
-        return envelope(t, y, z=z, u=u, w=w, j=j)
-
-    return fn
-
-
 #: (f, kind, d, marks, gridded axes, grid points, N): a state-free f (the
 #: first-block tables), an f reading w and one reading j (grid rows per
 #: node, shared by its members), a Euclidean z block, and the sup kind;
@@ -210,10 +224,10 @@ class TestMemberBatch:
         ns = [2.0, 4.0, 8.0]
         with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
             env = EnvelopeFunction(f, params, kind, ns=ns, pool=pool, **kw)
-            batched = solve_tree_exact(prob, tree, f_fn=_envelope_fn(env), members=len(ns))
+            batched = solve_tree_exact(prob, tree, f_fn=env, members=len(ns))
         for n, got in zip(ns, batched.member_solutions(), strict=True):
             single = EnvelopeFunction(f, replace(params, n=n), kind, **kw)
-            want = solve_tree_exact(prob, tree, f_fn=_envelope_fn(single))
+            want = solve_tree_exact(prob, tree, f_fn=single)
             for name in ("Y", "Z", "U", "dK", "S"):
                 for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -367,7 +381,7 @@ def _chained_bracketing(prob, tree, count):
     gen, lam = prob.generator, prob.marks.intensities
 
     def anchor(sign):
-        def fn(i_next, t, y, z, u, w, j):
+        def fn(t, y, z, u, w, j):
             ay, zn, un = size_norms(y, z, u, lam)
             rate = float(np.asarray(evaluate(gen.rate, EvalContext(t=float(t)))))
             return sign * (gen.growth_C * (ay + zn + un) + rate)
@@ -375,8 +389,9 @@ def _chained_bracketing(prob, tree, count):
         return fn
 
     def frozen(prev):
-        def fn(i_next, t, y, z, u, w, j):
-            py, pz, pu = prev.Y[i_next], prev.Z[i_next], prev.U[i_next]
+        def fn(t, y, z, u, w, j):
+            i = np.searchsorted(prob.grid.times, t)  # t is exactly grid.times[i]
+            py, pz, pu = prev.Y[i], prev.Z[i], prev.U[i]
             base = evaluate(gen.f, EvalContext(t=t, y=py, z=pz, u=pu, w=w, j=j, intensities=lam))
             inc = evaluate(
                 gen.pi, EvalContext(t=t, y=y - py, z=z - pz, u=u - pu, intensities=lam)

@@ -375,7 +375,7 @@ class ExponentialTree(TreeModel):
         ctx = self.context(i + 1)
         if y1.ndim > self.node_axes:
             ctx = tuple(c[..., None, :] for c in ctx)
-        f1, g1 = _coefficient_values((f_fn, g_fn), i + 1, t_next, y1, z1, u1, *ctx)
+        f1, g1 = _coefficient_values((f_fn, g_fn), t_next, y1, z1, u1, *ctx)
         _, _, pj = self._steps
         nw = 2**self.dim_d
         EA = np.einsum("awbjn...,j->abn...", self.children(i, y1 + f1 * dt), pj) / nw
@@ -570,9 +570,6 @@ class TestCollapsedBAxis:
         tree = TreeModel(prob.grid, 1, MARKS, b_axis="collapsed")
         with pytest.raises(SolverError, match="g is not 0"):
             solve_tree_exact(prob, tree)
-        zero = make_problem(**dict(MIXED, g="0"))
-        with pytest.raises(SolverError, match="g is not 0"):
-            solve_tree_exact(zero, tree, g_fn=lambda i, t, y, z, u, w, j: 0.1 * y)
 
     def test_unknown_b_axis_is_refused(self):
         with pytest.raises(ConfigError, match="b_axis"):
@@ -826,7 +823,7 @@ class TestTreeSolutionValidate:
         its own one-member layout, as the member's split solution does."""
         ks = np.array([0.2, 0.5, 0.8])
 
-        def f_fn(i_next, t, y, z, u, w, j):
+        def f_fn(t, y, z, u, w, j):
             return ks * y - 0.3 * z[..., 0]
 
         sol = solve_tree_exact(make_problem(**MIXED), f_fn=f_fn, members=3)
