@@ -117,8 +117,8 @@ def compare_solutions(
     if to_string(p1.generator.g) != to_string(p2.generator.g):
         raise ConfigError("the comparison fixes g: both problems need the same g")
 
-    sol1 = solve_tree_exact(p1, tree)
-    sol2 = solve_tree_exact(p2, tree)
+    sol1 = solve_tree_exact(p1, tree, label="the solution of problem 1")
+    sol2 = solve_tree_exact(p2, tree, label="the solution of problem 2")
     for k, sol in enumerate((sol1, sol2), 1):
         _require_finite(f"the solution of problem {k}", Y=sol.Y, Z=sol.Z, U=sol.U)
 

@@ -44,6 +44,7 @@ from .errors import RbdsdepError, SolverError
 from .expr import GRAMMAR_TEXT
 from .schemes import (
     MARGIN_TOL,
+    envelope_workers,
     run_bracketing_sequence,
     run_inf_envelope_sequence,
     run_sup_envelope_sequence,
@@ -245,10 +246,16 @@ _PIPELINE_RUNNERS = {
 }
 
 
+#: the pipelines that run their envelope calls on a pool of --threads
+_ENVELOPE_PIPELINES = ("inf_sequence", "sup_sequence")
+
+
 def run_pipeline(cfg: ExperimentConfig, out_dir=None, threads=1, verbose=False):
     """Execute the configured pipeline and write reports into out_dir.
 
-    Returns (all_validators_passed, summary_dict, written_paths).
+    Returns (all_validators_passed, summary_dict, written_paths).  The
+    manifest records the requested threads and the workers that ran: the
+    envelope pool's size for an envelope sequence, 1 otherwise.
     """
     start = time.monotonic()
     out_dir = out_dir or cfg.out_dir
@@ -280,6 +287,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, threads=1, verbose=False):
         "pipeline": cfg.pipeline,
         "seed": cfg.seed,
         "threads": threads,
+        "workers": envelope_workers(threads) if cfg.pipeline in _ENVELOPE_PIPELINES else 1,
         "outputs": [os.path.basename(p) for p in written],
         "versions": {
             "python": sys.version.split()[0],

@@ -367,7 +367,11 @@ class EnvelopeFunction:
       (n*sqrt(lambda_k) on a u axis), the prefix minima of f - s*x' and
       the suffix minima of f + s*x' along the axis, built per member once
       per distinct t and read at the grid interval holding the query, give
-      the minimum in O(1) per query and grid point of the other axes;
+      the minimum in O(1) per query and grid point of the other axes.  A
+      third table holds the first index attaining each suffix minimum;
+      the first index attaining a prefix minimum is found by a binary
+      search over the prefix minima, only at the grid point the other
+      blocks choose, in O(log P) per query;
     * every other block densely, over the block's own grid points.  Its
       rows differ per query, so tables would cost as much as the dense
       pass they replace.
@@ -546,7 +550,11 @@ class EnvelopeFunction:
                     first_tables, member, x, axis.grid, n * np.sqrt(axis.weight)
                 )
             else:
-                total = V[batch] + self._block_penalty(block, columns, n)[:, :, None]
+                penalty = self._block_penalty(block, columns, n)[:, :, None]
+                # with no axes left after this block the sum fits in the
+                # penalty's own array: one (Q, P) temporary less per block
+                out = penalty if V.shape[2] == 1 else None
+                total = np.add(V[batch], penalty, out=out)
                 arg = np.argmin(total, axis=1)
                 R = np.take_along_axis(total, arg[:, None, :], axis=1)[:, 0, :]
                 arg_at = _row_picker(arg)
@@ -666,44 +674,71 @@ def _block_view(R, remaining, block):
 
 
 def _lower_envelope_tables(V, grid, s):
-    """Prefix minima of V - s*x' and suffix minima of V + s*x' along axis 1
-    of V (1, P, R), each with the first index attaining it: one table row
-    per slope in s (B,)."""
-    idx = np.arange(grid.size)[:, None]
+    """The prefix minima of V - s*x' and the suffix minima of V + s*x'
+    along axis 1 of V (1, P, R), one table row per slope in s (B,), and
+    the first index attaining each suffix minimum (int32).  The prefix
+    minimisers need no table: see _first_reaching."""
     sx = s[:, None, None] * grid[:, None]
-    down = V - sx
-    up = V + sx
-    pre = np.minimum.accumulate(down, axis=1)
-    fresh = np.ones(down.shape, dtype=bool)
-    fresh[:, 1:] = down[:, 1:] < pre[:, :-1]
-    pre_idx = np.maximum.accumulate(np.where(fresh, idx, 0), axis=1)
-    suf = np.minimum.accumulate(up[:, ::-1], axis=1)[:, ::-1]
-    own = np.ones(down.shape, dtype=bool)
-    own[:, :-1] = up[:, :-1] <= suf[:, 1:]
-    suf_idx = np.minimum.accumulate(np.where(own, idx, idx[-1])[:, ::-1], axis=1)[:, ::-1]
-    return pre, pre_idx, suf, suf_idx
+    # C order keeps each table row (b, k) contiguous for the lookup
+    V = np.ascontiguousarray(V)
+    # one allocation for both minima: under glibc malloc the next envelope
+    # then reuses these pages instead of faulting in fresh ones
+    pre, suf = np.empty((2, s.size) + V.shape[1:])
+    np.add(V, sx, out=pre)  # V + s*x' until the suffix tables are read off it
+    np.minimum.accumulate(pre[:, ::-1], axis=1, out=suf[:, ::-1])
+    # index i attains the suffix minimum from i on; the first such index
+    # at or after k attains the one from k on
+    own = pre[:, :-1] <= suf[:, 1:]
+    suf_idx = np.full(pre.shape, grid.size - 1, dtype=np.int32)
+    np.copyto(suf_idx[:, :-1], np.arange(grid.size - 1, dtype=np.int32)[:, None], where=own)
+    np.minimum.accumulate(suf_idx[:, ::-1], axis=1, out=suf_idx[:, ::-1])
+    np.subtract(V, sx, out=pre)
+    np.minimum.accumulate(pre, axis=1, out=pre)
+    return pre, suf, suf_idx
 
 
 def _lower_envelope_lookup(tables, batch, x, grid, s):
     """min over x' of V[b, x', r] + s*|x - x'|, shape (Q, R), for queries x
     inside [grid[0], grid[-1]] on table rows batch with slopes s per query,
     and a function that gives its first argmin at one r per query (only
-    the chosen r is ever read, so the (Q, R) argmin is not built)."""
-    pre, pre_idx, suf, suf_idx = tables
+    the chosen r is ever read, so neither the (Q, R) argmin nor the (Q, R)
+    choice of side is kept): the suffix index table's entry, or on the
+    prefix side _first_reaching."""
+    pre, suf, suf_idx = tables
     k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
     sx = (s * x)[:, None]
     below = pre[batch, k]
     below += sx
     above = suf[batch, k + 1]
     above -= sx
-    take_below = below <= above
-    np.copyto(above, below, where=take_below)
+    np.copyto(above, below, where=below <= above)
 
     def argmin_at(r):
-        q = np.arange(x.size)
-        return np.where(take_below[q, r], pre_idx[batch, k, r], suf_idx[batch, k + 1, r])
+        # the same sums and comparison as above, at one r per query
+        take_below = pre[batch, k, r] + sx[:, 0] <= suf[batch, k + 1, r] - sx[:, 0]
+        return np.where(take_below, _first_reaching(pre, batch, k, r), suf_idx[batch, k + 1, r])
 
     return above, argmin_at
+
+
+def _first_reaching(pre, batch, k, r):
+    """The first index i with pre[b, i, r] == pre[b, k, r] per query (b,
+    k, r): the first index attaining the prefix minimum up to k.  pre is
+    nonincreasing along axis 1, so "pre[b, i, r] > pre[b, k, r]" holds
+    exactly below that index, and a binary search over [0, k] finds it
+    in ceil(log2 P) vectorised steps, each probe clamped to k."""
+    _, P, R = pre.shape
+    flat = pre.reshape(-1)
+    start = batch * (P * R) + r  # flat position of pre[b, 0, r]
+    stop = start + k * R
+    target = flat[stop]
+    at = start  # every index below `at` is above target
+    step = 1 << ((P - 1).bit_length() - 1)
+    while step:
+        probe = np.minimum(at + (step - 1) * R, stop)
+        at = at + (flat[probe] > target) * (step * R)
+        step >>= 1
+    return (at - start) // R
 
 
 def _row_picker(arg):

@@ -185,6 +185,12 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def envelope_workers(threads: int) -> int:
+    """The pool size of an envelope sequence run with `threads`: at most
+    the CPUs available to the process."""
+    return min(threads, _available_cpus())
+
+
 def _effective_indices(ns, growth_c):
     eff = []
     for n in ns:
@@ -258,7 +264,7 @@ def _run_envelope(
     cloud = _cloud(problem, _ENVELOPE_CERT_SEED)
     worst_growth = _required(check_linear_growth(problem.generator, cloud))
     eff = _effective_indices(ns, problem.generator.growth_C)
-    workers = min(threads, _available_cpus())
+    workers = envelope_workers(threads)
     pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool as executor:
         envelope = EnvelopeFunction(

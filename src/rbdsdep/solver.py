@@ -718,11 +718,23 @@ def _terminal_values(problem: ProblemSpec, w, j, shape):
     return y_term, s_term
 
 
+def _require_finite_continuation(y_tilde, i: int, members: Optional[int], label: str):
+    """Refuse a non-finite continuation value at slice i: reflecting it
+    would give dK = inf - inf."""
+    bad = ~np.isfinite(y_tilde)
+    if bad.any():
+        where = ""
+        if members is not None:
+            where = f" of member {int(bad.reshape(-1, members).any(axis=0).argmax())}"
+        raise SolverError(f"{label} has a non-finite Y at slice {i}{where}")
+
+
 def solve_tree_exact(
     problem: ProblemSpec,
     tree: Optional[TreeModel] = None,
     f_fn: Optional[CoefficientFn] = None,
     members: Optional[int] = None,
+    label: str = "the solution",
 ) -> TreeSolution:
     """Exact dynamic programming over every two-point branch.
 
@@ -742,6 +754,10 @@ def solve_tree_exact(
     member k's f reads only values a separate solve would have had, it
     does the floating-point operations of that solve, and
     ``TreeSolution.member_solutions`` splits the result.
+
+    A continuation value that overflows (or is NaN) stops the pass before
+    it is reflected: SolverError "<label> has a non-finite Y at slice i",
+    ending in "of member k" for the lowest such member of a pass.
     """
     if tree is None:
         tree = TreeModel(problem.grid, problem.dim_d, problem.marks, b_axis=b_axis_for(problem))
@@ -770,6 +786,7 @@ def solve_tree_exact(
 
     for i in range(N - 1, -1, -1):
         y_tilde = tree.expectation(i, Y[i + 1], Z[i + 1], U[i + 1], f_fn, g_fn)
+        _require_finite_continuation(y_tilde, i, members, label)
         Z[i], U[i] = tree.integrands(i, Y[i + 1])
         w_ctx, _ = _context(tree, i, batched)
         S[i] = _barrier_values(problem, tree.grid.times[i], w_ctx, y_tilde.shape)

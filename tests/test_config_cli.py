@@ -17,6 +17,7 @@ from rbdsdep.analysis import norm_report, skorokhod_check
 from rbdsdep.cli import main, run_pipeline
 from rbdsdep.config import PIPELINES, config_from_dict, load_config
 from rbdsdep.errors import ConfigError
+from rbdsdep import schemes
 from rbdsdep.schemes import run_bracketing_sequence, run_inf_envelope_sequence
 from rbdsdep.solver import (
     SUP_Y_SQ_WORK,
@@ -352,6 +353,39 @@ class TestCli:
             assert (d / "sequence.csv").read_bytes() == ref_csv
             assert (d / "sequence.json").read_bytes() == ref_json
 
+    def test_manifest_records_the_workers_that_ran(self, tmp_path):
+        """threads is the request; workers is the envelope pool's size, at
+        most the available CPUs, and 1 for a pipeline without a pool."""
+        data = {
+            "grid": {"T": 0.5, "N": 3},
+            "problem": {"f": "min(abs(y), 2)", "barrier": "-10", "terminal": "w1"},
+            "pipeline": "inf_sequence",
+            "envelope": {"box": {"y": [-5.0, 5.0]}, "ns": [1, 2, 4]},
+        }
+        runs = {"inf_sequence": (data, 64), "solve": (SNELL, 8)}
+        for name, (config, threads) in runs.items():
+            out_dir = tmp_path / name
+            path = write_config(tmp_path, config, name=f"{name}.yaml")
+            assert main(["run", "--config", path, "--out", str(out_dir), "--threads", str(threads)]) == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["threads"] == threads
+            want = min(threads, schemes._available_cpus()) if name == "inf_sequence" else 1
+            assert manifest["workers"] == want
+
+    def test_solve_whose_y_overflows_exits_2(self, tmp_path, capsys):
+        """The tree solve stops at the slice whose continuation value
+        overflows, before reflecting it, instead of ending in a validator
+        FAIL."""
+        data = {
+            "pipeline": "solve",
+            "grid": {"T": 1.0, "N": 3},
+            "problem": {"f": "exp(y)", "barrier": "-1", "terminal": "w1 + 2"},
+        }
+        path = write_config(tmp_path, data)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error[SolverError]: the solution has a non-finite Y at slice 0"
+
     def test_compare_verdict_drives_the_exit_code(self, tmp_path, capsys):
         ordered = merged(pipeline="compare", problem2={"f": "1"})
         path = write_config(tmp_path, ordered, name="ok.yaml")
@@ -448,8 +482,7 @@ class TestCli:
         }
         path = write_config(tmp_path, data)
         assert main(["validate-config", path]) == 0
-        with np.errstate(all="ignore"):
-            assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert re.search(f"error\\[SolverError\\]: {refusal}", capsys.readouterr().err)
 
     def test_console_script_is_installed(self, tmp_path):

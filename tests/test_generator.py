@@ -16,6 +16,8 @@ from rbdsdep.expr import EvalContext, evaluate, parse_expr, variables
 from rbdsdep.schemes import run_inf_envelope_sequence, run_sup_envelope_sequence
 from rbdsdep.generator import (
     ENVELOPE_BLOCK_QUERIES,
+    _block_view,
+    _lower_envelope_lookup,
     PREMISE_SLACK,
     EnvelopeFunction,
     EnvelopeParams,
@@ -675,6 +677,92 @@ class TestEnvelopeAgainstDenseOracle:
         want, hits = dense_envelope(env, 0.0, np.array([query]))
         np.testing.assert_array_equal(got, want)
         assert env.boundary_hits == hits == edge_hits
+
+
+def four_table_tables(V, grid, s):
+    """The lower-envelope tables as four arrays: the prefix and suffix
+    minima, each with a table of the first index attaining it."""
+    idx = np.arange(grid.size)[:, None]
+    sx = s[:, None, None] * grid[:, None]
+    down = V - sx
+    up = V + sx
+    pre = np.minimum.accumulate(down, axis=1)
+    fresh = np.ones(down.shape, dtype=bool)
+    fresh[:, 1:] = down[:, 1:] < pre[:, :-1]
+    pre_idx = np.maximum.accumulate(np.where(fresh, idx, 0), axis=1)
+    suf = np.minimum.accumulate(up[:, ::-1], axis=1)[:, ::-1]
+    own = np.ones(down.shape, dtype=bool)
+    own[:, :-1] = up[:, :-1] <= suf[:, 1:]
+    suf_idx = np.minimum.accumulate(np.where(own, idx, idx[-1])[:, ::-1], axis=1)[:, ::-1]
+    return pre, pre_idx, suf, suf_idx
+
+
+def four_table_argmin(tables, batch, x, grid, s, r):
+    """The first argmin at r per query, read off the four tables."""
+    pre, pre_idx, suf, suf_idx = tables
+    k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    below = pre[batch, k, r] + s * x
+    above = suf[batch, k + 1, r] - s * x
+    return np.where(below <= above, pre_idx[batch, k, r], suf_idx[batch, k + 1, r])
+
+
+#: (expression, intensities): exact ties in the first block's tables
+TIE_CASES = [
+    ("2*abs(z1) + y", None),  # V - 2*x' (inf) or V + 2*x' (sup) is flat on a half axis at n = 2
+    ("indicator_pos(z1) + abs(y)", None),
+    ("indicator_pos(u1) + abs(y)", [2.25]),  # s = 1.5*n on the u axis
+    ("0*y + 0.5", None),  # constant: every grid point ties
+]
+
+
+class TestFirstBlockTiesAndEdges:
+    """The first block's minimiser without a prefix index table against
+    the four tables that carried one, at every r, on exact ties and at
+    the grid's edges."""
+
+    NS = [2.0, 3.0, 6.0]
+
+    def queries(self, grid):
+        """Grid points, the first and last intervals, the box ends and
+        just outside them within the domain slack, clipped as the
+        envelope clips them."""
+        lo, hi = grid[0], grid[-1]
+        eps = 0.5e-12 * max(1.0, abs(lo), abs(hi))
+        x = np.concatenate([
+            grid,
+            [(grid[0] + grid[1]) / 2, grid[1] - 2**-40, grid[-2] + 2**-40],
+            [(grid[-2] + grid[-1]) / 2, lo - eps, hi + eps],
+        ])
+        return np.clip(x, lo, hi)
+
+    @pytest.mark.parametrize("kind", ["inf", "sup"])
+    @pytest.mark.parametrize("points", [2, 3, 9])
+    @pytest.mark.parametrize("source,lam", TIE_CASES, ids=[c[0] for c in TIE_CASES])
+    def test_same_first_index_as_the_four_tables(self, source, lam, points, kind):
+        names = sorted(variables(parse_expr(source)) & {"y", "z1", "u1"})
+        box = {name: (-2.0, 2.0) for name in names}
+        env = EnvelopeFunction(
+            source, EnvelopeParams(n=1.0, box=box, grid_points=points), kind, ns=self.NS,
+            dim_d=1, num_marks=1, intensities=lam,
+        )
+        F, tables = env._shared_grid(0.0, None, None)
+        first = env._order[0]
+        axis = env.axes[first[0]]
+        s = env.ns * np.sqrt(axis.weight)
+        V = _block_view(F, list(range(len(env.axes))), first)
+        reference = four_table_tables(V, axis.grid, s)
+        pre, suf, suf_idx = tables
+        for got, want in ((pre, reference[0]), (suf, reference[2]), (suf_idx, reference[3])):
+            np.testing.assert_array_equal(got, want)
+        x = np.repeat(self.queries(axis.grid), len(self.NS))
+        batch = np.arange(x.size) % len(self.NS)
+        values, argmin_at = _lower_envelope_lookup(tables, batch, x, axis.grid, s[batch])
+        for r in range(V.shape[2]):
+            rs = np.full(x.size, r)
+            want = four_table_argmin(reference, batch, x, axis.grid, s[batch], rs)
+            np.testing.assert_array_equal(argmin_at(rs), want)
+            chosen = V[0, want, r] + s[batch] * np.abs(x - axis.grid[want])
+            np.testing.assert_array_equal(values[:, r], chosen)
 
 
 def _envelope_config(f, kind):

@@ -838,6 +838,18 @@ class TestTreeSolutionValidate:
         with pytest.raises(SolverError, match=refusal):
             sol.validate()
 
+    def test_the_lowest_overflowing_member_is_named(self):
+        """A pass stops at the first slice whose continuation value is not
+        finite, before reflecting it, and names its lowest such member."""
+
+        def f_fn(t, y, z, u, w, j):
+            return np.broadcast_to([0.0, np.inf, np.inf], y.shape)
+
+        prob = make_problem(terminal="w1", N=3)
+        refusal = "^the solution has a non-finite Y at slice 2 of member 1$"
+        with pytest.raises(SolverError, match=refusal):
+            solve_tree_exact(prob, f_fn=f_fn, members=3)
+
 
 def found_shape(d, m, N):
     """A collapsed-axis problem with unequal coefficients whose Y^2 takes
