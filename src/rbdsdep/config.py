@@ -19,6 +19,7 @@ import numpy as np
 import yaml
 
 from .drivers import (
+    MAX_PATH_STEPS,
     MarkSpace,
     TimeGrid,
     build_time_grid,
@@ -29,6 +30,7 @@ from .errors import ConfigError
 from .expr import variables
 from .generator import (
     DEFAULT_ENVELOPE_NS,
+    MAX_ENVELOPE_GRID,
     EnvelopeParams,
     GeneratorSpec,
     check_envelope_ns,
@@ -53,7 +55,8 @@ dims:        d (integer >= 1, default 1)
 marks:       values (list of nonzero numbers, default []),
              intensities (list of positive numbers, same length)
 drivers:     paths (integer >= 1, default 4096), seed (integer >= 0, default 2024),
-             mode (two-point | gaussian | enumerate, default two-point)
+             mode (two-point | gaussian | enumerate, default two-point);
+             a sampled mode holds paths x (N + 1) <= 10000000 path-steps
 problem:     f (expression, required), g (expression, default "0"),
              pi (expression, optional), f_t (expression over t, optional),
              barrier (expression over t and w*, required),
@@ -73,7 +76,8 @@ scheme:      solver (tree | lsmc, default tree),
              summed over slices; a g that is the constant 0 stores one
              B column, and `0*y` does not: see rbdsdep.TreeModel)
 envelope:    box (mapping axis -> [lo, hi]; axes y, z1..zd, u1..um),
-             grid_points (integer >= 2, default 201),
+             grid_points (integer >= 2, default 201; an envelope sequence
+             holds grid_points ** (gridded axes) <= 1000000 grid points),
              ns (non-empty nondecreasing list of numbers >= 1,
              default [1, 2, 4, 8, 16])
 bracketing:  count (integer >= 1, default 5)
@@ -365,7 +369,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"pipeline '{pipeline}' needs an 'envelope' section")
         # EnvelopeFunction's axis rule, so a box the run would refuse fails here
         f_names = variables(problem.generator.f)
-        envelope_axes(f_names, dim_d, marks.m, marks.intensities, envelope)
+        axes = len(envelope_axes(f_names, dim_d, marks.m, marks.intensities, envelope))
+        points = envelope.grid_points**axes
+        if points > MAX_ENVELOPE_GRID:
+            raise ConfigError(
+                f"'envelope.grid_points' = {envelope.grid_points} over {axes} gridded "
+                f"axes is {points} grid points (> budget {MAX_ENVELOPE_GRID})"
+            )
 
     bracketing_count = top.section("bracketing").integer("count", 5, minimum=1)
     if pipeline == "bracketing":
@@ -396,6 +406,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         check_two_point_law(marks, grid.dt)
     if uses_scenarios and mode == "gaussian":
         check_gaussian_law(marks, grid.dt)
+    # an enumeration's size is fixed by the grid: enumerate_scenarios holds
+    # it to MAX_PATHS
+    path_steps = paths * (grid.N + 1)
+    if uses_scenarios and mode != "enumerate" and path_steps > MAX_PATH_STEPS:
+        raise ConfigError(
+            f"'drivers.paths' = {paths} over N + 1 = {grid.N + 1} time points is "
+            f"{path_steps} path-steps (> budget {MAX_PATH_STEPS})"
+        )
     tree = None
     if uses_tree:
         tree = TreeModel(grid, dim_d, marks, tree_max_steps, tree_max_states, b_axis_for(problem))

@@ -52,6 +52,12 @@ MODES = ("gaussian", "two-point")
 #: Y^2 pass of ``TreeSolution.sup_y_sq`` holds on one slice at a time.
 MAX_PATHS = 2_000_000
 
+#: Most path-steps, paths x (N + 1), a sampled (gaussian or two-point)
+#: scenario set may hold; config loading refuses more.  An LSMC solve
+#: peaked at about 115 B per path-step (16,000 to 128,000 paths at N = 10,
+#: d = 1, one mark), so this budget is about 1.2 GB.
+MAX_PATH_STEPS = 10_000_000
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)

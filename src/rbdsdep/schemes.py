@@ -18,25 +18,25 @@ Each run solves its solutions in one backward pass: the tree slices
 carry a trailing member axis, one entry per solution.  Every generator
 here is a ``solver.CoefficientFn``, called as f(t, y, z, u, w, j), and
 g is always the problem's.  An envelope sequence has one member per
-index n, and its ``EnvelopeFunction`` is the pass's f, evaluating f_n
-for all of them at each step; the threads of a run, at most the CPUs
-available to the process, split each envelope call into query blocks
-(see ``EnvelopeFunction``), and the pool lives for one sequence call.
-A bracketing run has the lower anchor, the iterates and the upper
-anchor as members, and iterate k reads iterate k-1's values of the
-step before, which the pass has already made.  Either way each
-solution is bitwise its own separate solve.
+index n, and its ``EnvelopeFunction`` evaluates f_n for all of them at
+each step; an inf sequence adds the upper bound V as the last member,
+driven by C(1 + |y| + |z| + |u|) (``_inf_envelope_coefficient``).  The
+threads of a run, at most the CPUs available to the process, split each
+envelope call into query blocks (see ``EnvelopeFunction``), and the pool
+lives for one sequence call.  A bracketing run has the lower anchor, the
+iterates and the upper anchor as members, and iterate k reads iterate
+k-1's values of the step before, which the pass has already made.
+Either way each solution is bitwise its own separate solve.
 
 The per-solution work runs on the pass before it is split
-(``_checked_split``): the node-wise check of the reflection invariants,
-the K moments, the Z/U norms and the Z/U distances between successive
-solutions, each with the member axis and each bitwise the number of the
-solution on its own.  E sup Y^2 (``TreeSolution.sup_y_sq``, within its
-work budget) is taken per solution, whose thresholds are its own.  The
-upper bound V of an inf sequence is a separate solve and checked on its
-own.  The run keeps only the tree solutions; a caller that wants paths
-materialises them with ``TreeSolution.to_solution_grid``, within the
-``MAX_PATHS`` budget.
+(``_checked_split``): the node-wise check of the reflection invariants
+(V after the indices), the K moments, the Z/U norms and the Z/U
+distances between successive indices or iterates, each with the member
+axis and each bitwise the number of the solution on its own.  E sup Y^2
+(``TreeSolution.sup_y_sq``, within its work budget) is taken per
+solution, whose thresholds are its own.  The run keeps only the tree
+solutions; a caller that wants paths materialises them with
+``TreeSolution.to_solution_grid``, within the ``MAX_PATHS`` budget.
 Premise checks are ``generator`` certificates on ``problem_cloud``
 clouds: linear growth for the envelope sequences; signed growth, the sign
 of f_t, the modulus pi and the contraction of g for bracketing.  A failed
@@ -119,9 +119,10 @@ def _successive_diffs(tree: TreeModel, Z, U):
     return integrand_norms(tree, dz, du)
 
 
-def _checked_split(batched: TreeSolution, labels, order=None):
-    """The member solutions of a pass and the (z_diffs, u_diffs) of its
-    successive members, all from the batched slices.
+def _checked_split(batched: TreeSolution, labels, chain: slice, order=None):
+    """The member solutions of a pass and the (z_diffs, u_diffs) of the
+    successive members in chain, a slice of the members, all from the
+    batched slices.
 
     Every member is checked node-wise once (``node_failures``); a failure
     raises SolverError naming its solution, labels[k], the first failing
@@ -131,7 +132,8 @@ def _checked_split(batched: TreeSolution, labels, order=None):
     for k in range(len(labels)) if order is None else order:
         if failures[k] is not None:
             raise SolverError(f"{failures[k]} of {labels[k]}")
-    return batched.member_solutions(), _successive_diffs(batched.tree, batched.Z, batched.U)
+    Z, U = ([v[..., chain, :] for v in slices] for slices in (batched.Z, batched.U))
+    return batched.member_solutions(), _successive_diffs(batched.tree, Z, U)
 
 
 #: the refusal of each certificate a run requires, formatted with its worst
@@ -223,7 +225,28 @@ def upper_bound_coefficient(problem: ProblemSpec) -> CoefficientFn:
 def solve_upper_bound_tree(
     problem: ProblemSpec, tree: Optional[TreeModel] = None
 ) -> TreeSolution:
+    """V on its own: an inf-envelope run solves it as the last member of
+    its pass (``_inf_envelope_coefficient``), bitwise this solve."""
     return solve_tree_exact(problem, tree, f_fn=upper_bound_coefficient(problem))
+
+
+def _inf_envelope_coefficient(
+    problem: ProblemSpec, envelope: EnvelopeFunction
+) -> CoefficientFn:
+    """The generators of an inf-envelope pass with M + 1 members: members
+    0..M-1 are the envelope's indices, evaluated together by one call of
+    the ``EnvelopeFunction``; member M is the upper bound V, driven by
+    ``upper_bound_coefficient``.  Each member gets the values of its own
+    solve."""
+    bound = upper_bound_coefficient(problem)
+
+    def fn(t, y, z, u, w, j):
+        out = np.empty(y.shape)
+        out[..., :-1] = envelope(t, y[..., :-1], z[..., :-1, :], u[..., :-1, :], w, j)
+        out[..., -1] = bound(t, y[..., -1], z[..., -1, :], u[..., -1, :], w, j)
+        return out
+
+    return fn
 
 
 def _chain_run(mode, index_set, solutions, diffs, report, descending=False, **companions):
@@ -272,10 +295,16 @@ def _run_envelope(
             num_marks=problem.marks.m, intensities=problem.marks.intensities,
             growth_c=problem.generator.growth_C, raise_on_boundary=True, pool=executor,
         )
-        tree_sols, diffs = _checked_split(
-            solve_tree_exact(problem, tree, f_fn=envelope, members=len(eff)),
-            [f"index n = {n:g}" for n in eff],
+        f_fn, labels = envelope, [f"index n = {n:g}" for n in eff]
+        if kind == "inf":  # V is the pass's last member
+            f_fn = _inf_envelope_coefficient(problem, envelope)
+            labels.append("the upper bound V")
+        members, diffs = _checked_split(
+            solve_tree_exact(problem, tree, f_fn=f_fn, members=len(labels)),
+            labels,
+            chain=slice(len(eff)),
         )
+    tree_sols = members[: len(eff)]
     cut = _truncate_at_tol([ts.root_value() for ts in tree_sols], early_stop_tol)
     truncated = cut < len(eff)
     eff, tree_sols = eff[:cut], tree_sols[:cut]
@@ -287,7 +316,7 @@ def _run_envelope(
     }
     if kind == "sup":
         return _chain_run("sup_envelope", eff, tree_sols, diffs, report, descending=True)
-    v_tree = solve_upper_bound_tree(problem, tree).validate()
+    v_tree = members[-1]
     report["v_root"] = v_tree.root_value()
     report["v_node_margin"] = min(_node_margin(ts, v_tree) for ts in tree_sols)
     return _chain_run("inf_envelope", eff, tree_sols, diffs, report, upper_tree=v_tree)
@@ -399,6 +428,7 @@ def run_bracketing_sequence(
         solve_tree_exact(problem, tree, f_fn=f_fn, members=ns_count + 2),
         ["the lower anchor", *iterate_labels, "the upper anchor"],
         order=[0, ns_count + 1, *range(1, ns_count + 1)],
+        chain=slice(1, -1),  # distances between the iterates only
     )
     lower, iterates, upper = members[0], members[1:-1], members[-1]
     upper_margins = [_node_margin(x, upper) for x in [lower] + iterates]
@@ -413,7 +443,7 @@ def run_bracketing_sequence(
         "bracketing",
         [float(n) for n in range(1, ns_count + 1)],
         iterates,
-        tuple(d[1:ns_count] for d in diffs),  # the pairs of iterates
+        diffs,
         report,
         lower_anchor_tree=lower,
         upper_anchor_tree=upper,

@@ -3,14 +3,19 @@ inputs refused at load with the key named."""
 
 import math
 import re
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from rbdsdep.cli import main
 from rbdsdep.config import CONFIG_GRAMMAR, config_from_dict
+from rbdsdep.drivers import MAX_PATH_STEPS
 from rbdsdep.errors import ConfigError
-from rbdsdep.generator import DEFAULT_ENVELOPE_NS
+from rbdsdep.generator import DEFAULT_ENVELOPE_NS, MAX_ENVELOPE_GRID
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def minimal() -> dict:
@@ -91,6 +96,11 @@ class TestCanonicalForm:
         assert all(n == int(n) for n in DEFAULT_ENVELOPE_NS)
         stated = str([int(n) for n in DEFAULT_ENVELOPE_NS])
         assert f"default {stated})" in " ".join(CONFIG_GRAMMAR.split())
+
+    def test_grammar_states_the_budgets(self):
+        text = " ".join(CONFIG_GRAMMAR.split())
+        assert f"paths x (N + 1) <= {MAX_PATH_STEPS} path-steps" in text
+        assert f"grid_points ** (gridded axes) <= {MAX_ENVELOPE_GRID} grid points" in text
 
     def test_every_recorded_key_is_in_the_grammar(self):
         blocks, name = {}, None
@@ -296,3 +306,84 @@ def test_tree_depth_refusal_names_its_key(tmp_path, capsys):
     assert main(["validate-config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "tree depth N = 8 exceeds max_steps = 6; raise scheme.tree_max_steps" in err
+
+
+def _validate(data, tmp_path, capsys):
+    """validate-config's exit code and stderr on data."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return main(["validate-config", str(path)]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["inf_sequence", "sup_sequence"])
+def test_validate_config_refuses_an_envelope_grid_past_its_budget(pipeline, tmp_path, capsys):
+    """grid_points ** (gridded axes) is what the run allocates for; a
+    million points on each of two axes ended in a 7 TiB allocation."""
+    data = sequence_config(pipeline, "sqrt(abs(y)) + abs(z1)", {"y": [-6, 6], "z1": [-6, 6]})
+    data["envelope"]["grid_points"] = 1_000_000
+    code, err = _validate(data, tmp_path, capsys)
+    assert code == 2
+    assert err.strip() == (
+        "error[ConfigError]: 'envelope.grid_points' = 1000000 over 2 gridded axes is "
+        f"1000000000000 grid points (> budget {MAX_ENVELOPE_GRID})"
+    )
+    data["envelope"]["grid_points"] = math.isqrt(MAX_ENVELOPE_GRID)  # at the budget
+    assert _validate(data, tmp_path, capsys)[0] == 0
+    # only the axes f reads are gridded: one axis of a million points fits
+    data = sequence_config(pipeline, "sqrt(abs(y))", {"y": [-6, 6], "z1": [-6, 6]})
+    data["envelope"]["grid_points"] = MAX_ENVELOPE_GRID
+    assert _validate(data, tmp_path, capsys)[0] == 0
+
+
+def lsmc_config(paths, mode="gaussian") -> dict:
+    return {
+        "grid": {"T": 1.0, "N": 10},
+        "marks": {"values": [1.0], "intensities": [0.4]},
+        "drivers": {"paths": paths, "seed": 1, "mode": mode},
+        "problem": {"f": "0.2*y", "barrier": "-0.8", "terminal": "max(w1, -0.5)"},
+        "scheme": {"solver": "lsmc"},
+    }
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "two-point"])
+def test_validate_config_refuses_sampled_paths_past_their_budget(mode, tmp_path, capsys):
+    code, err = _validate(lsmc_config(100_000_000_000, mode), tmp_path, capsys)
+    assert code == 2
+    assert err.strip() == (
+        "error[ConfigError]: 'drivers.paths' = 100000000000 over N + 1 = 11 time points "
+        f"is 1100000000000 path-steps (> budget {MAX_PATH_STEPS})"
+    )
+    assert _validate(lsmc_config(MAX_PATH_STEPS // 11, mode), tmp_path, capsys)[0] == 0
+    assert _validate(lsmc_config(MAX_PATH_STEPS // 11 + 1, mode), tmp_path, capsys)[0] == 2
+    # the budget binds only where paths are sampled: a tree solve ignores them
+    data = lsmc_config(100_000_000_000, mode)
+    data["scheme"] = {"solver": "tree", "tree_max_steps": 10}
+    assert _validate(data, tmp_path, capsys)[0] == 0
+
+
+def test_an_enumeration_keeps_its_own_budget(tmp_path, capsys):
+    """An enumeration's size is set by the grid, not by drivers.paths, so
+    the path-step budget leaves it to MAX_PATHS."""
+    data = lsmc_config(100_000_000_000, "enumerate")
+    data["grid"]["N"] = 2
+    assert _validate(data, tmp_path, capsys)[0] == 0
+
+
+def test_the_benchmark_configs_fit_the_budgets(monkeypatch):
+    """Every benchmark workload config loads, and so does the scaling
+    sweep's largest path count on the lsmc config."""
+    before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        import sweep
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            config_from_dict(workloads.workload_config(name, 1))
+        data = workloads.workload_config("lsmc", 1)
+        data["drivers"]["paths"] = max(sweep.PATH_COUNTS)
+        config_from_dict(data)
+    finally:
+        for name in set(sys.modules) - before:
+            if str(BENCH) in str(getattr(sys.modules[name], "__file__", "")):
+                del sys.modules[name]

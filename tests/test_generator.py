@@ -5,6 +5,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from rbdsdep.generator import (
     ENVELOPE_BLOCK_QUERIES,
     _block_view,
     _lower_envelope_lookup,
+    _lower_envelope_tables,
+    _min_scan,
     PREMISE_SLACK,
     EnvelopeFunction,
     EnvelopeParams,
@@ -698,12 +701,15 @@ def four_table_tables(V, grid, s):
 
 
 def four_table_argmin(tables, batch, x, grid, s, r):
-    """The first argmin at r per query, read off the four tables."""
+    """The first argmin and the minimum at r per query, read off the four
+    tables."""
     pre, pre_idx, suf, suf_idx = tables
     k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
     below = pre[batch, k, r] + s * x
     above = suf[batch, k + 1, r] - s * x
-    return np.where(below <= above, pre_idx[batch, k, r], suf_idx[batch, k + 1, r])
+    take_below = below <= above
+    argmin = np.where(take_below, pre_idx[batch, k, r], suf_idx[batch, k + 1, r])
+    return argmin, np.where(take_below, below, above)
 
 
 #: (expression, intensities): exact ties in the first block's tables
@@ -718,7 +724,9 @@ TIE_CASES = [
 class TestFirstBlockTiesAndEdges:
     """The first block's minimiser without a prefix index table against
     the four tables that carried one, at every r, on exact ties and at
-    the grid's edges."""
+    the grid's edges.  The reference's running minima are sequential
+    accumulate scans, so the P around the blocked scan's 32-row blocks
+    (31, 32, 33, 65) check its grouping too."""
 
     NS = [2.0, 3.0, 6.0]
 
@@ -736,7 +744,7 @@ class TestFirstBlockTiesAndEdges:
         return np.clip(x, lo, hi)
 
     @pytest.mark.parametrize("kind", ["inf", "sup"])
-    @pytest.mark.parametrize("points", [2, 3, 9])
+    @pytest.mark.parametrize("points", [2, 3, 9, 31, 32, 33, 65])
     @pytest.mark.parametrize("source,lam", TIE_CASES, ids=[c[0] for c in TIE_CASES])
     def test_same_first_index_as_the_four_tables(self, source, lam, points, kind):
         names = sorted(variables(parse_expr(source)) & {"y", "z1", "u1"})
@@ -759,10 +767,49 @@ class TestFirstBlockTiesAndEdges:
         values, argmin_at = _lower_envelope_lookup(tables, batch, x, axis.grid, s[batch])
         for r in range(V.shape[2]):
             rs = np.full(x.size, r)
-            want = four_table_argmin(reference, batch, x, axis.grid, s[batch], rs)
+            want, minimum = four_table_argmin(reference, batch, x, axis.grid, s[batch], rs)
             np.testing.assert_array_equal(argmin_at(rs), want)
+            np.testing.assert_array_equal(values[:, r], minimum)
+            # the tables' sums round apart from the chosen point's own sum
+            # unless, as on the grids of 2, 3 and 9 points, both are exact
             chosen = V[0, want, r] + s[batch] * np.abs(x - axis.grid[want])
-            np.testing.assert_array_equal(values[:, r], chosen)
+            np.testing.assert_allclose(values[:, r], chosen, rtol=0, atol=1e-12)
+            if points in (2, 3, 9):
+                np.testing.assert_array_equal(values[:, r], chosen)
+
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 5, 31, 32, 33, 64, 65, 201])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32])
+    def test_blocked_scan_is_accumulate_bitwise(self, points, dtype):
+        """Forward and reversed, on rows with ties, signed zeros and an
+        infinity, with and without a separate source."""
+        rng = np.random.default_rng(points)
+        x = rng.integers(-3, 4, (3, points, 5)).astype(dtype)
+        if dtype == np.float64:
+            x[:, ::3] *= -0.0  # zeros of both signs
+            x[1] += rng.normal(size=(points, 5))
+            x[2, points // 2] = -np.inf
+        for view in (lambda a: a, lambda a: a[:, ::-1]):
+            want = np.minimum.accumulate(view(x.copy()), axis=1)
+            got = x.copy()
+            _min_scan(view(got))
+            assert view(got).tobytes() == want.tobytes()
+            out = np.empty_like(x)
+            _min_scan(view(out), view(x))
+            assert view(out).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("points", [2, 3, 5, 31, 32, 33, 64, 65, 201])
+    def test_tables_equal_the_sequential_build_on_rough_rows(self, points):
+        """Rows far from monotone, so every block carry matters, with
+        ties: the three tables equal the sequential build bit for bit."""
+        rng = np.random.default_rng(points)
+        grid = np.linspace(-2.0, 2.0, points)
+        V = np.round(4.0 * rng.normal(size=(1, points, 7))) / 4.0
+        s = np.array([0.5, 2.0, 0.0])
+        pre, _, suf, suf_idx = four_table_tables(V, grid, s)
+        got = _lower_envelope_tables(V, grid, s)
+        for a, b in zip(got, (pre, suf, suf_idx.astype(np.int32)), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _envelope_config(f, kind):
@@ -806,7 +853,7 @@ class TestEnvelopePipelineAgainstDenseOracle:
             ok, _, written = run_pipeline(cfg, out_dir=str(tmp_path / label), threads=threads)
             assert ok
             contents[label] = {
-                os.path.basename(p): open(p, "rb").read()
+                os.path.basename(p): Path(p).read_bytes()
                 for p in written
                 if os.path.basename(p) != "manifest.json"
             }

@@ -228,9 +228,47 @@ class TestMemberBatch:
         for n, got in zip(ns, batched.member_solutions(), strict=True):
             single = EnvelopeFunction(f, replace(params, n=n), kind, **kw)
             want = solve_tree_exact(prob, tree, f_fn=single)
-            for name in ("Y", "Z", "U", "dK", "S"):
-                for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "f,kind,d,marks,axes,points,N",
+        [c for c in MEMBER_CASES if c[1] == "inf"],
+        ids=[c[0] for c in MEMBER_CASES if c[1] == "inf"],
+    )
+    def test_inf_run_holds_v_and_the_indices_bitwise(
+        self, f, kind, d, marks, axes, points, N, threads
+    ):
+        """An inf run solves V as the last member of its pass: V is
+        ``solve_upper_bound_tree`` bit for bit, and the indices are the
+        pass without V, with their K moments and Z/U norms."""
+        grid = build_time_grid(0.5, N)
+        marks = marks or empty_marks()
+        gen = GeneratorSpec(f=f, g="0.1*y", growth_C=2.0)
+        prob = ProblemSpec(grid, d, marks, gen, "-6", "0.5*w1")
+        tree = TreeModel(grid, d, marks, max_steps=N)
+        params = EnvelopeParams(n=1.0, box={a: (-6.0, 6.0) for a in axes}, grid_points=points)
+        ns = [2.0, 4.0, 8.0]
+        run = run_inf_envelope_sequence(
+            prob, params, ns=ns, tree=tree, threads=threads, early_stop_tol=0.0
+        )
+        want = solve_upper_bound_tree(prob, tree)
+        assert_bitwise_equal(run.upper_tree, want)
+        assert run.upper_tree.k_moments == want.k_moments
+        assert run.upper_tree.zu_norms == want.zu_norms
+        assert run.report["v_root"] == want.root_value()
+        kw = dict(dim_d=d, num_marks=marks.m, intensities=marks.intensities, raise_on_boundary=True)
+        env = EnvelopeFunction(f, params, kind, ns=ns, **kw)
+        indices = solve_tree_exact(prob, tree, f_fn=env, members=len(ns)).member_solutions()
+        for got, want in zip(run.tree_solutions, indices, strict=True):
+            assert_bitwise_equal(got, want)
+            assert (got.k_moments, got.zu_norms) == (want.k_moments, want.zu_norms)
+
+
+def assert_bitwise_equal(got: TreeSolution, want: TreeSolution):
+    for name in ("Y", "Z", "U", "dK", "S"):
+        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestSupEnvelopeSequence:
@@ -601,8 +639,24 @@ class TestNodeChecksGateTheRun:
 
     def test_upper_bound_v_aborts(self, monkeypatch):
         prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
-        _corrupt_solve(monkeypatch, 1)  # solves n = 1 and 2 in one pass, then V
-        with pytest.raises(SolverError, match=r"negative dK"):
+        calls = _corrupt_solve(monkeypatch, 0, 2)  # one pass: n = 1 and 2, then V
+        refusal = r"negative dK at \(slice, node\) \(1, 1\) of the upper bound V$"
+        with pytest.raises(SolverError, match=refusal):
+            run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
+        assert len(calls) == 1 and calls[0].members == 3
+
+    def test_an_index_is_reported_before_v(self, monkeypatch):
+        prob = make_problem(f="min(abs(y), 2)", terminal="w1", T=0.5, N=3, marks=MARKS)
+
+        def solve(*args, **kwargs):
+            sol = solve_tree_exact(*args, **kwargs)
+            for k in (2, 1):  # V, then index n = 2
+                sol.dK[1][..., k].flat[0] = np.nan
+            return sol
+
+        monkeypatch.setattr(schemes, "solve_tree_exact", solve)
+        refusal = r"non-finite dK at \(slice, node\) \(1, 0\) of index n = 2$"
+        with pytest.raises(SolverError, match=refusal):
             run_inf_envelope_sequence(prob, ENV, ns=[1, 2])
 
     def test_uncorrupted_run_passes(self, monkeypatch):
