@@ -26,14 +26,7 @@ from .generator import (
     ensure_expr,
     problem_cloud,
 )
-from .solver import (
-    ProblemSpec,
-    SolutionGrid,
-    TreeModel,
-    TreeSolution,
-    _node_margin,
-    solve_tree_exact,
-)
+from .solver import ProblemSpec, SolutionGrid, TreeModel, TreeSolution, solve_tree_exact
 
 # (size, seed) of the certificate clouds and the verdict tolerances of the
 # comparison and the positivity check
@@ -141,7 +134,7 @@ def compare_solutions(
         Certificate("generator_ordered", f_worst <= PREMISE_SLACK, f_worst)
     )
 
-    margin = _node_margin(sol1, sol2)
+    margin = min(float((y2 - y1).min()) for y1, y2 in zip(sol1.Y, sol2.Y))
     root_gap = sol2.root_value() - sol1.root_value()
     verdict = _verdict(premises, margin >= -_COMPARE_TOL)
     return ComparisonReport(premises, margin, root_gap, verdict, _COMPARE_TOL)
@@ -408,26 +401,10 @@ def norm_report(sol: SolutionGrid, marks: MarkSpace) -> dict:
 
 
 def tree_norm_report(sol: TreeSolution) -> dict:
-    """``norm_report``'s squared norms computed on the tree slices.
-
-    The Z and U norms come from ``TreeSolution.zu_norms``, E K_T^2 from
-    ``TreeSolution.k_moments`` and E sup Y^2 from
-    ``TreeSolution.sup_y_sq``, all carried backward.  When that pass
-    would take more than ``SUP_Y_SQ_WORK`` node steps (one per distinct
-    Y^2 and stored node), E sup Y^2 is None and "sup_y_sq_skipped" says
-    why.
-    The norms of a solution that fails ``TreeSolution.validate`` may be
-    non-finite.
-    """
-    z_norm, u_norm = sol.zu_norms
-    report = {
-        "sup_y_sq": None,
-        "z_norm_sq": z_norm,
-        "u_norm_sq": u_norm,
-        "k_t_sq": sol.k_moments[1],
-    }
-    try:
-        report["sup_y_sq"] = sol.sup_y_sq()
-    except SolverError as exc:  # the pass's budget, its only refusal
-        report["sup_y_sq_skipped"] = str(exc)
-    return report
+    """``norm_report``'s squared norms computed on the tree slices of one
+    solve, all carried backward in its one pass (``Reductions.norms`` of
+    ``TreeSolution.reductions``).  Past ``SUP_Y_SQ_WORK`` node steps (one
+    per distinct Y^2 and stored node), E sup Y^2 is None and
+    "sup_y_sq_skipped" says why.  The norms of a solution that fails
+    ``TreeSolution.validate`` may be non-finite."""
+    return sol.reductions.norms(0)

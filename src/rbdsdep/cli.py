@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -101,8 +102,30 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
-def _write_json(path: str, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+def _non_finite_at(value, path: str = ""):
+    """The key path of the first inf or NaN in a JSON report, in file
+    order ("norms.sup_y_sq", "report.norms[0].z_norm_sq"), or None."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else str(k), v) for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:  # only a float can be inf or NaN
+        bad = isinstance(value, (float, np.floating)) and not math.isfinite(value)
+        return path if bad else None
+    return next(filter(None, (_non_finite_at(v, at) for at, v in items)), None)
+
+
+def _json_text(obj, name: str) -> str:
+    """obj as strict JSON (RFC 8259), which has no inf or NaN: one is
+    refused with a SolverError naming the file and its key path."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    except ValueError:
+        where = _non_finite_at(obj)
+    raise SolverError(f"{name} would hold a non-finite number at '{where}', not valid JSON")
+
+
+def _write_text(path: str, text: str):
     with _atomic_open(path) as fh:
         fh.write((text + "\n").encode())
 
@@ -267,19 +290,21 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, threads=1, verbose=False):
     summary["config_hash"] = cfg.config_hash
     summary["seed"] = cfg.seed
 
-    written = []
+    reports = {}  # every JSON text is made before any file is written
     for name, content in sorted(files.items()):
-        if name.endswith(".json") and "json" not in cfg.formats:
-            continue
-        path = os.path.join(out_dir, name)
         stem = name.rsplit(".", 1)[0]
         schema = f"rbdsdep.{stem}.v{SCHEMA_VERSIONS.get(stem, 1)}"
         if name.endswith(".csv"):
+            reports[name] = (content, schema)
+        elif "json" in cfg.formats:
+            reports[name] = (_json_text(dict(content, schema=schema), name), schema)
+    written = []
+    for name, (content, schema) in reports.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
             _write_csv(path, content, schema, cfg.config_hash)
         else:
-            content = dict(content)
-            content["schema"] = schema
-            _write_json(path, content)
+            _write_text(path, content)
         written.append(path)
     manifest = {
         "schema": "rbdsdep.manifest.v1",
@@ -298,7 +323,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir=None, threads=1, verbose=False):
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_json(manifest_path, manifest)
+    _write_text(manifest_path, _json_text(manifest, "manifest.json"))
     written.append(manifest_path)
     return all(validators.values()), summary, written
 

@@ -38,6 +38,11 @@ from .generator import (
 )
 from .solver import ProblemSpec, SchemeParams, TreeModel, b_axis_for
 
+#: most (solutions) x (stored tree nodes) of a sequence run, which solves
+#: them in one pass: a run's peak RSS grew by 105-140 B per node-member
+#: (bracketing, N = 6, one mark: 4,000-8,000 members at d = 1, 2,000-4,000 at d = 2)
+MAX_MEMBER_NODES = 10_000_000
+
 PIPELINES = (
     "solve",
     "inf_sequence",
@@ -80,7 +85,9 @@ envelope:    box (mapping axis -> [lo, hi]; axes y, z1..zd, u1..um),
              holds grid_points ** (gridded axes) <= 1000000 grid points),
              ns (non-empty nondecreasing list of numbers >= 1,
              default [1, 2, 4, 8, 16])
-bracketing:  count (integer >= 1, default 5)
+bracketing:  count (integer >= 1, default 5); a sequence holds its solutions
+             (bracketing: count + 2; envelope: one per ns entry, plus V for
+             inf_sequence) x stored tree nodes <= 10000000 node-members
 ito:         alpha0 (number, default 0), beta / gamma / eta / sigma
              (expression over t, w*, j*, or number, optional),
              expected_terminal_sq (number, optional)
@@ -418,6 +425,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if uses_tree:
         tree = TreeModel(grid, dim_d, marks, tree_max_steps, tree_max_states, b_axis_for(problem))
         tree.ensure_budget()
+        key, members = {  # a sequence's solutions, one pass; V is an inf run's last
+            "bracketing": ("bracketing.count", bracketing_count + 2),
+            "inf_sequence": ("envelope.ns", len(envelope_ns) + 1),
+            "sup_sequence": ("envelope.ns", len(envelope_ns)),
+        }.get(pipeline, ("", 0))
+        if members * tree.total_states() > MAX_MEMBER_NODES:
+            raise ConfigError(
+                f"'{key}' gives {members} solutions of {tree.total_states()} stored lattice nodes "
+                f"each: {members * tree.total_states()} node-members (> budget {MAX_MEMBER_NODES})"
+            )
 
     canonical = top.record
     config_hash = hashlib.sha256(

@@ -48,8 +48,9 @@ from .errors import ConfigError, SolverError
 MODES = ("gaussian", "two-point")
 
 #: Most weighted paths a two-point enumeration, and so a tree's path view,
-#: may hold: 16 MB per float column; also about the most values the E sup
-#: Y^2 pass of ``TreeSolution.sup_y_sq`` holds on one slice at a time.
+#: may hold: 16 MB per float column; also about the most values, sums and
+#: E sup Y^2 thresholds, a pass of ``solver.backward_reductions`` holds on
+#: one slice at a time.
 MAX_PATHS = 2_000_000
 
 #: Most path-steps, paths x (N + 1), a sampled (gaussian or two-point)

@@ -28,14 +28,17 @@ iterates and the upper anchor as members, and iterate k reads iterate
 k-1's values of the step before, which the pass has already made.
 Either way each solution is bitwise its own separate solve.
 
-The per-solution work runs on the pass before it is split
-(``_checked_split``): the node-wise check of the reflection invariants
-(V after the indices), the K moments, the Z/U norms and the Z/U
-distances between successive indices or iterates, each with the member
-axis and each bitwise the number of the solution on its own.  E sup Y^2
-(``TreeSolution.sup_y_sq``, within its work budget) is taken per
-solution, whose thresholds are its own.  The run keeps only the tree
-solutions; a caller that wants paths materialises them with
+The per-solution work runs on the pass with its member axis, each
+result bitwise the number of the solution on its own: the node-wise
+check of the reflection invariants (V after the indices), the roots,
+the node margins, and one ``solver.backward_reductions`` pass over the
+reported solutions (the indices kept, or the iterates) for their K
+moments, Z/U norms and E sup Y^2, each on its own thresholds within its
+work budget, and the Z/U distances between successive ones.  The run
+keeps its one solve; the solutions are split out of it
+(``TreeSolution.member_solutions``) only when ``SequenceRun``'s
+tree_solutions or a companion is first read, which no CLI pipeline does.
+A caller that wants paths materialises them with
 ``TreeSolution.to_solution_grid``, within the ``MAX_PATHS`` budget.
 Premise checks are ``generator`` certificates on ``problem_cloud``
 clouds: linear growth for the envelope sequences; signed growth, the sign
@@ -48,12 +51,12 @@ from __future__ import annotations
 import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
-from .analysis import tree_norm_report
 from .errors import ConfigError, SolverError
 from .expr import EvalContext, evaluate, size_norms
 from .generator import (
@@ -72,10 +75,11 @@ from .generator import (
 from .solver import (
     CoefficientFn,
     ProblemSpec,
+    Reductions,
     TreeModel,
     TreeSolution,
-    _node_margin,
-    integrand_norms,
+    _slice0_means,
+    backward_reductions,
     solve_tree_exact,
 )
 from .table import CsvTable
@@ -91,49 +95,57 @@ MARGIN_TOL = 1e-10
 
 @dataclass
 class SequenceRun:
-    """One pipeline run: per-n tree solutions plus the ordering evidence.
+    """One pipeline run: its report and the one solve pass it came from.
 
-    report is JSON-serializable throughout; the companions (the upper
-    bound V, the bracketing anchors) sit in their own fields.  Every tree
-    solution was validated node-wise when solved; paths are not kept.
+    report is JSON-serializable throughout, and reductions the solutions'
+    ``backward_reductions``.  The solutions are members of solve (see
+    ``solve_tree_exact``), each validated node-wise on the pass; roles
+    maps tree_solutions to a slice of the members and each companion
+    (upper_tree for V, lower_anchor_tree, upper_anchor_tree) to a member.
+    They are split into solutions of their own when one is first read
+    (``TreeSolution.member_solutions``).  Paths are not kept.
     """
 
     mode: str
     index_set: List[float]
-    tree_solutions: List[TreeSolution]
     y0_series: List[float]
     report: dict
-    upper_tree: Optional[TreeSolution] = None
-    lower_anchor_tree: Optional[TreeSolution] = None
-    upper_anchor_tree: Optional[TreeSolution] = None
+    solve: TreeSolution = field(repr=False)
+    reductions: Reductions = field(repr=False)
+    roles: dict = field(repr=False)
+
+    @cached_property
+    def _members(self) -> List[TreeSolution]:
+        return self.solve.member_solutions()
+
+    def _role(self, name: str):
+        at = self.roles.get(name)
+        return None if at is None else self._members[at]
+
+    tree_solutions = property(lambda self: self._role("tree_solutions"))
+    upper_tree = property(lambda self: self._role("upper_tree"))
+    lower_anchor_tree = property(lambda self: self._role("lower_anchor_tree"))
+    upper_anchor_tree = property(lambda self: self._role("upper_anchor_tree"))
 
 
-def _successive_diffs(tree: TreeModel, Z, U):
-    """(z_diffs, u_diffs): sum_i E|Z_i' - Z_i|^2 dt and sum_i E|U_i' -
-    U_i|^2_lambda dt for each successive pair of members of slices with a
-    member axis (before the component axis), in one backward pass."""
-    if Z[0].shape[-2] < 2:
-        return [], []
-    dz = [z[..., 1:, :] - z[..., :-1, :] for z in Z]
-    du = [u[..., 1:, :] - u[..., :-1, :] for u in U]
-    return integrand_norms(tree, dz, du)
-
-
-def _checked_split(batched: TreeSolution, labels, chain: slice, order=None):
-    """The member solutions of a pass and the (z_diffs, u_diffs) of the
-    successive members in chain, a slice of the members, all from the
-    batched slices.
-
-    Every member is checked node-wise once (``node_failures``); a failure
-    raises SolverError naming its solution, labels[k], the first failing
-    one in order (member order by default).  Each member solution carries
-    its K moments and Z/U norms from the pass."""
+def _checked_pass(batched: TreeSolution, labels, order=None) -> list:
+    """The slice-0 means of a pass's Y, its members' roots, after every
+    member is checked node-wise once (``node_failures``): a failure raises
+    SolverError naming its solution, labels[k], the first failing one in
+    order (member order by default)."""
     failures = batched.node_failures()
     for k in range(len(labels)) if order is None else order:
         if failures[k] is not None:
             raise SolverError(f"{failures[k]} of {labels[k]}")
-    Z, U = ([v[..., chain, :] for v in slices] for slices in (batched.Z, batched.U))
-    return batched.member_solutions(), _successive_diffs(batched.tree, Z, U)
+    return _slice0_means(batched.Y[0], len(labels))
+
+
+def _node_margins(Y, lower: slice, upper: slice) -> list:
+    """Per pair of members (lower[p], upper[p]) of a pass's slices Y, the
+    node-wise min of Y_upper - Y_lower over every slice and time; upper
+    may be one member, paired with each of lower."""
+    rows = np.concatenate([y.reshape(-1, y.shape[-1]) for y in Y]).T  # one per member
+    return np.subtract(rows[upper], rows[lower], order="C").min(axis=1).tolist()
 
 
 #: the refusal of each certificate a run requires, formatted with its worst
@@ -249,28 +261,30 @@ def _inf_envelope_coefficient(
     return fn
 
 
-def _chain_run(mode, index_set, solutions, diffs, report, descending=False, **companions):
+def _chain_run(mode, index_set, batched, roots, report, roles, descending=False):
     """Complete report with the ordering evidence, norms and successive
-    Z/U distances (diffs, from ``_checked_split``) of solutions, and
-    return their run.  The chain is the lower anchor, if any, then the
-    solutions: each successive pair gives one node margin (from the later
-    one when descending), the later one's CSV row margin (0.0 for a first
-    row without a predecessor)."""
-    anchor = companions.get("lower_anchor_tree")
-    chain = solutions if anchor is None else [anchor] + solutions
-    pairs = zip(chain[1:], chain) if descending else zip(chain, chain[1:])
-    pair_margins = [_node_margin(a, b) for a, b in pairs]
-    z_diffs, u_diffs = diffs
+    Z/U distances of the solutions, the members roles["tree_solutions"]
+    (a slice) of the pass batched, from one ``backward_reductions``, and
+    return their run.  The chain is the lower anchor, if any (the member
+    just before the solutions), then the solutions: each successive pair
+    gives one node margin (from the later one when descending), the later
+    one's CSV row margin (0.0 for a first row without a predecessor)."""
+    chain = roles["tree_solutions"]
+    reduced = backward_reductions(batched.tree, batched.Z, batched.U, batched.dK, batched.Y, chain)
+    ids = range(len(roots))[chain]  # the reductions' entries follow them
+    anchor = roles.get("lower_anchor_tree")
+    first = ids.start if anchor is None else anchor
+    pairs = slice(first, ids.stop - 1), slice(first + 1, ids.stop)
+    pair_margins = _node_margins(batched.Y, *(pairs[::-1] if descending else pairs))
     report.update(
         pair_margins=pair_margins,
         monotone_ok=all(mg >= -MARGIN_TOL for mg in pair_margins),
-        norms=[tree_norm_report(ts) for ts in solutions],
-        z_diffs=z_diffs,
-        u_diffs=u_diffs,
+        norms=[reduced.norms(k) for k in range(len(ids))],
+        z_diffs=reduced.diffs[0],
+        u_diffs=reduced.diffs[1],
         row_margins=pair_margins if anchor is not None else [0.0] + pair_margins,
     )
-    roots = [ts.root_value() for ts in solutions]
-    return SequenceRun(mode, index_set, solutions, roots, report, **companions)
+    return SequenceRun(mode, index_set, [roots[k] for k in ids], report, batched, reduced, roles)
 
 
 def _run_envelope(
@@ -299,27 +313,19 @@ def _run_envelope(
         if kind == "inf":  # V is the pass's last member
             f_fn = _inf_envelope_coefficient(problem, envelope)
             labels.append("the upper bound V")
-        members, diffs = _checked_split(
-            solve_tree_exact(problem, tree, f_fn=f_fn, members=len(labels)),
-            labels,
-            chain=slice(len(eff)),
-        )
-    tree_sols = members[: len(eff)]
-    cut = _truncate_at_tol([ts.root_value() for ts in tree_sols], early_stop_tol)
-    truncated = cut < len(eff)
-    eff, tree_sols = eff[:cut], tree_sols[:cut]
-    diffs = tuple(d[: cut - 1] for d in diffs)
-    report = {
-        "index_set": eff,
-        "truncated": truncated,
-        "growth_worst_ratio": worst_growth,
-    }
+        batched = solve_tree_exact(problem, tree, f_fn=f_fn, members=len(labels))
+    del envelope, f_fn  # its grid tables serve the solve only, not the reductions
+    roots = _checked_pass(batched, labels)
+    cut = _truncate_at_tol(roots[: len(eff)], early_stop_tol)
+    report = {"index_set": eff[:cut], "truncated": cut < len(eff)}
+    report["growth_worst_ratio"] = worst_growth
+    roles = {"tree_solutions": slice(cut)}
     if kind == "sup":
-        return _chain_run("sup_envelope", eff, tree_sols, diffs, report, descending=True)
-    v_tree = members[-1]
-    report["v_root"] = v_tree.root_value()
-    report["v_node_margin"] = min(_node_margin(ts, v_tree) for ts in tree_sols)
-    return _chain_run("inf_envelope", eff, tree_sols, diffs, report, upper_tree=v_tree)
+        return _chain_run("sup_envelope", eff[:cut], batched, roots, report, roles, True)
+    v = roles["upper_tree"] = len(eff)
+    report["v_root"] = roots[v]
+    report["v_node_margin"] = min(_node_margins(batched.Y, slice(cut), slice(v, v + 1)))
+    return _chain_run("inf_envelope", eff[:cut], batched, roots, report, roles)
 
 
 def run_inf_envelope_sequence(
@@ -422,32 +428,22 @@ def run_bracketing_sequence(
     certs["pi_worst"] = _required(check_pi_minorant(gen, cloud_a, cloud_b))
     certs["g_worst"] = _required(check_g_contraction(gen, cloud_a, cloud_b))
 
-    f_fn = _bracketing_coefficient(problem, ns_count)
-    iterate_labels = [f"iterate {n}" for n in range(1, ns_count + 1)]
-    members, diffs = _checked_split(
-        solve_tree_exact(problem, tree, f_fn=f_fn, members=ns_count + 2),
-        ["the lower anchor", *iterate_labels, "the upper anchor"],
-        order=[0, ns_count + 1, *range(1, ns_count + 1)],
-        chain=slice(1, -1),  # distances between the iterates only
-    )
-    lower, iterates, upper = members[0], members[1:-1], members[-1]
-    upper_margins = [_node_margin(x, upper) for x in [lower] + iterates]
+    f_fn, upper = _bracketing_coefficient(problem, ns_count), ns_count + 1
+    batched = solve_tree_exact(problem, tree, f_fn=f_fn, members=upper + 1)
+    labels = ["the lower anchor", *(f"iterate {n}" for n in range(1, upper)), "the upper anchor"]
+    roots = _checked_pass(batched, labels, order=[0, upper, *range(1, upper)])
+    upper_margins = _node_margins(batched.Y, slice(upper), slice(upper, upper + 1))
     report = {
         "index_set": list(range(1, ns_count + 1)),
         "certificates": certs,
-        "lower_root": lower.root_value(),
-        "upper_root": upper.root_value(),
+        "lower_root": roots[0],
+        "upper_root": roots[upper],
         "upper_margins": upper_margins,
     }
-    run = _chain_run(
-        "bracketing",
-        [float(n) for n in range(1, ns_count + 1)],
-        iterates,
-        diffs,
-        report,
-        lower_anchor_tree=lower,
-        upper_anchor_tree=upper,
-    )
+    # the iterates are the reported solutions: norms and distances are theirs only
+    roles = {"tree_solutions": slice(1, upper), "lower_anchor_tree": 0, "upper_anchor_tree": upper}
+    index_set = [float(n) for n in range(1, upper)]
+    run = _chain_run("bracketing", index_set, batched, roots, report, roles)
     report["sandwich_worst"] = min(report["pair_margins"] + upper_margins)
     report["sandwich_ok"] = report["sandwich_worst"] >= -MARGIN_TOL
     return run
@@ -465,7 +461,7 @@ def sequence_csv_rows(run: SequenceRun) -> CsvTable:
     columns = [
         run.index_set,
         run.y0_series,
-        [ts.k_moments[0] for ts in run.tree_solutions],
+        run.reductions.k_moments[0],
         [nr["z_norm_sq"] for nr in norms],
         [nr["u_norm_sq"] for nr in norms],
         run.report["row_margins"],

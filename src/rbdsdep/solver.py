@@ -60,9 +60,9 @@ CoefficientFn = Callable[..., np.ndarray]
 #: how far Y may sit below the barrier S before validate() rejects it
 _BARRIER_TOL = 1e-12
 
-#: most node steps, (distinct values of Y^2) x (stored nodes), that
-#: ``TreeSolution.sup_y_sq`` makes before it refuses: about 1 s at the
-#: 6-17 ns per step measured on a shared 2-core Xeon VM (numpy 2.4)
+#: most node steps, (distinct values of Y^2) x (stored nodes), that the
+#: E sup Y^2 pass of ``backward_reductions`` makes for one solution: about
+#: 1 s at the 6-17 ns per step measured on a shared 2-core Xeon VM (numpy 2.4)
 SUP_Y_SQ_WORK = 100_000_000
 
 
@@ -485,7 +485,8 @@ class TreeModel:
 
 @dataclass
 class TreeSolution:
-    """Node-indexed exact solution on the lattice ``tree``, in its layout."""
+    """Node-indexed exact solution on the lattice ``tree``, in its layout;
+    its K moments, Z/U norms and E sup Y^2 come from one pass."""
 
     problem: ProblemSpec
     tree: TreeModel
@@ -552,83 +553,40 @@ class TreeSolution:
         return self
 
     @cached_property
-    def k_moments(self) -> tuple:
-        """(E[K_T], E[K_T^2]), carried backward like the solve: with A_i =
-        E_i[K_T - K_i] and B_i = E_i[(K_T - K_i)^2], A_i = dK_i +
-        E_i[A_{i+1}] and B_i = dK_i^2 + 2*dK_i*E_i[A_{i+1}] + E_i[B_{i+1}];
-        the moments are the slice-0 means.  One backward pass per
-        solution, on first use: the reports read both moments.  With
-        members, one pass for all of them, and each moment a list with
-        one entry per member (see ``_slice0_means``)."""
-        tree = self.tree
-        a = b = np.zeros(self.Y[-1].shape)
-        for i in range(self.grid.N - 1, -1, -1):
-            dk, ea = self.dK[i], tree.step_mean(i, a)
-            a, b = dk + ea, dk * dk + 2.0 * dk * ea + tree.step_mean(i, b)
-        return _slice0_means(a, self.members), _slice0_means(b, self.members)
+    def reductions(self) -> "Reductions":
+        """``backward_reductions`` of every member, on first use; the
+        properties below read it, each a list per entry with members."""
+        return backward_reductions(self.tree, self.Z, self.U, self.dK, self.Y)
 
-    @cached_property
-    def zu_norms(self) -> tuple:
-        """(sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt), see
-        ``integrand_norms``; with members, a list per norm."""
-        return integrand_norms(self.tree, self.Z, self.U)
+    def _own(self, values: tuple) -> tuple:
+        return values if self.members else tuple(v[0] for v in values)
+
+    #: (E[K_T], E[K_T^2]) and (sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt)
+    k_moments = property(lambda self: self._own(self.reductions.k_moments))
+    zu_norms = property(lambda self: self._own(self.reductions.zu_norms))
 
     def sup_y_sq(self) -> float:
-        """E[max_i Y_i^2] over the full paths, carried backward like the
-        solve.  With c the sorted distinct values of Y^2 on every node, on
-        a trailing axis, q_i = E_i[q_{i+1}] * 1{Y_i^2 <= c} from q_N =
-        1{Y_N^2 <= c} is the conditional probability that Y^2 stays <= c
-        from slice i on, so q_0's slice-0 mean is F(c) = P(max_i Y_i^2 <=
-        c), and E max_i Y_i^2 = c_1 + sum_k (c_k - c_{k-1}) (1 - F(c_{k-1})).
-
-        The thresholds are carried in blocks of about MAX_PATHS //
-        (largest slice), and of at least two, so a slice holds about
-        MAX_PATHS values at a time.  F is a per-threshold column mean, and
-        a block of two or more columns sums each column in the order of
-        the whole, so blocking does not change F.  The pass makes one
-        step per node and threshold: it raises SolverError when (distinct
-        values) x (stored nodes) exceeds ``SUP_Y_SQ_WORK``."""
-        y_sq = [y**2 for y in self.Y]
-        c = np.sort(np.concatenate([v.ravel() for v in y_sq]))
-        c = c[np.concatenate(([True], c[1:] != c[:-1]))]  # np.unique, without importing numpy.ma
-        nodes = sum(v.size for v in y_sq)
-        if c.size * nodes > SUP_Y_SQ_WORK:
-            raise SolverError(
-                f"E sup Y^2 carries {c.size} distinct values of Y^2 over {nodes} stored "
-                f"nodes: {c.size * nodes} node steps (> {SUP_Y_SQ_WORK})"
-            )
-        largest = max(v.size for v in y_sq)
-        blocks = max(1, min(-(-c.size * largest // MAX_PATHS), c.size // 2))
-        F = np.concatenate([self._stays_below(y_sq, part) for part in np.array_split(c, blocks)])
-        return float(c[0] + np.diff(c) @ (1.0 - F[:-1]))
-
-    def _stays_below(self, y_sq, c) -> np.ndarray:
-        """F(c) = P(max_i Y_i^2 <= c) for each threshold in c (see
-        ``sup_y_sq``), given y_sq, the slices of Y^2."""
-        q = y_sq[-1][..., None] <= c
-        for i in range(self.grid.N - 1, -1, -1):
-            q = self.tree.step_mean(i, q) * (y_sq[i][..., None] <= c)
-        return q.reshape(-1, c.size).mean(axis=0)
+        """E[max_i Y_i^2] of one solve; SolverError past ``SUP_Y_SQ_WORK``."""
+        value = self.reductions.sup_y_sq[0]
+        if isinstance(value, str):
+            raise SolverError(value)
+        return value
 
     def member_solutions(self) -> List["TreeSolution"]:
         """The solutions of a solve with members (see ``solve_tree_exact``),
         one per member, each of contiguous arrays in a one-member solve's
-        layout, so every reduction over them sums in that solve's order.
-        Each carries its K moments and Z/U norms from one backward pass
-        over all the members, bitwise its own."""
+        layout, so every reduction over them sums in that solve's order:
+        each reads its own pass, bitwise its values in the members' pass."""
 
         def rows(slices, axis):  # member k's slice is row k, C-ordered
             return [np.ascontiguousarray(np.moveaxis(v, axis, 0)) for v in slices]
 
         fields = [rows(self.Y, -1), rows(self.Z, -2), rows(self.U, -2)]
         fields += [rows(self.dK, -1), rows(self.S, -1)]
-        (k_mean, k_sq), (z_norm, u_norm) = self.k_moments, self.zu_norms
-        out = []
-        for k in range(self.members):
-            sol = TreeSolution(self.problem, self.tree, *([v[k] for v in f] for f in fields))
-            sol.k_moments, sol.zu_norms = (k_mean[k], k_sq[k]), (z_norm[k], u_norm[k])
-            out.append(sol)
-        return out
+        return [
+            TreeSolution(self.problem, self.tree, *([v[k] for v in f] for f in fields))
+            for k in range(self.members)
+        ]
 
     def to_solution_grid(self, max_paths: int = MAX_PATHS) -> SolutionGrid:
         """Materialize every full history as a weighted path: the paths and
@@ -646,38 +604,131 @@ class TreeSolution:
         return SolutionGrid(self.grid, Y, Z, U, K, S, scen.path_weights(), {"source": "tree"})
 
 
-def _slice0_means(values: np.ndarray, members: Optional[int]):
-    """The slice-0 mean of node values: a float, or with members a list
-    of one float per member (the trailing axis), each reduced over the
-    member's own contiguous row, so bitwise its one-member mean."""
-    if members is None:
-        return float(values.mean())
+def _slice0_means(values: np.ndarray, members: int) -> list:
+    """The slice-0 means of node values with a trailing member axis, one
+    float per member, each reduced over the member's own contiguous row,
+    so bitwise its one-member mean."""
     rows = np.ascontiguousarray(np.moveaxis(values, -1, 0)).reshape(members, -1)
     return rows.mean(axis=1).tolist()
 
 
-def integrand_norms(tree: TreeModel, Z, U):
-    """(sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt) over the slices i < N
-    of slice-indexed integrands, carried backward like the solve: the sum
-    from slice i on is |Z_i|^2 plus E_i of the sum from slice i+1 on, and
-    the norms are its slice-0 means times dt.  Integrands with a member
-    axis (before the component axis) give one list per norm, an entry
-    per member (see ``_slice0_means``)."""
-    lam, dt = tree.marks.intensities, tree.grid.dt
-    members = Z[0].shape[-2] if Z[0].ndim > tree.node_axes + 1 else None
-    z_sum = u_sum = np.zeros(Z[-1].shape[:-1])
-    for i in range(tree.grid.N - 1, -1, -1):
-        z_sum = (Z[i] ** 2).sum(axis=-1) + tree.step_mean(i, z_sum)
-        u_sum = (lam * U[i] ** 2).sum(axis=-1) + tree.step_mean(i, u_sum)
-    z_norm, u_norm = _slice0_means(z_sum, members), _slice0_means(u_sum, members)
-    if members is None:
-        return z_norm * dt, u_norm * dt
-    return [v * dt for v in z_norm], [v * dt for v in u_norm]
+@dataclass(frozen=True)
+class Reductions:
+    """What ``backward_reductions`` reads off its pass, in lists with one
+    entry per chain member: (E[K_T], E[K_T^2]), the (Z, U) norms, the
+    (Z, U) distances, one entry per successive pair, and E sup Y^2, a
+    float or, past ``SUP_Y_SQ_WORK``, the refusal text."""
+
+    k_moments: tuple
+    zu_norms: tuple
+    diffs: tuple
+    sup_y_sq: list
+
+    def norms(self, k: int) -> dict:
+        """Member k's squared norms, named as ``analysis.norm_report``'s;
+        past ``SUP_Y_SQ_WORK``, "sup_y_sq" is None and "sup_y_sq_skipped"
+        holds the refusal."""
+        (z, u), (_, k_sq), sup = self.zu_norms, self.k_moments, self.sup_y_sq[k]
+        out = {"sup_y_sq": sup, "z_norm_sq": z[k], "u_norm_sq": u[k], "k_t_sq": k_sq[k]}
+        if isinstance(sup, str):
+            out.update(sup_y_sq=None, sup_y_sq_skipped=sup)
+        return out
 
 
-def _node_margin(a: TreeSolution, b: TreeSolution) -> float:
-    """Node-wise min of (b.Y - a.Y) over every slice and time."""
-    return min(float((yb - ya).min()) for ya, yb in zip(a.Y, b.Y))
+def backward_reductions(tree: TreeModel, Z, U, dK=None, Y=None, chain=slice(None)) -> Reductions:
+    """Every backward reduction of the members in chain, a non-empty slice
+    of a solve's members (one problem is one member), in one pass: one
+    ``tree.step_mean`` per slice on a state stacked on a trailing axis.
+    From zeros on slice N, the state holds
+
+    * per member, A_i = E_i[K_T - K_i] = dK_i + E_i[A_{i+1}] and B_i =
+      E_i[(K_T - K_i)^2] = dK_i^2 + 2*dK_i*E_i[A_{i+1}] + E_i[B_{i+1}]
+      (dK defaults to 0);
+    * per member, then per successive pair (for Z' - Z and U' - U), the
+      sum of |Z_i|^2 (|U_i|^2_lambda) and E_i of the sum from slice i+1 on
+      (the U sums only with marks: without, every U norm is 0.0);
+    * given Y, per member and per c of its own sorted distinct values of
+      Y^2, q_i = E_i[q_{i+1}] * 1{Y_i^2 <= c} from q_N = 1{Y_N^2 <= c}.
+
+    A, B and the sums (times dt) are slice-0 means (``_slice0_means``).
+    q's slice-0 column mean is F(c) = P(max_i Y_i^2 <= c), so E max_i
+    Y_i^2 = c_1 + sum_k (c_k - c_{k-1}) (1 - F(c_{k-1})); a member whose
+    (distinct values) x (stored nodes) exceeds ``SUP_Y_SQ_WORK`` has no
+    q.  One pass carries it all while a slice holds at most MAX_PATHS
+    values; past that, the sums take a pass of their own and the
+    thresholds go in blocks of about MAX_PATHS // (largest slice) columns,
+    and of at least two, one pass each.  A column mean over two or more
+    columns sums each column in the order of the whole, so every value is
+    bitwise the member's reduced alone."""
+    if Z[0].ndim == tree.node_axes + 1:  # one problem: one member
+        Z, U = ([v[..., None, :] for v in s] for s in (Z, U))
+        dK, Y = (None if s is None else [v[..., None] for v in s] for s in (dK, Y))
+    Z, U = ([v[..., chain, :] for v in s] for s in (Z, U))
+    dK = [np.zeros(z.shape[:-1]) for z in Z[:-1]] if dK is None else [v[..., chain] for v in dK]
+    M, lam, dt = Z[0].shape[-2], tree.marks.intensities, tree.grid.dt
+    # state columns: A, B (M each), Z then U sums (half each: members, pairs), q;
+    # without marks the U sums are 0.0 and are not carried
+    half, u_half = 2 * M - 1, (2 * M - 1 if lam.size else 0)
+    sums, sup, sizes, c_all = 2 * M + half + u_half, [None] * M, np.zeros(M, np.intp), np.zeros(0)
+    if Y is not None:
+        rows = np.concatenate([y[..., chain].reshape(-1, M).T for y in Y], axis=1)  # per member
+        rows **= 2
+        rows.sort(axis=1)
+        fresh = np.concatenate((np.ones((M, 1), bool), rows[:, 1:] != rows[:, :-1]), axis=1)
+        nodes = rows.shape[1]
+        for k, distinct in enumerate(fresh.sum(axis=1).tolist()):
+            if distinct * nodes > SUP_Y_SQ_WORK:
+                sup[k] = (
+                    f"E sup Y^2 carries {distinct} distinct values of Y^2 over {nodes} stored "
+                    f"nodes: {distinct * nodes} node steps (> {SUP_Y_SQ_WORK})"
+                )
+            else:
+                sizes[k] = distinct
+        c_all = rows[fresh & (sizes > 0)[:, None]]  # the carried members' c, in member order
+        del rows, fresh
+    y_sq = [y[..., chain] ** 2 for y in Y] if c_all.size else None
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    largest = max(z.size for z in Z) // (M * tree.dim_d)
+    blocks = [(sums, 0, c_all.size)]  # per pass: its sum columns, its thresholds lo:hi
+    if c_all.size and (sums + c_all.size) * largest > MAX_PATHS:  # the sums, then q blocks
+        count = max(1, min(-(-c_all.size * largest // MAX_PATHS), c_all.size // 2))
+        cuts = np.cumsum([0] + [p.size for p in np.array_split(c_all, count)]).tolist()
+        blocks = [(sums, 0, 0)] + [(0, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    def carry(width: int, lo: int, hi: int):
+        """A pass of the first width sum columns and of the q of
+        c_all[lo:hi]: the sums' slice-0 means and F, the column means of
+        q's (nodes, thresholds)."""
+        c, runs = c_all[lo:hi], np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None)
+        state = np.zeros(Z[-1].shape[:-2] + (width + hi - lo,))
+        if hi > lo:  # each member's Y^2 repeated once per threshold of its own
+            state[..., width:] = np.repeat(y_sq[-1], runs, axis=-1) <= c
+        for i in range(tree.grid.N - 1, -1, -1):
+            state = tree.step_mean(i, state)
+            if width:
+                dk, z, u = dK[i], Z[i], U[i]
+                zs = np.concatenate((z, z[..., 1:, :] - z[..., :-1, :]), axis=-2)
+                # A, B, Z and U addends, B's read before A's is added
+                add = (dk, dk * dk + 2.0 * dk * state[..., :M], (zs**2).sum(axis=-1))
+                if u_half:
+                    us = np.concatenate((u, u[..., 1:, :] - u[..., :-1, :]), axis=-2)
+                    add += ((lam * us**2).sum(axis=-1),)
+                state[..., :sums] += np.concatenate(add, axis=-1)
+            if hi > lo:
+                state[..., width:] *= np.repeat(y_sq[i], runs, axis=-1) <= c
+        q = np.ascontiguousarray(state[..., width:])
+        F = q.reshape(math.prod(q.shape[:-1]), hi - lo).mean(axis=0)
+        return (_slice0_means(state[..., :sums], sums) if width else None), F
+
+    passes = [carry(*block) for block in blocks]
+    means, F = passes[0][0], np.concatenate([F for _, F in passes])
+    for k in np.flatnonzero(sizes):
+        c = c_all[starts[k] : ends[k]]
+        sup[k] = float(c[0] + np.diff(c) @ (1.0 - F[starts[k] : ends[k] - 1]))
+    z = [v * dt for v in means[2 * M : 2 * M + half]]
+    u = [v * dt for v in means[2 * M + half :]] or [0.0] * half
+    return Reductions((means[:M], means[M : 2 * M]), (z[:M], u[:M]), (z[M:], u[M:]), sup)
 
 
 def _context(tree: TreeModel, i: int, members: bool):

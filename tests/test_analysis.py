@@ -21,8 +21,7 @@ from rbdsdep.drivers import (
 )
 from rbdsdep.errors import ConfigError, SolverError
 from rbdsdep.generator import GeneratorSpec, check_rate_nonnegative
-from rbdsdep.schemes import _successive_diffs
-from rbdsdep.solver import ProblemSpec, solve_tree_exact
+from rbdsdep.solver import ProblemSpec, backward_reductions, solve_tree_exact
 
 MARKS = MarkSpace(np.array([1.0]), np.array([0.4]))
 
@@ -387,7 +386,7 @@ class TestSliceFormsAgainstPaths:
         Z, U = (
             [np.stack(pair, axis=-2) for pair in zip(*(getattr(s, f) for s in sols))] for f in "ZU"
         )
-        z_diffs, u_diffs = _successive_diffs(sols[0].tree, Z, U)
+        z_diffs, u_diffs = backward_reductions(sols[0].tree, Z, U).diffs
         assert z_diffs[0] > 0.0 and (u_diffs[0] > 0.0) == (m > 0)
         np.testing.assert_allclose(z_diffs, [a.weights @ dz], rtol=1e-12, atol=0)
         np.testing.assert_allclose(u_diffs, [a.weights @ du], rtol=1e-12, atol=0)

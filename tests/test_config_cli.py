@@ -14,9 +14,10 @@ import yaml
 
 import rbdsdep
 from rbdsdep.analysis import norm_report, skorokhod_check
+from rbdsdep import cli
 from rbdsdep.cli import main, run_pipeline
 from rbdsdep.config import PIPELINES, config_from_dict, load_config
-from rbdsdep.errors import ConfigError
+from rbdsdep.errors import ConfigError, SolverError
 from rbdsdep import schemes
 from rbdsdep.schemes import run_bracketing_sequence, run_inf_envelope_sequence
 from rbdsdep.solver import (
@@ -26,6 +27,19 @@ from rbdsdep.solver import (
     solution_csv_rows,
     solve_tree_exact,
 )
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"a report holds {name}, which strict JSON parsers refuse")
+
+
+@pytest.fixture(autouse=True)
+def reports_are_strict_json(tmp_path):
+    """Every JSON file a test here leaves under tmp_path, each report
+    included, parses as strict JSON (RFC 8259: no Infinity or NaN)."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def minimal() -> dict:
@@ -813,34 +827,113 @@ class TestTreeSolveOnTheLattice:
             assert not col["b_column"].any()
 
 
+def count_step_means(monkeypatch) -> list:
+    """A list that gets one entry per ``TreeModel.step_mean`` call."""
+    calls, real = [], TreeModel.step_mean
+
+    def counted(tree, i, values):
+        calls.append(i)
+        return real(tree, i, values)
+
+    monkeypatch.setattr(TreeModel, "step_mean", counted)
+    return calls
+
+
+BRACKETING_BENCHMARK = {
+    "pipeline": "bracketing",
+    "grid": {"T": 0.5, "N": 6},
+    "marks": dict(ONE_MARK),
+    "problem": {
+        "f": "indicator_pos(y)", "g": "0", "pi": "0", "f_t": "1",
+        "barrier": "-4", "terminal": "w1 + 0.2",
+    },
+    "bracketing": {"count": 5},
+    "outputs": {"formats": ["csv", "json"]},
+}
+
+ENVELOPE_BENCHMARK = {
+    "pipeline": "inf_sequence",
+    "grid": {"T": 0.5, "N": 6},
+    "problem": {
+        "f": "sqrt(abs(y)) + abs(z1)", "growth_c": 2, "barrier": "-6", "terminal": "0.5*w1",
+    },
+    "envelope": {"box": {"y": [-6, 6], "z1": [-6, 6]}, "grid_points": 201},
+    "outputs": {"formats": ["csv", "json"]},
+}
+
+
 class TestKMomentsOncePerRun:
     def test_bracketing_run_carries_k_backward_once(self, tmp_path, monkeypatch):
-        """sequence.csv's k_t_mean and sequence.json's k_t_sq read the two
-        moments of one backward pass per run, over every solution of its
-        one solve pass at once (the bracketing benchmark's problem, N = 6,
-        five iterates and two anchors)."""
-        passes = []
-        real = TreeSolution.__dict__["k_moments"].func
-
-        def counted(sol):
-            passes.append(sol)
-            return real(sol)
-
-        moments = functools.cached_property(counted)
-        moments.__set_name__(TreeSolution, "k_moments")
-        monkeypatch.setattr(TreeSolution, "k_moments", moments)
-        data = {
-            "pipeline": "bracketing",
-            "grid": {"T": 0.5, "N": 6},
-            "marks": dict(ONE_MARK),
-            "problem": {
-                "f": "indicator_pos(y)", "g": "0", "pi": "0", "f_t": "1",
-                "barrier": "-4", "terminal": "w1 + 0.2",
-            },
-            "bracketing": {"count": 5},
-            "outputs": {"formats": ["csv", "json"]},
-        }
-        ok, _, _ = run_pipeline(config_from_dict(data), out_dir=str(tmp_path))
+        """sequence.csv's k_t_mean and sequence.json's k_t_sq, norms,
+        distances and E sup Y^2 come from one backward pass per run, one
+        step_mean per slice for every solution at once (the bracketing
+        benchmark's problem, N = 6, five iterates and two anchors)."""
+        calls = count_step_means(monkeypatch)
+        ok, _, _ = run_pipeline(config_from_dict(BRACKETING_BENCHMARK), out_dir=str(tmp_path))
         iterates = (tmp_path / "sequence.csv").read_text().splitlines()[2:]
         assert ok and len(iterates) == 5
-        assert len(passes) == 1 and passes[0].members == len(iterates) + 2
+        assert calls == [5, 4, 3, 2, 1, 0]
+
+    @pytest.mark.parametrize("pipeline", ["inf_sequence", "sup_sequence", "solve"])
+    def test_envelope_and_tree_solve_runs_make_one_pass(self, tmp_path, monkeypatch, pipeline):
+        """The envelope benchmark's problem (N = 6) as either sequence,
+        and a tree solve, reduce in one pass; no split member is read."""
+        calls = count_step_means(monkeypatch)
+        split = []
+        monkeypatch.setattr(TreeSolution, "member_solutions", lambda *a: split.append(a))
+        data = ENVELOPE_BENCHMARK if pipeline != "solve" else tree_solve(6)
+        run_pipeline(config_from_dict(dict(data, pipeline=pipeline)), out_dir=str(tmp_path))
+        assert calls == [5, 4, 3, 2, 1, 0] and split == []
+
+
+NON_FINITE_REPORTS = {
+    "tree": (
+        {
+            "grid": {"T": 1.0, "N": 6},
+            "problem": {"f": "0.5*y", "barrier": "-1e300", "terminal": "1e200*w1"},
+        },
+        "summary.json", "norms.sup_y_sq",
+    ),
+    "lsmc": (
+        {
+            "grid": {"T": 1.0, "N": 4},
+            "drivers": {"paths": 2000, "mode": "gaussian"},
+            "scheme": {"solver": "lsmc"},
+            "problem": {"f": "0.5*y", "barrier": "-1e300", "terminal": "1e200*abs(w1)"},
+        },
+        "summary.json", "diagnostics.regression_rms[0]",
+    ),
+    "ito": (
+        {**minimal(), "pipeline": "ito_check", "ito": {"beta": "1e200*w1", "alpha0": 1e300}},
+        "ito.json", "report.alpha_terminal_sq_mean",
+    ),
+}
+
+
+class TestNoNonFiniteJson:
+    """Python's json writes Infinity and NaN, which strict parsers refuse;
+    a run whose report would hold one fails on it, naming where, and
+    writes no report."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_REPORTS))
+    def test_the_run_refuses_naming_the_file_and_key(self, case, tmp_path, capsys):
+        data, name, key = NON_FINITE_REPORTS[case]
+        path = write_config(tmp_path, data)
+        assert main(["validate-config", path]) == 0
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == (
+            f"error[SolverError]: {name} would hold a non-finite number at '{key}', not valid JSON"
+        )
+        assert list(out_dir.iterdir()) == []
+
+    def test_the_key_path_reads_in_file_order(self):
+        report = {"b": [1.0, {"c": np.float64(np.inf)}], "a": {"x": np.array([0.0, np.nan])}}
+        refusal = r"^x\.json would hold a non-finite number at 'a\.x\[1\]', not valid JSON$"
+        with pytest.raises(SolverError, match=refusal):
+            cli._json_text(report, "x.json")
+        assert cli._non_finite_at(report["b"]) == "[1].c"
+        assert cli._json_text({"a": [1.0, np.float64(2.0)]}, "x.json").startswith("{")
+

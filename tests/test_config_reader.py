@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 from rbdsdep.cli import main
-from rbdsdep.config import CONFIG_GRAMMAR, config_from_dict
+from rbdsdep import config
+from rbdsdep.config import CONFIG_GRAMMAR, MAX_MEMBER_NODES, config_from_dict
 from rbdsdep.drivers import MAX_PATH_STEPS
 from rbdsdep.errors import ConfigError
 from rbdsdep.generator import DEFAULT_ENVELOPE_NS, MAX_ENVELOPE_GRID
@@ -101,6 +102,7 @@ class TestCanonicalForm:
         text = " ".join(CONFIG_GRAMMAR.split())
         assert f"paths x (N + 1) <= {MAX_PATH_STEPS} path-steps" in text
         assert f"grid_points ** (gridded axes) <= {MAX_ENVELOPE_GRID} grid points" in text
+        assert f"x stored tree nodes <= {MAX_MEMBER_NODES} node-members" in text
 
     def test_every_recorded_key_is_in_the_grammar(self):
         blocks, name = {}, None
@@ -333,6 +335,49 @@ def test_validate_config_refuses_an_envelope_grid_past_its_budget(pipeline, tmp_
     data = sequence_config(pipeline, "sqrt(abs(y))", {"y": [-6, 6], "z1": [-6, 6]})
     data["envelope"]["grid_points"] = MAX_ENVELOPE_GRID
     assert _validate(data, tmp_path, capsys)[0] == 0
+
+
+def bracketing_config(count) -> dict:
+    """The bracketing benchmark's problem: N = 6, one mark, 140 stored nodes."""
+    return {
+        "pipeline": "bracketing",
+        "grid": {"T": 0.5, "N": 6},
+        "marks": {"values": [1.0], "intensities": [0.4]},
+        "problem": {
+            "f": "indicator_pos(y)", "g": "0", "pi": "0", "f_t": "1",
+            "barrier": "-4", "terminal": "w1 + 0.2",
+        },
+        "bracketing": {"count": count},
+    }
+
+
+@pytest.mark.parametrize("count", [1_000_000_000, 3_000_000])
+def test_validate_config_refuses_bracketing_members_past_their_budget(count, tmp_path, capsys):
+    """A run holds every member's slices: these counts ended in a
+    MemoryError although the tree itself fits its state budget."""
+    code, err = _validate(bracketing_config(count), tmp_path, capsys)
+    assert code == 2
+    assert err.strip() == (
+        f"error[ConfigError]: 'bracketing.count' gives {count + 2} solutions of 140 stored "
+        f"lattice nodes each: {(count + 2) * 140} node-members (> budget {MAX_MEMBER_NODES})"
+    )
+    at_budget = MAX_MEMBER_NODES // 140 - 2
+    assert _validate(bracketing_config(at_budget), tmp_path, capsys)[0] == 0
+    assert _validate(bracketing_config(at_budget + 1), tmp_path, capsys)[0] == 2
+
+
+@pytest.mark.parametrize("pipeline, members", [("inf_sequence", 4), ("sup_sequence", 3)])
+def test_an_envelope_sequence_counts_its_indices_and_v(
+    pipeline, members, monkeypatch, tmp_path, capsys
+):
+    """ns = [1, 2, 4] on N = 2 (6 stored nodes): an inf run adds V."""
+    data = sequence_config(pipeline, "abs(y) + abs(z1)", {"y": [-6, 6], "z1": [-6, 6]})
+    data["envelope"]["ns"] = [1, 2, 4]
+    monkeypatch.setattr(config, "MAX_MEMBER_NODES", members * 6)
+    assert _validate(data, tmp_path, capsys)[0] == 0
+    monkeypatch.setattr(config, "MAX_MEMBER_NODES", members * 6 - 1)
+    code, err = _validate(data, tmp_path, capsys)
+    assert code == 2 and f"'envelope.ns' gives {members} solutions of 6 stored" in err
 
 
 def lsmc_config(paths, mode="gaussian") -> dict:

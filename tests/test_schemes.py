@@ -32,7 +32,7 @@ from rbdsdep.solver import (
     TreeModel,
     TreeSolution,
     b_axis_for,
-    integrand_norms,
+    backward_reductions,
     solve_tree_exact,
 )
 
@@ -523,14 +523,15 @@ class TestBracketingPass:
             assert got == tree_norm_report(_fresh(sol))
             assert sol.k_moments == _fresh(sol).k_moments
         tree = sols[0].tree
+        # each pair's difference reduced as one solution of its own
         diffs = [
-            integrand_norms(
+            backward_reductions(
                 tree, [zb - za for za, zb in zip(a.Z, b.Z)], [ub - ua for ua, ub in zip(a.U, b.U)]
-            )
+            ).zu_norms
             for a, b in zip(sols, sols[1:])
         ]
-        assert run.report["z_diffs"] == [z for z, _ in diffs]
-        assert run.report["u_diffs"] == [u for _, u in diffs]
+        assert run.report["z_diffs"] == [z for (z,), _ in diffs]
+        assert run.report["u_diffs"] == [u for _, (u,) in diffs]
         assert max(run.report["z_diffs"]) > 0.0 and max(run.report["u_diffs"]) > 0.0
 
 

@@ -861,6 +861,11 @@ def found_shape(d, m, N):
     return solve_tree_exact(prob, TreeModel(prob.grid, d, prob.marks, b_axis="collapsed"))
 
 
+def fresh(sol):
+    """sol's slices in a new solution, whose reductions are not yet taken."""
+    return solver.TreeSolution(sol.problem, sol.tree, sol.Y, sol.Z, sol.U, sol.dK, sol.S)
+
+
 class TestSupYSqBudget:
     """E sup Y^2 carries its thresholds in blocks within MAX_PATHS values
     per slice, and refuses only past SUP_Y_SQ_WORK node steps."""
@@ -872,7 +877,7 @@ class TestSupYSqBudget:
         whole = sol.sup_y_sq()
         largest = max(y.size for y in sol.Y)
         monkeypatch.setattr(solver, "MAX_PATHS", widths * largest)
-        assert sol.sup_y_sq() == whole
+        assert fresh(sol).sup_y_sq() == whole
 
     @pytest.mark.parametrize("d,m,N", [(2, 2, 5), (3, 1, 5)])
     def test_shapes_past_one_slice_budget_are_carried(self, d, m, N):
@@ -896,7 +901,175 @@ class TestSupYSqBudget:
         with pytest.raises(SolverError, match=refusal):
             sol.sup_y_sq()
         monkeypatch.setattr(solver, "SUP_Y_SQ_WORK", distinct * nodes)
-        assert sol.sup_y_sq() > 0.0
+        assert fresh(sol).sup_y_sq() > 0.0
+
+
+def oracle_reductions(sol, chain=slice(None)):
+    """The reductions of ``solver.backward_reductions`` the way they were
+    taken before it, as the oracle of its pass: on contiguous copies of
+    the chain members, one backward pass each for the K moments, the Z/U
+    norms, the distances of each successive pair and the E sup Y^2
+    thresholds of each member, in blocks within ``solver.MAX_PATHS``
+    values per slice.  Returns the fields of ``solver.Reductions``."""
+    tree, N, dt, lam = sol.tree, sol.grid.N, sol.grid.dt, sol.tree.marks.intensities
+    members = (sol.member_solutions() if sol.members else [sol])[chain]
+
+    def k_moments(m):
+        a = b = np.zeros(m.Y[-1].shape)
+        for i in range(N - 1, -1, -1):
+            dk, ea = m.dK[i], tree.step_mean(i, a)
+            a, b = dk + ea, dk * dk + 2.0 * dk * ea + tree.step_mean(i, b)
+        return float(a.mean()), float(b.mean())
+
+    def norms(Z, U):
+        z_sum = u_sum = np.zeros(Z[-1].shape[:-1])
+        for i in range(N - 1, -1, -1):
+            z_sum = (Z[i] ** 2).sum(axis=-1) + tree.step_mean(i, z_sum)
+            u_sum = (lam * U[i] ** 2).sum(axis=-1) + tree.step_mean(i, u_sum)
+        return float(z_sum.mean()) * dt, float(u_sum.mean()) * dt
+
+    def sup_y_sq(m):
+        y_sq = [y**2 for y in m.Y]
+        c = np.unique(np.concatenate([v.ravel() for v in y_sq]))
+        nodes = sum(v.size for v in y_sq)
+        if c.size * nodes > solver.SUP_Y_SQ_WORK:
+            return (
+                f"E sup Y^2 carries {c.size} distinct values of Y^2 over {nodes} stored "
+                f"nodes: {c.size * nodes} node steps (> {solver.SUP_Y_SQ_WORK})"
+            )
+        blocks = max(1, min(-(-c.size * max(v.size for v in y_sq) // solver.MAX_PATHS), c.size // 2))
+        F = []
+        for part in np.array_split(c, blocks):
+            q = y_sq[-1][..., None] <= part
+            for i in range(N - 1, -1, -1):
+                q = tree.step_mean(i, q) * (y_sq[i][..., None] <= part)
+            F.append(q.reshape(-1, part.size).mean(axis=0))
+        return float(c[0] + np.diff(c) @ (1.0 - np.concatenate(F)[:-1]))
+
+    diffs = [
+        norms([zb - za for za, zb in zip(a.Z, b.Z)], [ub - ua for ua, ub in zip(a.U, b.U)])
+        for a, b in zip(members, members[1:])
+    ]
+    k, zu = zip(*[k_moments(m) for m in members]), zip(*[norms(m.Z, m.U) for m in members])
+    sup = [sup_y_sq(m) for m in members]
+    return (*(tuple(map(list, v)) for v in (k, zu)), tuple(map(list, zip(*diffs))) or ([], []), sup)
+
+
+def member_solve(prob, b_axis, ks=(0.2, 0.5, 0.8), **kw):
+    """prob solved with one member per k in ks, member k's f being
+    k*y - 0.3*z1 on the tree with the given B axis."""
+    ks = np.array(ks)
+
+    def f_fn(t, y, z, u, w, j):
+        return ks * y - 0.3 * z[..., 0]
+
+    tree = TreeModel(prob.grid, prob.dim_d, prob.marks, b_axis=b_axis, **kw)
+    return solve_tree_exact(prob, tree, f_fn=f_fn, members=len(ks))
+
+
+def assert_reductions_equal(got, want):
+    assert (got.k_moments, got.zu_norms, got.diffs, got.sup_y_sq) == want
+
+
+AXIS_CASES = [(*c, b) for c in ORACLE_CASES for b in B_AXES if b == "exhaustive" or not c[2]]
+
+
+class TestOnePassAgainstPerMemberReductions:
+    """``backward_reductions`` carries every member's K moments, Z/U
+    norms, chain distances and E sup Y^2 in one pass, bitwise the
+    per-member passes of ``oracle_reductions``."""
+
+    @pytest.mark.parametrize("d,m,with_g,b_axis", AXIS_CASES)
+    @pytest.mark.parametrize("chain", [slice(None), slice(1, 3), slice(2, 3)])
+    def test_members_on_both_b_axes(self, d, m, with_g, b_axis, chain):
+        sol = member_solve(oracle_case(d, m, with_g), b_axis)
+        got = solver.backward_reductions(sol.tree, sol.Z, sol.U, sol.dK, sol.Y, chain)
+        assert_reductions_equal(got, oracle_reductions(sol, chain))
+        assert len(got.diffs[0]) == len(got.sup_y_sq) - 1 == len(range(3)[chain]) - 1
+
+    @pytest.mark.parametrize("d,m,with_g,b_axis", AXIS_CASES)
+    def test_one_member_tree_solve(self, d, m, with_g, b_axis):
+        prob = oracle_case(d, m, with_g)
+        sol = solve_tree_exact(prob, TreeModel(prob.grid, d, prob.marks, b_axis=b_axis))
+        assert_reductions_equal(sol.reductions, oracle_reductions(sol))
+        assert tree_norm_report(sol)["sup_y_sq"] == sol.reductions.sup_y_sq[0] > 0.0
+        assert sol.k_moments == tuple(v[0] for v in sol.reductions.k_moments)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("d,m,with_g", [(1, 1, True), (2, 0, False), (1, 0, True)])
+    def test_envelope_runs_at_each_thread_count(self, d, m, with_g, threads):
+        prob = oracle_case(d, m, with_g)
+        prob = replace(prob, generator=replace(prob.generator, growth_C=2.0))
+        box = {a: (-6.0, 6.0) for a in ("y", "z1", "u1")}
+        env = EnvelopeParams(n=1.0, box=box, grid_points=21)
+        run = run_inf_envelope_sequence(
+            prob, env, ns=[2, 3, 4], threads=threads, early_stop_tol=0.0
+        )
+        want = oracle_reductions(run.solve, run.roles["tree_solutions"])
+        assert_reductions_equal(run.reductions, want)
+        assert [e["sup_y_sq"] for e in run.report["norms"]] == want[3]
+        assert [e["k_t_sq"] for e in run.report["norms"]] == want[0][1]
+
+    def test_members_with_unequal_threshold_counts(self, monkeypatch):
+        """Member 0 stays at 0 (one value of Y^2, so F is never read),
+        member 1 takes one value per slice, member 2 one per node; over
+        several blocks, and with member 2 past the work budget."""
+        prob = make_problem(terminal="0", T=0.5, N=4, marks=MARKS)
+        tree = TreeModel(prob.grid, 1, MARKS)
+
+        def f_fn(t, y, z, u, w, j):
+            flat, per_slice = 0.0 * y[..., 0], 1.0 + 0.0 * y[..., 1]
+            return np.stack([flat, per_slice, 1.0 + w[..., 0, 0] ** 2 + y[..., 2]], axis=-1)
+
+        sol = solve_tree_exact(prob, tree, f_fn=f_fn, members=3)
+        y_sq = [np.concatenate([y[..., k].ravel() ** 2 for y in sol.Y]) for k in range(3)]
+        counts = [np.unique(v).size for v in y_sq]
+        assert counts[0] == 1 and counts[1] == prob.grid.N + 1 and counts[2] > counts[1]
+        largest = max(y[..., 0].size for y in sol.Y)
+        for max_paths in (solver.MAX_PATHS, 2 * largest, 5 * largest):
+            monkeypatch.setattr(solver, "MAX_PATHS", max_paths)
+            got = solver.backward_reductions(tree, sol.Z, sol.U, sol.dK, sol.Y)
+            assert_reductions_equal(got, oracle_reductions(sol))
+        monkeypatch.setattr(solver, "SUP_Y_SQ_WORK", counts[2] * tree.total_states() - 1)
+        got = solver.backward_reductions(tree, sol.Z, sol.U, sol.dK, sol.Y)
+        assert_reductions_equal(got, oracle_reductions(sol))
+        assert isinstance(got.sup_y_sq[2], str) and got.sup_y_sq[1] > got.sup_y_sq[0] == 0.0
+        # the skipped member's K and Z/U norms still come from the pass
+        assert got.zu_norms[0][2] > 0.0
+
+    def test_blocks_batched_across_members_make_a_pass_each(self, monkeypatch):
+        """Within MAX_PATHS values a slice, one pass carries the sums and
+        every threshold; past it, the sums take a pass of their own and
+        each block of thresholds, batched across members and within the
+        per-member width of the passes before, one more."""
+        sol = member_solve(oracle_case(1, 1, True, N=4), "exhaustive")
+        largest = max(y[..., 0].size for y in sol.Y)
+        widths, real = [], TreeModel.step_mean
+
+        def record(tree, i, values):
+            widths.append(values.shape[-1])
+            return real(tree, i, values)
+
+        monkeypatch.setattr(TreeModel, "step_mean", record)
+        solver.backward_reductions(sol.tree, sol.Z, sol.U, sol.dK, sol.Y)
+        sums = 2 * 3 + 2 * 5  # A, B and the Z, U sums of 3 members and 2 pairs
+        thresholds = widths[0] - sums
+        assert widths == [sums + thresholds] * sol.grid.N
+        monkeypatch.setattr(solver, "MAX_PATHS", 4 * largest)
+        widths.clear()
+        got = solver.backward_reductions(sol.tree, sol.Z, sol.U, sol.dK, sol.Y)
+        passes = [widths[k] for k in range(0, len(widths), sol.grid.N)]
+        assert widths == [w for w in passes for _ in range(sol.grid.N)]
+        assert passes[0] == sums and sum(passes[1:]) == thresholds
+        assert len(passes) == 1 + -(-thresholds // 4) and all(2 <= w <= 4 for w in passes[1:])
+        assert_reductions_equal(got, oracle_reductions(sol))
+
+    @pytest.mark.parametrize("ks, chain", [((0.4,), slice(None)), ((0.4, 0.6), slice(1, 2))])
+    def test_a_chain_of_one_member_has_no_distance(self, ks, chain):
+        sol = member_solve(oracle_case(1, 0, False), "collapsed", ks=ks)
+        got = solver.backward_reductions(sol.tree, sol.Z, sol.U, sol.dK, sol.Y, chain)
+        assert got.diffs == ([], []) and len(got.zu_norms[0]) == 1
+        assert_reductions_equal(got, oracle_reductions(sol, chain))
 
 
 class TestLsmcGuards:
