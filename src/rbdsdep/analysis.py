@@ -26,7 +26,14 @@ from .generator import (
     ensure_expr,
     problem_cloud,
 )
-from .solver import ProblemSpec, SolutionGrid, TreeModel, TreeSolution, solve_tree_exact
+from .solver import (
+    ProblemSpec,
+    SolutionGrid,
+    TreeModel,
+    TreeSolution,
+    _node_margins,
+    solve_tree_exact,
+)
 
 # (size, seed) of the certificate clouds and the verdict tolerances of the
 # comparison and the positivity check
@@ -134,7 +141,8 @@ def compare_solutions(
         Certificate("generator_ordered", f_worst <= PREMISE_SLACK, f_worst)
     )
 
-    margin = min(float((y2 - y1).min()) for y1, y2 in zip(sol1.Y, sol2.Y))
+    pair = [np.stack(ys, axis=-1) for ys in zip(sol1.Y, sol2.Y)]  # members 0 and 1
+    margin = _node_margins(pair, slice(1), slice(1, 2))[0]
     root_gap = sol2.root_value() - sol1.root_value()
     verdict = _verdict(premises, margin >= -_COMPARE_TOL)
     return ComparisonReport(premises, margin, root_gap, verdict, _COMPARE_TOL)
@@ -401,10 +409,9 @@ def norm_report(sol: SolutionGrid, marks: MarkSpace) -> dict:
 
 
 def tree_norm_report(sol: TreeSolution) -> dict:
-    """``norm_report``'s squared norms computed on the tree slices of one
-    solve, all carried backward in its one pass (``Reductions.norms`` of
-    ``TreeSolution.reductions``).  Past ``SUP_Y_SQ_WORK`` node steps (one
-    per distinct Y^2 and stored node), E sup Y^2 is None and
-    "sup_y_sq_skipped" says why.  The norms of a solution that fails
-    ``TreeSolution.validate`` may be non-finite."""
+    """``norm_report``'s squared norms on the tree slices of one problem,
+    carried backward in one pass (``TreeSolution.reductions``): past
+    ``SUP_Y_SQ_WORK`` node steps (distinct Y^2 values x stored nodes),
+    E sup Y^2 is None and "sup_y_sq_skipped" says why.  The norms of a
+    solution that fails ``TreeSolution.validate`` may be non-finite."""
     return sol.reductions.norms(0)

@@ -105,9 +105,10 @@ def _json_default(value):
 def _non_finite_at(value, path: str = ""):
     """The key path of the first inf or NaN in a JSON report, in file
     order ("norms.sup_y_sq", "report.norms[0].z_norm_sq"), or None."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value  # as written
     if isinstance(value, dict):
         items = [(f"{path}.{k}" if path else str(k), v) for k, v in sorted(value.items())]
-    elif isinstance(value, (list, tuple, np.ndarray)):
+    elif isinstance(value, (list, tuple)):
         items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
     else:  # only a float can be inf or NaN
         bad = isinstance(value, (float, np.floating)) and not math.isfinite(value)
@@ -120,8 +121,10 @@ def _json_text(obj, name: str) -> str:
     refused with a SolverError naming the file and its key path."""
     try:
         return json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
-    except ValueError:
-        where = _non_finite_at(obj)
+    except ValueError as exc:  # a float out of range, or a circular reference
+        where = _non_finite_at(obj) if "Out of range float" in str(exc) else None
+        if where is None:
+            raise
     raise SolverError(f"{name} would hold a non-finite number at '{where}', not valid JSON")
 
 
@@ -155,11 +158,12 @@ def _solution_summary(sol, cfg: ExperimentConfig) -> dict:
 
 def _tree_summary(sol) -> dict:
     """Summary of an exact tree solution, from its lattice slices."""
+    norms = tree_norm_report(sol)  # the one reductions pass, which k_moments reads
     return {
         "root_value": sol.root_value(),
         "k_t_mean": sol.k_moments[0],
         "min_y": min(float(y.min()) for y in sol.Y),
-        "norms": tree_norm_report(sol),
+        "norms": norms,
         "skorokhod_max": max(
             float(np.abs((y - s) * dk).max()) for y, s, dk in zip(sol.Y, sol.S, sol.dK)
         ),

@@ -425,15 +425,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if uses_tree:
         tree = TreeModel(grid, dim_d, marks, tree_max_steps, tree_max_states, b_axis_for(problem))
         tree.ensure_budget()
-        key, members = {  # a sequence's solutions, one pass; V is an inf run's last
+        # a sequence solves its solutions in one pass; V is an inf run's last
+        key, members = {
             "bracketing": ("bracketing.count", bracketing_count + 2),
             "inf_sequence": ("envelope.ns", len(envelope_ns) + 1),
             "sup_sequence": ("envelope.ns", len(envelope_ns)),
         }.get(pipeline, ("", 0))
-        if members * tree.total_states() > MAX_MEMBER_NODES:
+        nodes = tree.total_states()
+        if members * nodes > MAX_MEMBER_NODES:
             raise ConfigError(
-                f"'{key}' gives {members} solutions of {tree.total_states()} stored lattice nodes "
-                f"each: {members * tree.total_states()} node-members (> budget {MAX_MEMBER_NODES})"
+                f"'{key}' gives {members} solutions of {nodes} stored lattice nodes each: "
+                f"{members * nodes} node-members (> budget {MAX_MEMBER_NODES})"
             )
 
     canonical = top.record

@@ -29,16 +29,13 @@ k-1's values of the step before, which the pass has already made.
 Either way each solution is bitwise its own separate solve.
 
 The per-solution work runs on the pass with its member axis, each
-result bitwise the number of the solution on its own: the node-wise
-check of the reflection invariants (V after the indices), the roots,
-the node margins, and one ``solver.backward_reductions`` pass over the
-reported solutions (the indices kept, or the iterates) for their K
-moments, Z/U norms and E sup Y^2, each on its own thresholds within its
-work budget, and the Z/U distances between successive ones.  The run
-keeps its one solve; the solutions are split out of it
-(``TreeSolution.member_solutions``) only when ``SequenceRun``'s
-tree_solutions or a companion is first read, which no CLI pipeline does.
-A caller that wants paths materialises them with
+result bitwise the solution's own: the node-wise check of the
+reflection invariants (V after the indices), the roots, the node
+margins, and one ``solver.backward_reductions`` pass over the reported
+solutions (the indices kept, or the iterates) for their K moments, Z/U
+norms, E sup Y^2 (each on its own thresholds) and successive Z/U
+distances.  ``SequenceRun`` splits the solutions out of its solve only
+when one is first read, which no CLI pipeline does; paths come from
 ``TreeSolution.to_solution_grid``, within the ``MAX_PATHS`` budget.
 Premise checks are ``generator`` certificates on ``problem_cloud``
 clouds: linear growth for the envelope sequences; signed growth, the sign
@@ -78,6 +75,7 @@ from .solver import (
     Reductions,
     TreeModel,
     TreeSolution,
+    _node_margins,
     _slice0_means,
     backward_reductions,
     solve_tree_exact,
@@ -95,16 +93,12 @@ MARGIN_TOL = 1e-10
 
 @dataclass
 class SequenceRun:
-    """One pipeline run: its report and the one solve pass it came from.
-
-    report is JSON-serializable throughout, and reductions the solutions'
-    ``backward_reductions``.  The solutions are members of solve (see
-    ``solve_tree_exact``), each validated node-wise on the pass; roles
-    maps tree_solutions to a slice of the members and each companion
-    (upper_tree for V, lower_anchor_tree, upper_anchor_tree) to a member.
-    They are split into solutions of their own when one is first read
-    (``TreeSolution.member_solutions``).  Paths are not kept.
-    """
+    """One pipeline run: its JSON-serializable report, the solve pass of
+    its solutions (each validated node-wise on it) and their reductions.
+    roles maps tree_solutions to a slice of the members and each
+    companion (upper_tree for V, lower_anchor_tree, upper_anchor_tree) to
+    one; they are split into solutions of their own on first read
+    (``TreeSolution.member_solutions``).  Paths are not kept."""
 
     mode: str
     index_set: List[float]
@@ -119,8 +113,7 @@ class SequenceRun:
         return self.solve.member_solutions()
 
     def _role(self, name: str):
-        at = self.roles.get(name)
-        return None if at is None else self._members[at]
+        return None if name not in self.roles else self._members[self.roles[name]]
 
     tree_solutions = property(lambda self: self._role("tree_solutions"))
     upper_tree = property(lambda self: self._role("upper_tree"))
@@ -138,14 +131,6 @@ def _checked_pass(batched: TreeSolution, labels, order=None) -> list:
         if failures[k] is not None:
             raise SolverError(f"{failures[k]} of {labels[k]}")
     return _slice0_means(batched.Y[0], len(labels))
-
-
-def _node_margins(Y, lower: slice, upper: slice) -> list:
-    """Per pair of members (lower[p], upper[p]) of a pass's slices Y, the
-    node-wise min of Y_upper - Y_lower over every slice and time; upper
-    may be one member, paired with each of lower."""
-    rows = np.concatenate([y.reshape(-1, y.shape[-1]) for y in Y]).T  # one per member
-    return np.subtract(rows[upper], rows[lower], order="C").min(axis=1).tolist()
 
 
 #: the refusal of each certificate a run requires, formatted with its worst

@@ -554,19 +554,28 @@ class TreeSolution:
 
     @cached_property
     def reductions(self) -> "Reductions":
-        """``backward_reductions`` of every member, on first use; the
-        properties below read it, each a list per entry with members."""
+        """``backward_reductions`` of every member, on first use."""
         return backward_reductions(self.tree, self.Z, self.U, self.dK, self.Y)
 
-    def _own(self, values: tuple) -> tuple:
-        return values if self.members else tuple(v[0] for v in values)
+    @cached_property
+    def _sums(self) -> tuple:
+        """((E[K_T], E[K_T^2]), (sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt)),
+        each a list per entry with members: off the reductions once taken,
+        else off a pass without E sup Y^2 (no work for it)."""
+        red = self.__dict__.get("reductions") or backward_reductions(
+            self.tree, self.Z, self.U, self.dK, self.Y, work=0
+        )
+        pick = (lambda v: v) if self.members else (lambda v: v[0])
+        return tuple(tuple(pick(v) for v in s) for s in (red.k_moments, red.zu_norms))
 
-    #: (E[K_T], E[K_T^2]) and (sum_i E|Z_i|^2 dt, sum_i E|U_i|^2_lambda dt)
-    k_moments = property(lambda self: self._own(self.reductions.k_moments))
-    zu_norms = property(lambda self: self._own(self.reductions.zu_norms))
+    k_moments = property(lambda self: self._sums[0])
+    zu_norms = property(lambda self: self._sums[1])
 
     def sup_y_sq(self) -> float:
-        """E[max_i Y_i^2] of one solve; SolverError past ``SUP_Y_SQ_WORK``."""
+        """E[max_i Y_i^2] of one problem; SolverError past ``SUP_Y_SQ_WORK``
+        and on a solve with members, whose values are reductions.sup_y_sq."""
+        if self.members is not None:
+            raise SolverError("a solve with members has one E sup Y^2 per member")
         value = self.reductions.sup_y_sq[0]
         if isinstance(value, str):
             raise SolverError(value)
@@ -612,12 +621,20 @@ def _slice0_means(values: np.ndarray, members: int) -> list:
     return rows.mean(axis=1).tolist()
 
 
+def _node_margins(Y, lower: slice, upper: slice) -> list:
+    """Per pair of members (lower[p], upper[p]) of slices Y with a member
+    axis, the node-wise min of Y_upper - Y_lower over every slice and
+    time; upper may be one member, paired with each of lower."""
+    rows = np.concatenate([y.reshape(-1, y.shape[-1]) for y in Y]).T  # one per member
+    return np.subtract(rows[upper], rows[lower], order="C").min(axis=1).tolist()
+
+
 @dataclass(frozen=True)
 class Reductions:
-    """What ``backward_reductions`` reads off its pass, in lists with one
-    entry per chain member: (E[K_T], E[K_T^2]), the (Z, U) norms, the
-    (Z, U) distances, one entry per successive pair, and E sup Y^2, a
-    float or, past ``SUP_Y_SQ_WORK``, the refusal text."""
+    """What ``backward_reductions`` reads off its pass, one list entry per
+    chain member: (E[K_T], E[K_T^2]), the (Z, U) norms, the (Z, U)
+    distances (one entry per successive pair) and E sup Y^2, a float or,
+    past the work budget, the refusal text."""
 
     k_moments: tuple
     zu_norms: tuple
@@ -626,8 +643,7 @@ class Reductions:
 
     def norms(self, k: int) -> dict:
         """Member k's squared norms, named as ``analysis.norm_report``'s;
-        past ``SUP_Y_SQ_WORK``, "sup_y_sq" is None and "sup_y_sq_skipped"
-        holds the refusal."""
+        with a refusal, "sup_y_sq" is None and "sup_y_sq_skipped" says why."""
         (z, u), (_, k_sq), sup = self.zu_norms, self.k_moments, self.sup_y_sq[k]
         out = {"sup_y_sq": sup, "z_norm_sq": z[k], "u_norm_sq": u[k], "k_t_sq": k_sq[k]}
         if isinstance(sup, str):
@@ -635,58 +651,52 @@ class Reductions:
         return out
 
 
-def backward_reductions(tree: TreeModel, Z, U, dK=None, Y=None, chain=slice(None)) -> Reductions:
-    """Every backward reduction of the members in chain, a non-empty slice
-    of a solve's members (one problem is one member), in one pass: one
-    ``tree.step_mean`` per slice on a state stacked on a trailing axis.
-    From zeros on slice N, the state holds
+def backward_reductions(tree: TreeModel, Z, U, dK, Y, chain=slice(None), work=SUP_Y_SQ_WORK):
+    """The ``Reductions`` of the members in chain, a non-empty slice of a
+    solve's members (one problem is one member), in one pass: one
+    ``tree.step_mean`` per slice on a state stacked on a trailing axis,
+    from zeros on slice N, of
 
     * per member, A_i = E_i[K_T - K_i] = dK_i + E_i[A_{i+1}] and B_i =
-      E_i[(K_T - K_i)^2] = dK_i^2 + 2*dK_i*E_i[A_{i+1}] + E_i[B_{i+1}]
-      (dK defaults to 0);
-    * per member, then per successive pair (for Z' - Z and U' - U), the
-      sum of |Z_i|^2 (|U_i|^2_lambda) and E_i of the sum from slice i+1 on
-      (the U sums only with marks: without, every U norm is 0.0);
-    * given Y, per member and per c of its own sorted distinct values of
-      Y^2, q_i = E_i[q_{i+1}] * 1{Y_i^2 <= c} from q_N = 1{Y_N^2 <= c}.
+      E_i[(K_T - K_i)^2] = dK_i^2 + 2*dK_i*E_i[A_{i+1}] + E_i[B_{i+1}];
+    * per member, then per successive pair (Z' - Z, U' - U), |Z_i|^2
+      (|U_i|^2_lambda, carried only with marks) plus E_i of its sum from
+      slice i+1 on;
+    * per member and per c of its own sorted distinct Y^2 values, q_i =
+      E_i[q_{i+1}] * 1{Y_i^2 <= c}, from q_N = 1{Y_N^2 <= c}.
 
     A, B and the sums (times dt) are slice-0 means (``_slice0_means``).
-    q's slice-0 column mean is F(c) = P(max_i Y_i^2 <= c), so E max_i
+    q's slice-0 column mean is F(c) = P(max_i Y_i^2 <= c), and E max_i
     Y_i^2 = c_1 + sum_k (c_k - c_{k-1}) (1 - F(c_{k-1})); a member whose
-    (distinct values) x (stored nodes) exceeds ``SUP_Y_SQ_WORK`` has no
-    q.  One pass carries it all while a slice holds at most MAX_PATHS
-    values; past that, the sums take a pass of their own and the
+    (distinct values) x (stored nodes) exceeds work has no q.  Past
+    MAX_PATHS values a slice, the sums take a pass of their own and the
     thresholds go in blocks of about MAX_PATHS // (largest slice) columns,
-    and of at least two, one pass each.  A column mean over two or more
+    and of at least two, a pass each.  A column mean over two or more
     columns sums each column in the order of the whole, so every value is
     bitwise the member's reduced alone."""
     if Z[0].ndim == tree.node_axes + 1:  # one problem: one member
         Z, U = ([v[..., None, :] for v in s] for s in (Z, U))
-        dK, Y = (None if s is None else [v[..., None] for v in s] for s in (dK, Y))
+        dK, Y = ([v[..., None] for v in s] for s in (dK, Y))
     Z, U = ([v[..., chain, :] for v in s] for s in (Z, U))
-    dK = [np.zeros(z.shape[:-1]) for z in Z[:-1]] if dK is None else [v[..., chain] for v in dK]
+    dK, Y = ([v[..., chain] for v in s] for s in (dK, Y))
     M, lam, dt = Z[0].shape[-2], tree.marks.intensities, tree.grid.dt
-    # state columns: A, B (M each), Z then U sums (half each: members, pairs), q;
-    # without marks the U sums are 0.0 and are not carried
+    # state columns: A, B (M each), Z then U sums (half each: members, pairs), q
     half, u_half = 2 * M - 1, (2 * M - 1 if lam.size else 0)
-    sums, sup, sizes, c_all = 2 * M + half + u_half, [None] * M, np.zeros(M, np.intp), np.zeros(0)
-    if Y is not None:
-        rows = np.concatenate([y[..., chain].reshape(-1, M).T for y in Y], axis=1)  # per member
-        rows **= 2
-        rows.sort(axis=1)
-        fresh = np.concatenate((np.ones((M, 1), bool), rows[:, 1:] != rows[:, :-1]), axis=1)
-        nodes = rows.shape[1]
-        for k, distinct in enumerate(fresh.sum(axis=1).tolist()):
-            if distinct * nodes > SUP_Y_SQ_WORK:
-                sup[k] = (
-                    f"E sup Y^2 carries {distinct} distinct values of Y^2 over {nodes} stored "
-                    f"nodes: {distinct * nodes} node steps (> {SUP_Y_SQ_WORK})"
-                )
-            else:
-                sizes[k] = distinct
-        c_all = rows[fresh & (sizes > 0)[:, None]]  # the carried members' c, in member order
-        del rows, fresh
-    y_sq = [y[..., chain] ** 2 for y in Y] if c_all.size else None
+    sums = 2 * M + half + u_half
+    rows = np.concatenate([y.reshape(-1, M).T for y in Y], axis=1)  # one per member
+    rows **= 2
+    rows.sort(axis=1)
+    fresh = np.concatenate((np.ones((M, 1), bool), rows[:, 1:] != rows[:, :-1]), axis=1)
+    nodes, distinct = rows.shape[1], fresh.sum(axis=1)
+    sizes = np.where(distinct * nodes > work, 0, distinct)  # 0: refused
+    c_all = rows[fresh & (sizes > 0)[:, None]]  # the carried members' c, in member order
+    del rows, fresh
+    sup = [  # each member's refusal, replaced below by its value where q is carried
+        f"E sup Y^2 carries {n} distinct values of Y^2 over {nodes} stored nodes: "
+        f"{n * nodes} node steps (> {work})"
+        for n in distinct.tolist()
+    ]
+    y_sq = [y**2 for y in Y] if c_all.size else None
     ends = np.cumsum(sizes)
     starts = ends - sizes
     largest = max(z.size for z in Z) // (M * tree.dim_d)
@@ -697,9 +707,8 @@ def backward_reductions(tree: TreeModel, Z, U, dK=None, Y=None, chain=slice(None
         blocks = [(sums, 0, 0)] + [(0, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     def carry(width: int, lo: int, hi: int):
-        """A pass of the first width sum columns and of the q of
-        c_all[lo:hi]: the sums' slice-0 means and F, the column means of
-        q's (nodes, thresholds)."""
+        """The slice-0 means of the first width sum columns and F, the
+        column means of the (nodes, thresholds) q of c_all[lo:hi]."""
         c, runs = c_all[lo:hi], np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0, None)
         state = np.zeros(Z[-1].shape[:-2] + (width + hi - lo,))
         if hi > lo:  # each member's Y^2 repeated once per threshold of its own

@@ -383,10 +383,11 @@ class TestSliceFormsAgainstPaths:
         dz = ((b.Z[:, :-1] - a.Z[:, :-1]) ** 2).sum(axis=(1, 2)) * dt
         du = (lam * (b.U[:, :-1] - a.U[:, :-1]) ** 2).sum(axis=(1, 2)) * dt
         # the two solutions as the members of one pass's slices
-        Z, U = (
-            [np.stack(pair, axis=-2) for pair in zip(*(getattr(s, f) for s in sols))] for f in "ZU"
+        Z, U, dK, Y = (
+            [np.stack(pair, axis=axis) for pair in zip(*(getattr(s, f) for s in sols))]
+            for f, axis in (("Z", -2), ("U", -2), ("dK", -1), ("Y", -1))
         )
-        z_diffs, u_diffs = backward_reductions(sols[0].tree, Z, U).diffs
+        z_diffs, u_diffs = backward_reductions(sols[0].tree, Z, U, dK, Y).diffs
         assert z_diffs[0] > 0.0 and (u_diffs[0] > 0.0) == (m > 0)
         np.testing.assert_allclose(z_diffs, [a.weights @ dz], rtol=1e-12, atol=0)
         np.testing.assert_allclose(u_diffs, [a.weights @ du], rtol=1e-12, atol=0)

@@ -937,3 +937,14 @@ class TestNoNonFiniteJson:
         assert cli._non_finite_at(report["b"]) == "[1].c"
         assert cli._json_text({"a": [1.0, np.float64(2.0)]}, "x.json").startswith("{")
 
+    def test_a_zero_dimensional_array_is_a_scalar(self):
+        refusal = r"^x\.json would hold a non-finite number at 'a\.b', not valid JSON$"
+        with pytest.raises(SolverError, match=refusal):
+            cli._json_text({"a": {"b": np.array(np.inf)}}, "x.json")
+
+    def test_a_circular_reference_is_not_a_non_finite_number(self):
+        report = {"a": [], "b": float("inf")}  # json meets the cycle first
+        report["a"].append(report)
+        with pytest.raises(ValueError, match="Circular reference"):
+            cli._json_text(report, "x.json")
+

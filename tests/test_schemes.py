@@ -526,7 +526,12 @@ class TestBracketingPass:
         # each pair's difference reduced as one solution of its own
         diffs = [
             backward_reductions(
-                tree, [zb - za for za, zb in zip(a.Z, b.Z)], [ub - ua for ua, ub in zip(a.U, b.U)]
+                tree,
+                [zb - za for za, zb in zip(a.Z, b.Z)],
+                [ub - ua for ua, ub in zip(a.U, b.U)],
+                a.dK,
+                a.Y,
+                work=0,  # the Z/U norms only
             ).zu_norms
             for a, b in zip(sols, sols[1:])
         ]

@@ -1,6 +1,7 @@
 """Exact tree solver, Monte Carlo solver and their shared plumbing."""
 
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -889,22 +890,25 @@ class TestSupYSqBudget:
         second = [float((sol.tree.state_probs(i) * v).sum()) for i, v in enumerate(y_sq)]
         assert max(second) < sol.sup_y_sq() < sum(second)
 
-    def test_refuses_past_the_work_budget(self, monkeypatch):
+    def test_refuses_past_the_work_budget(self):
         sol = solve_tree_exact(oracle_case(1, 1, True))
         nodes = sol.tree.total_states()
         distinct = np.unique(np.concatenate([(y**2).ravel() for y in sol.Y])).size
-        monkeypatch.setattr(solver, "SUP_Y_SQ_WORK", distinct * nodes - 1)
         refusal = (
-            rf"E sup Y\^2 carries {distinct} distinct values of Y\^2 over {nodes} stored "
-            rf"nodes: {distinct * nodes} node steps \(> {distinct * nodes - 1}\)"
+            f"E sup Y^2 carries {distinct} distinct values of Y^2 over {nodes} stored "
+            f"nodes: {distinct * nodes} node steps (> {distinct * nodes - 1})"
         )
-        with pytest.raises(SolverError, match=refusal):
+        args = (sol.tree, sol.Z, sol.U, sol.dK, sol.Y)
+        sol.reductions = solver.backward_reductions(*args, work=distinct * nodes - 1)
+        assert sol.reductions.sup_y_sq == [refusal]
+        with pytest.raises(SolverError, match=re.escape(refusal)):
             sol.sup_y_sq()
-        monkeypatch.setattr(solver, "SUP_Y_SQ_WORK", distinct * nodes)
-        assert fresh(sol).sup_y_sq() > 0.0
+        assert tree_norm_report(sol)["sup_y_sq_skipped"] == refusal
+        within = solver.backward_reductions(*args, work=distinct * nodes).sup_y_sq[0]
+        assert within == fresh(sol).sup_y_sq() > 0.0
 
 
-def oracle_reductions(sol, chain=slice(None)):
+def oracle_reductions(sol, chain=slice(None), work=solver.SUP_Y_SQ_WORK):
     """The reductions of ``solver.backward_reductions`` the way they were
     taken before it, as the oracle of its pass: on contiguous copies of
     the chain members, one backward pass each for the K moments, the Z/U
@@ -932,10 +936,10 @@ def oracle_reductions(sol, chain=slice(None)):
         y_sq = [y**2 for y in m.Y]
         c = np.unique(np.concatenate([v.ravel() for v in y_sq]))
         nodes = sum(v.size for v in y_sq)
-        if c.size * nodes > solver.SUP_Y_SQ_WORK:
+        if c.size * nodes > work:
             return (
                 f"E sup Y^2 carries {c.size} distinct values of Y^2 over {nodes} stored "
-                f"nodes: {c.size * nodes} node steps (> {solver.SUP_Y_SQ_WORK})"
+                f"nodes: {c.size * nodes} node steps (> {work})"
             )
         blocks = max(1, min(-(-c.size * max(v.size for v in y_sq) // solver.MAX_PATHS), c.size // 2))
         F = []
@@ -1030,9 +1034,9 @@ class TestOnePassAgainstPerMemberReductions:
             monkeypatch.setattr(solver, "MAX_PATHS", max_paths)
             got = solver.backward_reductions(tree, sol.Z, sol.U, sol.dK, sol.Y)
             assert_reductions_equal(got, oracle_reductions(sol))
-        monkeypatch.setattr(solver, "SUP_Y_SQ_WORK", counts[2] * tree.total_states() - 1)
-        got = solver.backward_reductions(tree, sol.Z, sol.U, sol.dK, sol.Y)
-        assert_reductions_equal(got, oracle_reductions(sol))
+        work = counts[2] * tree.total_states() - 1
+        got = solver.backward_reductions(tree, sol.Z, sol.U, sol.dK, sol.Y, work=work)
+        assert_reductions_equal(got, oracle_reductions(sol, work=work))
         assert isinstance(got.sup_y_sq[2], str) and got.sup_y_sq[1] > got.sup_y_sq[0] == 0.0
         # the skipped member's K and Z/U norms still come from the pass
         assert got.zu_norms[0][2] > 0.0
@@ -1063,6 +1067,28 @@ class TestOnePassAgainstPerMemberReductions:
         assert passes[0] == sums and sum(passes[1:]) == thresholds
         assert len(passes) == 1 + -(-thresholds // 4) and all(2 <= w <= 4 for w in passes[1:])
         assert_reductions_equal(got, oracle_reductions(sol))
+
+    def test_k_moments_and_norms_alone_carry_no_thresholds(self, monkeypatch):
+        """Read before the reductions, the K moments and Z/U norms take a
+        pass of the sums alone; read after them, no pass.  E sup Y^2 of a
+        solve with members is per member, in the reductions only."""
+        sol = member_solve(oracle_case(1, 1, True, N=4), "exhaustive")
+        want, one = oracle_reductions(sol), sol.member_solutions()[1]
+        widths, real = [], TreeModel.step_mean
+
+        def record(tree, i, values):
+            widths.append(values.shape[-1])
+            return real(tree, i, values)
+
+        monkeypatch.setattr(TreeModel, "step_mean", record)
+        assert (sol.k_moments, sol.zu_norms) == want[:2]
+        assert widths == [2 * 3 + 2 * 5] * sol.grid.N and "reductions" not in vars(sol)
+        with pytest.raises(SolverError, match=r"one E sup Y\^2 per member"):
+            sol.sup_y_sq()
+        assert sol.reductions.sup_y_sq == want[3]
+        widths.clear()
+        assert tree_norm_report(one)["k_t_sq"] == want[0][1][1]
+        assert one.k_moments == (want[0][0][1], want[0][1][1]) and len(widths) == sol.grid.N
 
     @pytest.mark.parametrize("ks, chain", [((0.4,), slice(None)), ((0.4, 0.6), slice(1, 2))])
     def test_a_chain_of_one_member_has_no_distance(self, ks, chain):
