@@ -651,7 +651,9 @@ class Reductions:
         return out
 
 
-def backward_reductions(tree: TreeModel, Z, U, dK, Y, chain=slice(None), work=SUP_Y_SQ_WORK):
+def backward_reductions(
+    tree: TreeModel, Z, U, dK, Y, chain=slice(None), work=SUP_Y_SQ_WORK
+) -> Reductions:
     """The ``Reductions`` of the members in chain, a non-empty slice of a
     solve's members (one problem is one member), in one pass: one
     ``tree.step_mean`` per slice on a state stacked on a trailing axis,
